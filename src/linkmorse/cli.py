@@ -13,7 +13,7 @@ import sys
 from .config import RunConfig, Tolerances
 from .enumeration import enumerate_critical_structure, match_record
 from .errors import LinkmorseError, NonGenericError, NotSPError
-from .geometry import wall_check
+from .geometry import Configuration, wall_check
 from .graphs import (
     detect_polygon_with_chains,
     is_partial_two_tree,
@@ -149,8 +149,6 @@ def cmd_verify(args) -> int:
 
     diffs: list[str] = []
     oracle = area_oracle(g, gamma, cfg.tols)
-    from .geometry import Configuration
-
     for k, rec_json in enumerate(payload.get("records", [])):
         key = rec_json.get("key", f"record{k}")
         rec = by_key.get(key)

@@ -22,6 +22,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     CoincidingCentersError,
+    NoConvergenceError,
     NonGenericError,
     NotConcyclicError,
     NotPTTError,
@@ -35,6 +36,7 @@ from .geometry import (
     chain_reach,
     cyclic_data_from_points,
     enumerate_cyclic,
+    gauss_newton,
     shoelace,
     transform_mapping_segment,
     wall_check,
@@ -234,8 +236,7 @@ def _records_for_branch(struct: PolygonWithChains, glens, aligned_list, combo,
 
     out = []
     for pick in itertools.product(*cell_sols):
-        rec = _assemble_record(struct, glens, aligned_list, combo, cells, pick,
-                               tols, scale)
+        rec = _assemble_record(struct, aligned_list, combo, cells, pick, tols, scale)
         if rec is not None:
             out.append(rec)
     return out
@@ -297,17 +298,19 @@ def _glue_cells(struct: PolygonWithChains, aligned_list, cells, pick, scale):
     return pos_xy, [placed[ci] for ci in range(len(cells))]
 
 
-def _assemble_record(struct: PolygonWithChains, glens, aligned_list, combo,
-                     cells, pick, tols: Tolerances, scale: float):
+def _assemble_record(struct: PolygonWithChains, aligned_list, combo, cells, pick,
+                     tols: Tolerances, scale: float):
     glued = _glue_cells(struct, aligned_list, cells, pick, scale)
     if glued is None:
         return None
     pos_xy, placed_cells = glued
 
-    # feasibility and genericity of the chains left free
-    free_status: dict[int, ChainStatus] = {}
+    # chain statuses; a chain left free must reach its ends generically
+    statuses: list[ChainStatus] = []
     for k, ch in enumerate(struct.chains):
         if k in aligned_list:
+            sigma, w, f = combo[aligned_list.index(k)]
+            statuses.append(ChainStatus("aligned", w, tuple(sigma), f))
             continue
         d = float(np.hypot(*(pos_xy[ch.t_pos] - pos_xy[ch.i_pos])))
         reach = chain_reach(ch.lengths)
@@ -321,26 +324,37 @@ def _assemble_record(struct: PolygonWithChains, glens, aligned_list, combo,
             if abs(d - w_al) <= guard:
                 raise NonGenericError(
                     "configuration is simultaneously circular and aligned")
-        free_status[k] = ChainStatus("free", d)
+        statuses.append(ChainStatus("free", d))
 
-    # indices: one per cell, then one per aligned chain
+    report, factors = _index_report(struct, statuses, aligned_list, cells,
+                                    placed_cells, pos_xy, tols, scale)
+    rep = _representative(struct, pos_xy, aligned_list, combo, scale)
+    if rep is None:
+        return None
+    area = shoelace(np.array([pos_xy[p] for p in range(len(struct.gamma))]))
+    return CriticalRecord(tuple(statuses), tuple(placed_cells), rep, report,
+                          report.manifold_dim, factors, float(area))
+
+
+def _index_report(struct: PolygonWithChains, statuses, aligned_list, cells,
+                  placed_cells, pos_xy, tols: Tolerances, scale: float):
+    """IndexReport and free-chain factors of a critical configuration.
+
+    One cyclic-polygon index per cell, then one term per aligned chain from
+    its forward count and endpoint vector; pos_xy maps cycle positions to
+    coordinates.
+    """
     cell_mu = [cyclic_index(pc.poly, tols) for pc in placed_cells]
     breakdown = [(f"cell{ci}", mu) for ci, mu in enumerate(cell_mu)]
-
     chain_nus = []
-    statuses: list[ChainStatus] = []
-    for k, ch in enumerate(struct.chains):
-        if k not in aligned_list:
-            statuses.append(free_status[k])
-            continue
-        di = aligned_list.index(k)
-        sigma, w, f = combo[di]
+    for di, k in enumerate(aligned_list):
+        ch = struct.chains[k]
         if ch.r == 1:
             nu = 0  # single rigid edge: f-1 = r-f = 0
         else:
             cell_a, cell_b = _cells_of_diagonal(cells, di)
             w_vec = pos_xy[ch.t_pos] - pos_xy[ch.i_pos]
-            crit = OpenChainCritical(ch.r, f, (float(w_vec[0]), float(w_vec[1])))
+            crit = OpenChainCritical(ch.r, statuses[k].f, (float(w_vec[0]), float(w_vec[1])))
             try:
                 nu = aligned_nu(crit, placed_cells[cell_a].center,
                                 placed_cells[cell_b].center,
@@ -349,21 +363,11 @@ def _assemble_record(struct: PolygonWithChains, glens, aligned_list, combo,
                 raise NonGenericError(str(exc)) from exc
         chain_nus.append(nu)
         breakdown.append((f"chain{k}", nu))
-        statuses.append(ChainStatus("aligned", w, tuple(sigma), f))
-
-    mu_total = ptt_index([mu for mu in cell_mu], chain_nus)
-    dim = sum(struct.chains[k].r - 2 for k in free_status)
+    free = [k for k in range(len(struct.chains)) if k not in aligned_list]
+    dim = sum(struct.chains[k].r - 2 for k in free)
     factors = tuple(ManifoldFactor(k, struct.chains[k].r, struct.chains[k].r - 2,
-                                   _factor_chi(struct.chains[k].r))
-                    for k in sorted(free_status))
-    report = IndexReport(mu_total, dim, tuple(breakdown))
-
-    rep = _representative(struct, pos_xy, aligned_list, combo, free_status, scale)
-    if rep is None:
-        return None
-    area = shoelace(np.array([pos_xy[p] for p in range(len(struct.gamma))]))
-    return CriticalRecord(tuple(statuses), tuple(placed_cells), rep, report,
-                          dim, factors, float(area))
+                                   _factor_chi(struct.chains[k].r)) for k in free)
+    return IndexReport(ptt_index(cell_mu, chain_nus), dim, tuple(breakdown)), factors
 
 
 def _cells_of_diagonal(cells, di):
@@ -382,7 +386,7 @@ def _cells_of_diagonal(cells, di):
 
 
 def _representative(struct: PolygonWithChains, pos_xy, aligned_list, combo,
-                    free_status, scale) -> Configuration | None:
+                    scale) -> Configuration | None:
     coords: dict[str, tuple[float, float]] = {}
     for p, v in enumerate(struct.gamma.vertices):
         coords[v] = (float(pos_xy[p][0]), float(pos_xy[p][1]))
@@ -415,18 +419,17 @@ def _place_free_chain(ch: AttachedChain, pi: np.ndarray, pt: np.ndarray,
     key = hashlib.sha256(
         f"{tuple(ch.lengths)}|{ch.i_pos}|{ch.t_pos}".encode()).digest()
     rng = np.random.default_rng(int.from_bytes(key[:8], "little"))
+
+    def residual(phi):
+        G = np.array([lens @ np.cos(phi), lens @ np.sin(phi)]) - target
+        return G, np.stack([-lens * np.sin(phi), lens * np.cos(phi)])
+
     for _ in range(tries):
         phi = rng.uniform(-math.pi, math.pi, len(lens))
-        for _ in range(120):
-            resid = np.array([lens @ np.cos(phi), lens @ np.sin(phi)]) - target
-            if np.hypot(*resid) <= 1e-12 * scale:
-                return phi
-            J = np.stack([-lens * np.sin(phi), lens * np.cos(phi)])
-            step, *_ = np.linalg.lstsq(J, -resid, rcond=None)
-            nrm = np.linalg.norm(step)
-            if nrm > 1.0:
-                step /= nrm
-            phi = phi + step
+        try:
+            return gauss_newton(residual, phi, 1e-12 * scale, 120)
+        except NoConvergenceError:
+            continue
     return None
 
 
@@ -523,39 +526,16 @@ def classify_structure(struct: PolygonWithChains, c: Configuration,
 
 def _record_from_classification(struct, c, statuses, aligned_list, cells,
                                 verdicts, tols: Tolerances):
-    scale = struct.graph.total_length()
+    pos_xy = {p: c.point(v) for p, v in enumerate(struct.gamma.vertices)}
     placed = []
     for cell, v in zip(cells, verdicts):
-        pts = np.array([c.point(struct.gamma.vertices[p]) for p in cell.positions])
+        pts = np.array([pos_xy[p] for p in cell.positions])
         placed.append(PlacedCell(cell, v.poly, v.poly.center, tuple(map(tuple, pts))))
-    cell_mu = [cyclic_index(pc.poly, tols) for pc in placed]
-    breakdown = [(f"cell{ci}", mu) for ci, mu in enumerate(cell_mu)]
-    chain_nus = []
-    for di, k in enumerate(aligned_list):
-        ch = struct.chains[k]
-        st = statuses[k]
-        if ch.r == 1:
-            nu = 0
-        else:
-            cell_a, cell_b = _cells_of_diagonal(cells, di)
-            w_vec = (c.point(struct.gamma.vertices[ch.t_pos])
-                     - c.point(struct.gamma.vertices[ch.i_pos]))
-            crit = OpenChainCritical(ch.r, st.f, (float(w_vec[0]), float(w_vec[1])))
-            try:
-                nu = aligned_nu(crit, placed[cell_a].center, placed[cell_b].center,
-                                tol=tols.reach_boundary * scale)
-            except CoincidingCentersError as exc:
-                raise NonGenericError(str(exc)) from exc
-        chain_nus.append(nu)
-        breakdown.append((f"chain{k}", nu))
-    free = [k for k in range(len(struct.chains)) if k not in aligned_list]
-    dim = sum(struct.chains[k].r - 2 for k in free)
-    factors = tuple(ManifoldFactor(k, struct.chains[k].r, struct.chains[k].r - 2,
-                                   _factor_chi(struct.chains[k].r)) for k in free)
-    report = IndexReport(ptt_index(cell_mu, chain_nus), dim, tuple(breakdown))
-    gamma_pts = np.array([c.point(v) for v in struct.gamma.vertices])
-    return CriticalRecord(tuple(statuses), tuple(placed), c, report, dim,
-                          factors, float(shoelace(gamma_pts)))
+    report, factors = _index_report(struct, statuses, aligned_list, cells, placed,
+                                    pos_xy, tols, struct.graph.total_length())
+    area = shoelace(np.array(list(pos_xy.values())))
+    return CriticalRecord(tuple(statuses), tuple(placed), c, report,
+                          report.manifold_dim, factors, float(area))
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,3 @@ class CheckFailedError(LinkmorseError):
     def __init__(self, message, entries=None):
         super().__init__(message)
         self.entries = entries or []
-
-
-class BranchLostError(LinkmorseError):
-    """Continuation lost a branch after exhausting step halvings."""
-
-
-class UnknownTopologyError(LinkmorseError):
-    """Euler characteristic of a critical-manifold factor is not known."""

@@ -23,11 +23,18 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     DegenerateCenterError,
     DegenerateTriangleError,
+    NoConvergenceError,
     NonGenericError,
     NotConcyclicError,
-    NotPTTError,
 )
-from .graphs import DistinguishedCycle, LinkageGraph, sp_decompose
+from .graphs import (
+    DistinguishedCycle,
+    LinkageGraph,
+    SPEdge,
+    SPSeries,
+    SPTree,
+    sp_decompose_blocks,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -137,6 +144,33 @@ def transform_mapping_segment(p_from: np.ndarray, q_from: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Newton projection
+# ---------------------------------------------------------------------------
+
+def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Solve residual(x) = 0 by least-squares steps clamped to norm 1.
+
+    ``residual`` returns the residual vector G and its Jacobian J.  Returns
+    the first iterate with |G| <= tol; raises NoConvergenceError when the
+    iteration budget runs out first.
+    """
+    x = x0.copy()
+    for _ in range(max_iter):
+        G, J = residual(x)
+        if np.linalg.norm(G) <= tol:
+            return x
+        step, *_ = np.linalg.lstsq(J, -G, rcond=None)
+        nrm = np.linalg.norm(step)
+        if nrm > 1.0:
+            step *= 1.0 / nrm
+        x = x + step
+    G, _ = residual(x)
+    if np.linalg.norm(G) <= tol:
+        return x
+    raise NoConvergenceError(f"Gauss-Newton stalled at |G| = {np.linalg.norm(G)!r}")
+
+
+# ---------------------------------------------------------------------------
 # cyclic polygons
 # ---------------------------------------------------------------------------
 
@@ -201,8 +235,14 @@ class CyclicPolygon:
         }
 
 
-def _build_cyclic(lengths, eps, omega, radius, flags=frozenset()) -> CyclicPolygon:
+def _build_cyclic(lengths, eps, omega, radius) -> CyclicPolygon:
     lengths = tuple(float(x) for x in lengths)
+    total = sum(lengths)
+    flags = set()
+    if omega == 0:
+        flags.add("omega_zero")
+    if any(abs(l - 2 * radius) <= 1e-12 * total for l in lengths):
+        flags.add("diameter_edge")
     alphas = tuple(math.asin(min(1.0, length / (2.0 * radius))) for length in lengths)
     phi = 0.0
     verts = []
@@ -210,10 +250,10 @@ def _build_cyclic(lengths, eps, omega, radius, flags=frozenset()) -> CyclicPolyg
         verts.append((radius * math.cos(phi), radius * math.sin(phi)))
         phi += 2.0 * eps[k] * alphas[k]
     poly = CyclicPolygon(lengths, (0.0, 0.0), float(radius), tuple(verts),
-                         tuple(int(s) for s in eps), alphas, int(omega), flags)
+                         tuple(int(s) for s in eps), alphas, int(omega), frozenset(flags))
     # closure residual must sit well inside the stated budget
     end = np.array([radius * math.cos(phi), radius * math.sin(phi)])
-    if np.hypot(*(end - np.asarray(verts[0]))) > 1e-9 * sum(lengths):
+    if np.hypot(*(end - np.asarray(verts[0]))) > 1e-9 * total:
         raise NonGenericError("cyclic solution failed closure residual check")
     return poly
 
@@ -319,14 +359,8 @@ def solve_cyclic_all(lengths: Sequence[float], eps: Sequence[int], omega: int,
     eps_arr = np.asarray(eps, dtype=float)
     out = []
     for om, r in _roots_for_sign_vector(arr, eps_arr, tols):
-        if om != omega:
-            continue
-        flags = set()
-        if omega == 0:
-            flags.add("omega_zero")
-        if any(abs(l - 2 * r) <= 1e-12 * total for l in lengths):
-            flags.add("diameter_edge")
-        out.append(_build_cyclic(lengths, eps, omega, r, frozenset(flags)))
+        if om == omega:
+            out.append(_build_cyclic(lengths, eps, omega, r))
     return out
 
 
@@ -352,12 +386,8 @@ def enumerate_cyclic(lengths: Sequence[float],
         eps = [1] + [1 if (mask >> k) & 1 == 0 else -1 for k in range(n - 1)]
         eps_arr = np.asarray(eps, dtype=float)
         for omega, r in _roots_for_sign_vector(arr, eps_arr, tols):
-            flags = {"omega_zero"} if omega == 0 else set()
-            if any(abs(l - 2 * r) <= 1e-12 * total for l in lengths):
-                flags.add("diameter_edge")
-            sols.append(_build_cyclic(lengths, eps, omega, r, frozenset(flags)))
-            mirror = [-s for s in eps]
-            sols.append(_build_cyclic(lengths, mirror, -omega, r, frozenset(flags)))
+            sols.append(_build_cyclic(lengths, eps, omega, r))
+            sols.append(_build_cyclic(lengths, [-s for s in eps], -omega, r))
 
     sols.sort(key=_cyclic_sort_key)
     _flag_coincident(sols, total)
@@ -583,34 +613,17 @@ def wall_check(g: LinkageGraph, tol: float | None = None,
 def simple_cycles_via_sp(g: LinkageGraph) -> list[tuple[int, ...]]:
     """Edge-index sets of all simple cycles, from the SP structure.
 
-    Cycles live inside biconnected blocks, so each block is decomposed on
-    its own (any adjacent pair serves as terminals there).
+    Cycles live inside biconnected blocks, so each block's own SP tree
+    yields its cycles.
     """
-    from .graphs import biconnected_blocks
-
     out: list[tuple[int, ...]] = []
-    for block in biconnected_blocks(g):
-        if len(block) == 1:
-            continue
-        vs = sorted({v for k in block for v in g.edges[k][:2]})
-        sub = LinkageGraph(tuple(vs), tuple(g.edges[k] for k in block))
-        for cyc in _block_cycles(sub):
+    for block, sub, tree in sp_decompose_blocks(g):
+        for cyc in _block_cycles(sub, tree):
             out.append(tuple(sorted(block[k] for k in cyc)))
     return sorted(set(out))
 
 
-def _block_cycles(g: LinkageGraph) -> list[tuple[int, ...]]:
-    pairs = sorted({tuple(sorted((u, v))) for u, v, _ in g.edges})
-    tree = None
-    for u, v in pairs:
-        try:
-            tree = sp_decompose(g, u, v)
-            break
-        except Exception:
-            continue
-    if tree is None:
-        raise NotPTTError("cannot build an SP decomposition for wall analysis")
-
+def _block_cycles(g: LinkageGraph, tree: SPTree) -> list[tuple[int, ...]]:
     edge_ids: dict[tuple[str, str, float], list[int]] = {}
     for k, e in enumerate(g.edges):
         edge_ids.setdefault(e, []).append(k)
@@ -628,7 +641,6 @@ def _block_cycles(g: LinkageGraph) -> list[tuple[int, ...]]:
     cycles: list[frozenset[int]] = []
 
     def paths(node) -> list[frozenset[int]]:
-        from .graphs import SPEdge, SPSeries
         if isinstance(node, SPEdge):
             return [frozenset((take_id(node.u, node.v, node.length),))]
         if isinstance(node, SPSeries):

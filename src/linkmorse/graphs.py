@@ -369,13 +369,15 @@ def biconnected_blocks(g: LinkageGraph) -> list[tuple[int, ...]]:
     return sorted(blocks)
 
 
-def is_partial_two_tree(g: LinkageGraph) -> bool:
-    """True iff g has no K4 minor.
+def sp_decompose_blocks(g: LinkageGraph) -> list[tuple[tuple[int, ...], LinkageGraph, SPTree]]:
+    """(edge indices, subgraph, SP tree) of every biconnected block that is
+    not a bridge.
 
-    Every biconnected block must reduce to a single edge by series-parallel
-    contractions; within a block any adjacent pair can serve as terminals,
-    tried in deterministic order with a full fallback before answering false.
+    Within a block any adjacent pair can serve as terminals; pairs are tried
+    in sorted order.  Raises NotPTTError when some block has no SP
+    decomposition, which happens iff g has a K4 minor.
     """
+    out = []
     for block in biconnected_blocks(g):
         if len(block) == 1:
             continue
@@ -384,12 +386,22 @@ def is_partial_two_tree(g: LinkageGraph) -> bool:
         pairs = sorted({tuple(sorted(e[:2])) for e in sub.edges})
         for u, v in pairs:
             try:
-                sp_decompose(sub, u, v)
-                break
+                tree = sp_decompose(sub, u, v)
             except NotSPError:
                 continue
+            out.append((block, sub, tree))
+            break
         else:
-            return False
+            raise NotPTTError(f"block {list(block)} has no series-parallel decomposition")
+    return out
+
+
+def is_partial_two_tree(g: LinkageGraph) -> bool:
+    """True iff g has no K4 minor: every block is series-parallel."""
+    try:
+        sp_decompose_blocks(g)
+    except NotPTTError:
+        return False
     return True
 
 

@@ -25,7 +25,7 @@ from .errors import (
     NoConvergenceError,
     NotCriticalError,
 )
-from .geometry import Configuration
+from .geometry import Configuration, gauss_newton
 from .graphs import DistinguishedCycle, LinkageGraph
 
 
@@ -311,21 +311,7 @@ class ChartOracle:
     # manifold operations -------------------------------------------------------
     def project(self, x: np.ndarray, max_iter: int = 100) -> np.ndarray:
         """Gauss-Newton projection onto the closure constraint set."""
-        tol = 1e-12 * self.scale
-        x = x.copy()
-        for _ in range(max_iter):
-            G, J = self.constraints(x)
-            if np.linalg.norm(G) <= tol:
-                return x
-            step, *_ = np.linalg.lstsq(J, -G, rcond=None)
-            nrm = np.linalg.norm(step)
-            if nrm > 1.0:
-                step *= 1.0 / nrm
-            x = x + step
-        G, _ = self.constraints(x)
-        if np.linalg.norm(G) <= tol:
-            return x
-        raise NoConvergenceError(f"projection stalled at |G| = {np.linalg.norm(G)!r}")
+        return gauss_newton(self.constraints, x, 1e-12 * self.scale, max_iter)
 
     def newton_kkt(self, x: np.ndarray, max_iter: int = 80,
                    grad_tol: float | None = None):
@@ -505,24 +491,15 @@ def project_to_manifold(chart: AngleChart, theta0: np.ndarray,
     The gauge angle stays frozen; raises NoConvergenceError after the
     iteration budget.
     """
-    scale = float(chart.lengths.sum())
-    tol = 1e-12 * scale
     vi = chart.var_indices
-    theta = theta0.copy()
-    theta -= theta[chart.gauge_edge]
-    for _ in range(max_iter):
-        G, J = chart.constraints(theta)
-        if np.linalg.norm(G) <= tol:
-            return theta
-        step, *_ = np.linalg.lstsq(J[:, vi], -G, rcond=None)
-        nrm = np.linalg.norm(step)
-        if nrm > 1.0:
-            step /= nrm
-        theta[vi] += step
-    G, _ = chart.constraints(theta)
-    if np.linalg.norm(G) <= tol:
-        return theta
-    raise NoConvergenceError(f"projection stalled at |G| = {np.linalg.norm(G)!r}")
+
+    def residual(x):
+        G, J = chart.constraints(chart.full_theta(x))
+        return G, J[:, vi]
+
+    x0 = chart.reduce(theta0 - theta0[chart.gauge_edge])
+    x = gauss_newton(residual, x0, 1e-12 * float(chart.lengths.sum()), max_iter)
+    return chart.full_theta(x)
 
 
 def find_critical_numeric(g: LinkageGraph, gamma: DistinguishedCycle,
@@ -652,7 +629,7 @@ def continue_family(g: LinkageGraph, edge: int, start: float, stop: float,
         t = params[k]
         ok = oracle_at(t)
         fresh = ok.find_critical(n_seeds_step, cfg.seed + k)
-        fresh_pos = [_posvec(ok, xc) for xc, _, _ in fresh]
+        fresh_pos = [ok._positions_vector(xc) for xc, _, _ in fresh]
 
         # secant predictions plus their Newton corrections; a branch trusts
         # its own corrected continuation (the discovery sweep may miss points
@@ -671,10 +648,12 @@ def continue_family(g: LinkageGraph, edge: int, start: float, stop: float,
                 xpred = xprev
             preds[br.id] = xpred
             xcorr = _correct_branch(ok, xpred)
-            if xcorr is not None and _pos_dist(ok, xcorr, xprev) <= capture:
-                drift = float(np.max(np.abs(_posvec(ok, xcorr)
-                                            - _posvec(ok, xpred))))
-                cands.append((drift, br.id, xcorr, _posvec(ok, xcorr)))
+            if xcorr is None:
+                continue
+            pv = ok._positions_vector(xcorr)
+            if float(np.max(np.abs(pv - ok._positions_vector(xprev)))) <= capture:
+                drift = float(np.max(np.abs(pv - ok._positions_vector(xpred))))
+                cands.append((drift, br.id, xcorr, pv))
 
         claimed_cluster: set[int] = set()
         extended: dict[int, np.ndarray] = {}  # bid -> final position
@@ -682,7 +661,7 @@ def continue_family(g: LinkageGraph, edge: int, start: float, stop: float,
         def extend(bid, x, tri=None):
             tri = tri if tri is not None else ok.inertia(x)
             branches[bid].points.append(BranchPoint(t, x, ok.f(x), tri))
-            extended[bid] = _posvec(ok, x)
+            extended[bid] = ok._positions_vector(x)
 
         def merge(bid):
             branches[bid].alive = False
@@ -693,7 +672,7 @@ def continue_family(g: LinkageGraph, edge: int, start: float, stop: float,
         def claim_nearest_unclaimed(bid):
             # the correction jumped onto a neighbor: the branch's true
             # continuation may still sit in the fresh set near the prediction
-            pv = _posvec(ok, preds[bid])
+            pv = ok._positions_vector(preds[bid])
             best, best_d = None, capture
             for ci, qv in enumerate(fresh_pos):
                 if ci in claimed_cluster:
@@ -741,7 +720,7 @@ def continue_family(g: LinkageGraph, edge: int, start: float, stop: float,
                 br.lost_at = t
                 diagram.warnings.append(f"branch {br.id} lost at parameter {t!r}")
                 continue
-            pv = _posvec(ok, xnew)
+            pv = ok._positions_vector(xnew)
             if any(np.max(np.abs(pv - q)) <= thr for q in extended.values()):
                 merge(br.id)
                 continue
@@ -766,14 +745,6 @@ def continue_family(g: LinkageGraph, edge: int, start: float, stop: float,
 
     _detect_events(diagram, g, edge, gamma, tols, capture)
     return diagram
-
-
-def _posvec(oracle: ChartOracle, x: np.ndarray) -> np.ndarray:
-    return oracle._positions_vector(x)
-
-
-def _pos_dist(oracle: ChartOracle, x: np.ndarray, o_prev_x: np.ndarray) -> float:
-    return float(np.max(np.abs(_posvec(oracle, x) - _posvec(oracle, o_prev_x))))
 
 
 def _correct_branch(oracle: ChartOracle, x: np.ndarray):
@@ -887,7 +858,8 @@ def _local_companions(diagram, br, a, b, g, edge, gamma, tols, capture, born):
                 continue
             xo, to, xref = other.points[-1].x, a.param, a.x
         ok = area_oracle(g.with_edge_length(edge, to), gamma, tols)
-        if float(np.max(np.abs(_posvec(ok, xo) - _posvec(ok, xref)))) <= capture:
+        dist = np.max(np.abs(ok._positions_vector(xo) - ok._positions_vector(xref)))
+        if float(dist) <= capture:
             out.append(other.id)
     return out
 

@@ -116,12 +116,29 @@ class TestBottMorse223:
 
 class TestClassification:
     def test_round_trip_on_records(self):
-        g, gamma = make_three_chain(*THREE_CHAIN)
-        recs = enumerate_critical_three_chain(g, gamma)
-        for r in recs[:4]:
-            cls = classify_configuration(g, gamma, r.representative)
-            assert cls.critical
-            assert cls.record.index.index == r.index.index
+        # classifying a record's representative rebuilds the same record
+        for g, gamma in (max16_three_chain(), bott_morse_three_chain()):
+            scale = g.total_length()
+            for r in enumerate_critical_three_chain(g, gamma):
+                cls = classify_configuration(g, gamma, r.representative)
+                assert cls.critical
+                back = cls.record
+                assert back.index == r.index
+                assert back.manifold_dim == r.manifold_dim
+                assert back.factors == r.factors
+                assert [(s.kind, s.sigma, s.f) for s in back.chain_status] == \
+                    [(s.kind, s.sigma, s.f) for s in r.chain_status]
+                assert [(pc.poly.eps, pc.poly.omega) for pc in back.cells] == \
+                    [(pc.poly.eps, pc.poly.omega) for pc in r.cells]
+                assert back.area == pytest.approx(r.area, rel=0, abs=1e-12 * scale ** 2)
+
+    def test_free_chain_out_of_reach(self):
+        from linkmorse.enumeration import _place_free_chain
+        from linkmorse.graphs import AttachedChain
+
+        chain = AttachedChain(("A1", "A2"), (1.0, 0.9, 1.1), 0, 3)
+        target = np.array([3.5, 0.0])  # beyond the chain's total length 3.0
+        assert _place_free_chain(chain, np.zeros(2), target, 10.0) is None
 
     def test_random_feasible_not_critical(self, rng):
         g, gamma = make_three_chain(*THREE_CHAIN)

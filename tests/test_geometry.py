@@ -11,6 +11,7 @@ from linkmorse.config import Tolerances
 from linkmorse.errors import (
     DegenerateTriangleError,
     NotConcyclicError,
+    NotPTTError,
 )
 from linkmorse.geometry import (
     Configuration,
@@ -26,7 +27,7 @@ from linkmorse.geometry import (
     triangle_area,
     wall_check,
 )
-from linkmorse.graphs import DistinguishedCycle, make_polygon, make_three_chain
+from linkmorse.graphs import DistinguishedCycle, LinkageGraph, make_polygon, make_three_chain
 
 SQ = DistinguishedCycle(("a", "b", "c", "d"))
 
@@ -292,6 +293,13 @@ class TestWallCheck:
         g, _ = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
         report = wall_check(g)
         assert len(report.entries) == 3
+
+    def test_k4_refused(self):
+        # a block with no SP decomposition has no cycle list to check
+        pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+        g = LinkageGraph(("a", "b", "c", "d"), tuple((u, v, 1.0) for u, v in pairs))
+        with pytest.raises(NotPTTError):
+            wall_check(g)
 
 
 def test_aligned_distance_detects_rigid_match(rng):

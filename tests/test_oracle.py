@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from linkmorse.errors import CheckFailedError, NotCriticalError
+from linkmorse.errors import CheckFailedError, NoConvergenceError, NotCriticalError
 from linkmorse.graphs import LinkageGraph, make_polygon, make_three_chain
 from linkmorse.indices import OpenChainCritical, open_chain_index
 from linkmorse.oracle import (
@@ -79,6 +79,12 @@ class TestProjection:
         G, _ = chart.constraints(theta)
         assert np.linalg.norm(G) <= 1e-11
         assert theta[chart.gauge_edge] == 0.0
+
+    def test_unclosable_polygon_raises(self, rng):
+        # the longest edge exceeds the sum of the others: no closed polygon
+        o = area_oracle(*make_polygon([1.0, 1.0, 5.0]))
+        with pytest.raises(NoConvergenceError):
+            o.project(rng.uniform(-math.pi, math.pi, o.chart.n_vars))
 
     def test_triangle_rigid(self, rng):
         g, gamma = make_polygon([1.0, 1.0, 1.0])
