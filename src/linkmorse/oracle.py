@@ -259,6 +259,15 @@ class InertiaTriple:
 # oracle
 # ---------------------------------------------------------------------------
 
+PROJECT_MAX_ITER = 100  # Gauss-Newton steps before a projection gives up
+NEWTON_MAX_ITER = 80    # KKT Newton steps before a seed counts as failed
+
+
+def _dist(p: np.ndarray, q: np.ndarray) -> float:
+    """Max-norm distance between two position vectors."""
+    return float(np.max(np.abs(p - q)))
+
+
 class ChartOracle:
     """Constrained critical-point machinery for one linkage and objective."""
 
@@ -309,18 +318,15 @@ class ChartOracle:
         return float(np.linalg.norm(rho))
 
     # manifold operations -------------------------------------------------------
-    def project(self, x: np.ndarray, max_iter: int = 100) -> np.ndarray:
+    def project(self, x: np.ndarray) -> np.ndarray:
         """Gauss-Newton projection onto the closure constraint set."""
-        return gauss_newton(self.constraints, x, 1e-12 * self.scale, max_iter)
+        return gauss_newton(self.constraints, x, 1e-12 * self.scale, PROJECT_MAX_ITER)
 
-    def newton_kkt(self, x: np.ndarray, max_iter: int = 80,
-                   grad_tol: float | None = None):
+    def newton_kkt(self, x: np.ndarray):
         """Newton iteration on the KKT system; returns (x, lam) or None."""
-        if grad_tol is None:
-            grad_tol = self.tols.gradient * max(1.0, self.scale ** 2)
+        grad_tol = self.tols.gradient * max(1.0, self.scale ** 2)
         feas_tol = 1e-11 * self.scale
-        lam = None
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             lam, rho, G, J = self.multipliers(x)
             if np.linalg.norm(rho) <= grad_tol and np.linalg.norm(G) <= feas_tol:
                 return x, lam
@@ -417,7 +423,7 @@ class ChartOracle:
             pv = self._positions_vector(x)
             res = self.stationarity_residual(x)
             for i, (_, qv, r0) in enumerate(reps):
-                if np.max(np.abs(pv - qv)) <= thr:
+                if _dist(pv, qv) <= thr:
                     if res < r0:
                         reps[i] = (x, pv, res)
                     break
@@ -485,7 +491,7 @@ def distance_oracle(g: LinkageGraph, x: str, y: str,
 
 
 def project_to_manifold(chart: AngleChart, theta0: np.ndarray,
-                        max_iter: int = 100) -> np.ndarray:
+                        max_iter: int = PROJECT_MAX_ITER) -> np.ndarray:
     """Gauss-Newton projection of a full angle vector onto the closure set.
 
     The gauge angle stays frozen; raises NoConvergenceError after the
@@ -528,6 +534,10 @@ def fd_check(g: LinkageGraph, gamma: DistinguishedCycle, c: Configuration,
 # continuation
 # ---------------------------------------------------------------------------
 
+SUBSTEP_MAX_HALVINGS = 10  # a rescue tries at most 2**10 substeps per step
+BISECT_ITERS = 48          # eigen-zero bisection steps; 2**-48 of the step
+
+
 @dataclass
 class BranchPoint:
     param: float
@@ -540,7 +550,6 @@ class BranchPoint:
 class Branch:
     id: int
     points: list[BranchPoint] = field(default_factory=list)
-    alive: bool = True
     lost_at: float | None = None
 
     @property
@@ -601,7 +610,6 @@ def continue_family(g: LinkageGraph, edge: int, start: float, stop: float,
     """Predictor-corrector continuation of every critical branch in one edge
     length, with Hessian-zero and pitchfork event detection."""
     cfg = cfg or RunConfig()
-    tols = cfg.tols
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if start == stop or steps == 0:
@@ -610,141 +618,125 @@ def continue_family(g: LinkageGraph, edge: int, start: float, stop: float,
         params = [float(t) for t in np.linspace(start, stop, steps + 1)]
 
     def oracle_at(t: float) -> ChartOracle:
-        return area_oracle(g.with_edge_length(edge, t), gamma, tols)
+        return area_oracle(g.with_edge_length(edge, t), gamma, cfg.tols)
 
     diagram = BranchDiagram(edge, params, [], [])
     o0 = oracle_at(params[0])
-    thr = tols.match * o0.scale
+    thr = cfg.tols.match * o0.scale
     capture = 0.08 * o0.scale
 
     clusters = o0.find_critical(max(cfg.n_seeds, n_seeds_step), cfg.seed)
-    branches: list[Branch] = []
     for x, tri, _ in clusters:
-        br = Branch(len(branches))
-        br.points.append(BranchPoint(params[0], x, o0.f(x), tri))
-        branches.append(br)
-    diagram.branches = branches
+        diagram.branches.append(
+            Branch(len(diagram.branches), [BranchPoint(params[0], x, o0.f(x), tri)]))
 
     for k in range(1, len(params)):
-        t = params[k]
-        ok = oracle_at(t)
+        ok = oracle_at(params[k])
         fresh = ok.find_critical(n_seeds_step, cfg.seed + k)
-        fresh_pos = [ok._positions_vector(xc) for xc, _, _ in fresh]
+        _match_step(diagram, oracle_at, ok, fresh, params[k - 1], params[k],
+                    thr, capture)
 
-        # secant predictions plus their Newton corrections; a branch trusts
-        # its own corrected continuation (the discovery sweep may miss points
-        # whose basins shrink near a degeneracy)
-        cands = []  # (confidence, bid, xcorr, corr_pos)
-        preds: dict[int, np.ndarray] = {}
-        for br in branches:
-            if not br.alive:
-                continue
-            xprev = br.points[-1].x
-            if len(br.points) >= 2 and br.points[-2].param != br.points[-1].param:
-                slope = ((br.points[-1].x - br.points[-2].x)
-                         / (br.points[-1].param - br.points[-2].param))
-                xpred = xprev + slope * (t - params[k - 1])
-            else:
-                xpred = xprev
-            preds[br.id] = xpred
-            xcorr = _correct_branch(ok, xpred)
-            if xcorr is None:
-                continue
-            pv = ok._positions_vector(xcorr)
-            if float(np.max(np.abs(pv - ok._positions_vector(xprev)))) <= capture:
-                drift = float(np.max(np.abs(pv - ok._positions_vector(xpred))))
-                cands.append((drift, br.id, xcorr, pv))
+    _detect_events(diagram, oracle_at, capture)
+    return diagram
 
-        claimed_cluster: set[int] = set()
-        extended: dict[int, np.ndarray] = {}  # bid -> final position
 
-        def extend(bid, x, tri=None):
-            tri = tri if tri is not None else ok.inertia(x)
-            branches[bid].points.append(BranchPoint(t, x, ok.f(x), tri))
-            extended[bid] = ok._positions_vector(x)
+def _match_step(diagram: BranchDiagram, oracle_at, ok: ChartOracle, fresh,
+                t_prev: float, t: float, thr: float, capture: float) -> None:
+    """Carry every live branch from t_prev to t, then add the births at t.
 
-        def merge(bid):
-            branches[bid].alive = False
-            branches[bid].lost_at = t
-            diagram.warnings.append(
-                f"branch {bid} merged into another branch at {t!r}")
+    ``ok`` is the oracle at t and ``fresh`` its discovery sweep.
+    """
+    fresh_pos = [ok._positions_vector(xc) for xc, _, _ in fresh]
 
-        def claim_nearest_unclaimed(bid):
+    # secant predictions plus their Newton corrections; a branch trusts
+    # its own corrected continuation (the discovery sweep may miss points
+    # whose basins shrink near a degeneracy)
+    cands = []  # (drift, bid, xcorr, corr_pos, pred_pos)
+    for br in diagram.branches:
+        if br.lost_at is not None:
+            continue
+        xprev = br.points[-1].x
+        if len(br.points) >= 2 and br.points[-2].param != br.points[-1].param:
+            slope = ((br.points[-1].x - br.points[-2].x)
+                     / (br.points[-1].param - br.points[-2].param))
+            xpred = xprev + slope * (t - t_prev)
+        else:
+            xpred = xprev
+        xcorr = _correct_branch(ok, xpred)
+        if xcorr is None:
+            continue
+        pv = ok._positions_vector(xcorr)
+        if _dist(pv, ok._positions_vector(xprev)) <= capture:
+            pred_pos = ok._positions_vector(xpred)
+            cands.append((_dist(pv, pred_pos), br.id, xcorr, pv, pred_pos))
+
+    claimed: set[int] = set()  # indices into fresh
+    extended: dict[int, np.ndarray] = {}  # bid -> final position
+
+    # pass A: corrected continuations, most confident first
+    for _, bid, xcorr, pv, pred_pos in sorted(cands, key=lambda c: (c[0], c[1])):
+        br = diagram.branches[bid]
+        hit = next((ci for ci, qv in enumerate(fresh_pos) if _dist(pv, qv) <= 3 * thr),
+                   None)
+        if hit in claimed or any(_dist(pv, q) <= thr for q in extended.values()):
             # the correction jumped onto a neighbor: the branch's true
             # continuation may still sit in the fresh set near the prediction
-            pv = ok._positions_vector(preds[bid])
-            best, best_d = None, capture
-            for ci, qv in enumerate(fresh_pos):
-                if ci in claimed_cluster:
-                    continue
-                d = float(np.max(np.abs(pv - qv)))
-                if d < best_d:
-                    best, best_d = ci, d
-            if best is None:
-                return False
-            claimed_cluster.add(best)
-            xc, tri, _ = fresh[best]
-            extend(bid, xc, tri)
-            return True
+            hit = _nearest_unclaimed(pred_pos, fresh_pos, claimed, capture)
+            if hit is None:
+                _end_branch(diagram, br, t, "merged into another branch at")
+                continue
+        if hit is None:
+            xn, tri, pn = xcorr, ok.inertia(xcorr), pv
+        else:
+            claimed.add(hit)
+            (xn, tri, _), pn = fresh[hit], fresh_pos[hit]
+        br.points.append(BranchPoint(t, xn, ok.f(xn), tri))
+        extended[bid] = pn
 
-        # pass A: corrected continuations, most confident first
-        for drift, bid, xcorr, pv in sorted(cands, key=lambda c: (c[0], c[1])):
-            if any(np.max(np.abs(pv - q)) <= thr for q in extended.values()):
-                if not claim_nearest_unclaimed(bid):
-                    merge(bid)
-                continue
-            hit = None
-            for ci, qv in enumerate(fresh_pos):
-                if float(np.max(np.abs(pv - qv))) <= 3 * thr:
-                    hit = ci
-                    break
-            if hit is not None:
-                if hit in claimed_cluster:
-                    if not claim_nearest_unclaimed(bid):
-                        merge(bid)
-                    continue
-                claimed_cluster.add(hit)
-                xc, tri, _ = fresh[hit]
-                extend(bid, xc, tri)
-            else:
-                extend(bid, xcorr)
+    # pass B: substepped rescue for branches whose correction failed
+    for br in diagram.branches:
+        if br.lost_at is not None or br.id in extended:
+            continue
+        xnew = _substep_correct(oracle_at, br.points[-1].x, t_prev, t)
+        if xnew is None:
+            _end_branch(diagram, br, t, "lost at parameter")
+            continue
+        pv = ok._positions_vector(xnew)
+        if any(_dist(pv, q) <= thr for q in extended.values()):
+            _end_branch(diagram, br, t, "merged into another branch at")
+            continue
+        for ci, qv in enumerate(fresh_pos):
+            if ci not in claimed and _dist(pv, qv) <= 3 * thr:
+                claimed.add(ci)
+                break
+        br.points.append(BranchPoint(t, xnew, ok.f(xnew), ok.inertia(xnew)))
+        extended[br.id] = pv
 
-        # pass B: substepped rescue for branches whose correction failed
-        for br in branches:
-            if not br.alive or br.id in extended or br.id not in preds:
-                continue
-            xnew = _substep_correct(g, edge, gamma, tols, br.points[-1].x,
-                                    params[k - 1], t)
-            if xnew is None:
-                br.alive = False
-                br.lost_at = t
-                diagram.warnings.append(f"branch {br.id} lost at parameter {t!r}")
-                continue
-            pv = ok._positions_vector(xnew)
-            if any(np.max(np.abs(pv - q)) <= thr for q in extended.values()):
-                merge(br.id)
-                continue
-            for ci, qv in enumerate(fresh_pos):
-                if ci not in claimed_cluster \
-                        and float(np.max(np.abs(pv - qv))) <= 3 * thr:
-                    claimed_cluster.add(ci)
-                    break
-            extend(br.id, xnew)
+    # births: fresh clusters nobody claimed or re-derived
+    for ci, (xc, tri, _) in enumerate(fresh):
+        if ci in claimed or any(_dist(fresh_pos[ci], q) <= thr
+                                for q in extended.values()):
+            continue
+        diagram.branches.append(
+            Branch(len(diagram.branches), [BranchPoint(t, xc, ok.f(xc), tri)]))
 
-        # births: fresh clusters nobody claimed or re-derived
-        for ci, (xc, tri, _) in enumerate(fresh):
-            if ci in claimed_cluster:
-                continue
-            if any(np.max(np.abs(fresh_pos[ci] - q)) <= thr
-                   for q in extended.values()):
-                continue
-            br = Branch(len(branches))
-            br.points.append(BranchPoint(t, xc, ok.f(xc), tri))
-            branches.append(br)
-    diagram.branches = branches
 
-    _detect_events(diagram, g, edge, gamma, tols, capture)
-    return diagram
+def _nearest_unclaimed(pv: np.ndarray, fresh_pos, claimed: set[int],
+                       capture: float) -> int | None:
+    """Index of the unclaimed fresh cluster nearest pv, strictly within capture."""
+    best, best_d = None, capture
+    for ci, qv in enumerate(fresh_pos):
+        if ci in claimed:
+            continue
+        d = _dist(pv, qv)
+        if d < best_d:
+            best, best_d = ci, d
+    return best
+
+
+def _end_branch(diagram: BranchDiagram, br: Branch, t: float, why: str) -> None:
+    br.lost_at = t
+    diagram.warnings.append(f"branch {br.id} {why} {t!r}")
 
 
 def _correct_branch(oracle: ChartOracle, x: np.ndarray):
@@ -756,116 +748,109 @@ def _correct_branch(oracle: ChartOracle, x: np.ndarray):
     return None if res is None else res[0]
 
 
-def _substep_correct(g, edge, gamma, tols, x, t_from, t_to, max_halvings=10):
-    """March toward t_to with step halving (budget 2**max_halvings substeps)."""
+def _substep_correct(oracle_at, x, t_from, t_to):
+    """March toward t_to with step halving (budget 2**SUBSTEP_MAX_HALVINGS substeps)."""
     t, step = t_from, t_to - t_from
-    budget = 2 ** max_halvings
+    budget = 2 ** SUBSTEP_MAX_HALVINGS
     halvings = 0
     while budget > 0:
         target = t + step
         overshoot = (step > 0 and target > t_to) or (step < 0 and target < t_to)
         if overshoot:
             target = t_to
-        ok = area_oracle(g.with_edge_length(edge, target), gamma, tols)
-        xnew = _correct_branch(ok, x)
+        xnew = _correct_branch(oracle_at(target), x)
         budget -= 1
         if xnew is not None:
             t, x = target, xnew
             if t == t_to:
                 return x
         else:
-            if halvings >= max_halvings:
+            if halvings >= SUBSTEP_MAX_HALVINGS:
                 return None
             step *= 0.5
             halvings += 1
     return None
 
 
-def _detect_events(diagram: BranchDiagram, g, edge, gamma, tols, capture):
+def _detect_events(diagram: BranchDiagram, oracle_at, capture):
     """Hessian zeros from inertia flips; pitchforks from flips plus births/deaths."""
     for br in diagram.branches:
         for a, b in zip(br.points, br.points[1:]):
             if (a.inertia.negative, a.inertia.zero) == (b.inertia.negative, b.inertia.zero):
                 continue
-            t_star = _bisect_eigen_zero(g, edge, gamma, tols, a, b)
+            t_star = _bisect_eigen_zero(oracle_at, a, b)
             meta = {
                 "inertia_before": a.inertia.as_tuple(),
                 "inertia_after": b.inertia.as_tuple(),
             }
             diagram.events.append(Event(t_star, "HessianZero", br.id, meta))
-            births = _local_companions(diagram, br, a, b, g, edge, gamma, tols,
-                                       capture, born=True)
-            deaths = _local_companions(diagram, br, a, b, g, edge, gamma, tols,
-                                       capture, born=False)
+            births = _local_companions(diagram, br, a, b, oracle_at, capture, born=True)
+            deaths = _local_companions(diagram, br, a, b, oracle_at, capture, born=False)
             if len(births) >= 2:
                 meta2 = dict(meta)
                 meta2["companions"] = sorted(births)
-                meta2["signature"] = _pitchfork_signature(diagram, br, a, b, births)
+                meta2["signature"] = _pitchfork_signature(diagram, a, b, births)
                 diagram.events.append(Event(t_star, "PitchforkSplit", br.id, meta2))
             elif len(deaths) >= 2:
                 meta2 = dict(meta)
                 meta2["companions"] = sorted(deaths)
-                meta2["signature"] = _pitchfork_signature(diagram, br, b, a, deaths)
+                meta2["signature"] = _pitchfork_signature(diagram, b, a, deaths)
                 diagram.events.append(Event(t_star, "PitchforkMerge", br.id, meta2))
     diagram.events.sort(key=lambda e: (e.param, e.type, e.branch))
 
 
-def _bisect_eigen_zero(g, edge, gamma, tols, a: BranchPoint, b: BranchPoint,
-                       iters: int = 48) -> float:
-    def signed_eig(t, xw):
-        ok = area_oracle(g.with_edge_length(edge, t), gamma, tols)
-        xc = _correct_branch(ok, xw)
-        if xc is None:
-            return None, xw
-        return ok.smallest_signed_eigenvalue(xc), xc
+def _signed_eig(oracle_at, t: float, xw: np.ndarray):
+    """(smallest signed eigenvalue, corrected point) at t, warm-started at xw;
+    (None, xw) when the correction fails."""
+    ok = oracle_at(t)
+    xc = _correct_branch(ok, xw)
+    if xc is None:
+        return None, xw
+    return ok.smallest_signed_eigenvalue(xc), xc
 
+
+def _bisect_eigen_zero(oracle_at, a: BranchPoint, b: BranchPoint) -> float:
     (lo, xa), (hi, xb) = sorted([(a.param, a.x), (b.param, b.x)],
                                 key=lambda p: p[0])
-    flo, xlo = signed_eig(lo, xa)
-    fhi, xhi = signed_eig(hi, xb)
+    flo, xlo = _signed_eig(oracle_at, lo, xa)
+    fhi, _ = _signed_eig(oracle_at, hi, xb)
     if flo is None or fhi is None or flo * fhi > 0:
         return 0.5 * (lo + hi)
-    for _ in range(iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        fm, xm = signed_eig(mid, xlo)
+        fm, xm = _signed_eig(oracle_at, mid, xlo)
         if fm is None:
             break
         if (fm < 0) == (flo < 0):
             lo, flo, xlo = mid, fm, xm
         else:
-            hi, fhi, xhi = mid, fm, xm
+            hi = mid
         if hi - lo < 1e-12 * max(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi)
 
 
-def _local_companions(diagram, br, a, b, g, edge, gamma, tols, capture, born):
+def _local_companions(diagram, br, a, b, oracle_at, capture, born):
     """Branch ids born (or dying) in this step near the flipping branch."""
-    out = []
+    others = []  # (id, point compared with the flipping branch)
     for other in diagram.branches:
-        if other.id == br.id:
+        if other.id == br.id or not other.points:
             continue
         if born:
-            if not other.points or other.points[0].param != b.param:
-                continue
-            xo, to, xref = other.points[0].x, b.param, b.x
-        else:
-            if other.lost_at is None or not other.points:
-                continue
-            # b.param is the step where a death in this span is recorded
-            if not (other.lost_at == b.param
-                    or min(a.param, b.param) < other.lost_at < max(a.param, b.param)):
-                continue
-            xo, to, xref = other.points[-1].x, a.param, a.x
-        ok = area_oracle(g.with_edge_length(edge, to), gamma, tols)
-        dist = np.max(np.abs(ok._positions_vector(xo) - ok._positions_vector(xref)))
-        if float(dist) <= capture:
-            out.append(other.id)
-    return out
+            if other.points[0].param == b.param:
+                others.append((other.id, other.points[0].x))
+        # b.param is the step where a death in this span is recorded
+        elif other.lost_at is not None and (
+                other.lost_at == b.param
+                or min(a.param, b.param) < other.lost_at < max(a.param, b.param)):
+            others.append((other.id, other.points[-1].x))
+    # births are compared at b, deaths at a
+    ok = oracle_at(b.param if born else a.param)
+    ref = ok._positions_vector(b.x if born else a.x)
+    return [oid for oid, xo in others if _dist(ok._positions_vector(xo), ref) <= capture]
 
 
-def _pitchfork_signature(diagram, br, before: BranchPoint, after: BranchPoint,
-                         companions):
+def _pitchfork_signature(diagram, before: BranchPoint, after: BranchPoint, companions):
     dim = before.inertia.negative + before.inertia.zero + before.inertia.positive
     def kind(tri):
         if tri.negative == dim:
@@ -873,12 +858,9 @@ def _pitchfork_signature(diagram, br, before: BranchPoint, after: BranchPoint,
         if tri.positive == dim:
             return "min"
         return "saddle"
-    comp_kinds = []
-    for cid in companions:
-        pts = diagram.branches[cid].points
-        comp_kinds.append(kind(pts[0].inertia))
     return {
         "center_before": kind(before.inertia),
         "center_after": kind(after.inertia),
-        "companions": sorted(comp_kinds),
+        "companions": sorted(kind(diagram.branches[cid].points[0].inertia)
+                             for cid in companions),
     }

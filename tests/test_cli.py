@@ -6,7 +6,7 @@ import pytest
 
 from linkmorse.cli import main
 from linkmorse.graphs import make_polygon, make_three_chain
-from linkmorse.instances import max16_three_chain
+from linkmorse.instances import max16_three_chain, pitchfork_family
 
 
 def write_linkage(path, g, gamma=None, terminals=None):
@@ -79,13 +79,24 @@ class TestCritical:
         assert "fallback" in captured.err
         assert payload["records"]
 
-    def test_determinism(self, tmp_path):
-        g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
-        path = write_linkage(tmp_path / "tc.json", g, gamma)
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["--out", str(out1), "critical", path]) == 0
-        assert main(["--out", str(out2), "critical", path]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    @pytest.mark.parametrize("command", ["critical", "continue"])
+    def test_determinism(self, tmp_path, capsysbinary, command):
+        out = tmp_path / "records.json"
+        if command == "critical":
+            g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
+            argv = ["--out", str(out), "critical",
+                    write_linkage(tmp_path / "tc.json", g, gamma)]
+        else:
+            g, gamma, edge, _ = pitchfork_family()
+            argv = ["--n-seeds", "150", "--format", "csv", "continue",
+                    write_linkage(tmp_path / "fam.json", g, gamma), "--edge", str(edge),
+                    "--from", "0.62", "--to", "0.70", "--steps", "4"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            stdout = capsysbinary.readouterr().out
+            outputs.append(out.read_bytes() if command == "critical" else stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestVerify:
@@ -109,7 +120,6 @@ class TestVerify:
 
 class TestContinue:
     def test_writes_json_and_csv(self, tmp_path):
-        from linkmorse.instances import pitchfork_family
         g, gamma, edge, (lo, hi) = pitchfork_family()
         path = write_linkage(tmp_path / "fam.json", g, gamma)
         out = tmp_path / "diagram"

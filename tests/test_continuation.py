@@ -4,13 +4,14 @@ import math
 
 import pytest
 
+import linkmorse.oracle
 from linkmorse.config import RunConfig
-from linkmorse.graphs import make_three_chain
+from linkmorse.graphs import make_polygon, make_three_chain
 from linkmorse.instances import (
     pitchfork_concyclic_parameter,
     pitchfork_family,
 )
-from linkmorse.oracle import continue_family
+from linkmorse.oracle import area_oracle, continue_family
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,35 @@ class TestQuietFamily:
         diag = continue_family(g, edge, lo, lo, 5, gamma, cfg, n_seeds_step=100)
         assert diag.params == [lo]
         assert all(len(b.points) == 1 for b in diag.branches)
+
+
+class TestRescuePath:
+    def test_substepped_rescue_stays_critical(self, monkeypatch):
+        # on this pentagon family some Newton corrections fail outright, so
+        # the substepped rescue runs and some branches end inside the range
+        calls = []
+        substep = linkmorse.oracle._substep_correct
+
+        def counted(*args):
+            calls.append(args)
+            return substep(*args)
+
+        monkeypatch.setattr(linkmorse.oracle, "_substep_correct", counted)
+        g, gamma = make_polygon([1.0, 1.1, 1.2, 1.3, 1.0])
+        diag = continue_family(g, 4, 0.3, 2.0, 4, gamma,
+                               RunConfig(n_seeds=80, seed=5), n_seeds_step=80)
+        assert calls
+        for br in diag.branches:
+            for p in br.points:
+                o = area_oracle(g.with_edge_length(4, p.param), gamma)
+                assert o.stationarity_residual(p.x) <= 1e-6 * max(1.0, o.scale ** 2)
+                assert p.area == o.f(p.x)
+                assert o.inertia(p.x).as_tuple() == p.inertia.as_tuple()
+        ended = [b for b in diag.branches if b.lost_at is not None]
+        assert ended
+        for b in ended:
+            assert b.lost_at in diag.params
+            assert sum(w.startswith(f"branch {b.id} ") for w in diag.warnings) == 1
 
 
 class TestGeneralizedPitchfork223:
