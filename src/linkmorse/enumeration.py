@@ -22,7 +22,6 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     CoincidingCentersError,
-    NoConvergenceError,
     NonGenericError,
     NotConcyclicError,
     NotPTTError,
@@ -420,16 +419,18 @@ def _place_free_chain(ch: AttachedChain, pi: np.ndarray, pt: np.ndarray,
         f"{tuple(ch.lengths)}|{ch.i_pos}|{ch.t_pos}".encode()).digest()
     rng = np.random.default_rng(int.from_bytes(key[:8], "little"))
 
+    jac = np.array([[-1.0], [1.0]]) * lens
+
     def residual(phi):
-        G = np.array([lens @ np.cos(phi), lens @ np.sin(phi)]) - target
-        return G, np.stack([-lens * np.sin(phi), lens * np.cos(phi)])
+        cs = np.stack([np.cos(phi), np.sin(phi)], axis=-2)
+        # the Jacobian rows are (-lens * sin, lens * cos)
+        return cs @ lens - target, cs[..., ::-1, :] * jac
 
     for _ in range(tries):
         phi = rng.uniform(-math.pi, math.pi, len(lens))
-        try:
-            return gauss_newton(residual, phi, 1e-12 * scale, 120)
-        except NoConvergenceError:
-            continue
+        x, converged = gauss_newton(residual, phi[None], 1e-12 * scale, 120)
+        if converged[0]:
+            return x[0]
     return None
 
 

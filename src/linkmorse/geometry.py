@@ -23,7 +23,6 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     DegenerateCenterError,
     DegenerateTriangleError,
-    NoConvergenceError,
     NonGenericError,
     NotConcyclicError,
 )
@@ -39,6 +38,7 @@ from .graphs import (
 logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +147,46 @@ def transform_mapping_segment(p_from: np.ndarray, q_from: np.ndarray,
 # Gauss-Newton projection
 # ---------------------------------------------------------------------------
 
-def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Solve residual(x) = 0 by least-squares steps clamped to norm 1.
+def lstsq_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of A[i] x = b[i] over a stack.
 
-    ``residual`` returns the residual vector G and its Jacobian J.  Returns
-    the first iterate with |G| <= tol; raises NoConvergenceError when the
-    iteration budget runs out first.
+    Singular values at or below eps * max(rows, cols) times the largest
+    count as zero, the cut of ``np.linalg.lstsq(rcond=None)``.
     """
-    x = x0.copy()
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    # a cut singular value acts as infinite, so its component vanishes
+    s[s <= s[..., :1] * (max(A.shape[-2:]) * _EPS)] = np.inf
+    return (((b[..., None, :] @ u) / s[..., None, :]) @ vt)[..., 0, :]
+
+
+def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int):
+    """Solve residual(x) = 0 for a stack of starts by least-squares steps
+    clamped to norm 1.
+
+    ``x0`` has one start per row.  ``residual`` maps a stack of rows to the
+    residuals G (rows, m) and Jacobians J (rows, m, n).  Each row stops at
+    its first iterate with |G| <= tol.  Returns the final iterates and a
+    boolean array marking the rows that converged within ``max_iter`` steps.
+    """
+    x = np.array(x0, dtype=float)
+    converged = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))  # rows of x still iterating, held in xa
+    xa = x.copy()
     for _ in range(max_iter):
-        G, J = residual(x)
-        if np.linalg.norm(G) <= tol:
-            return x
-        step, *_ = np.linalg.lstsq(J, -G, rcond=None)
-        nrm = np.linalg.norm(step)
-        if nrm > 1.0:
-            step *= 1.0 / nrm
-        x = x + step
-    G, _ = residual(x)
-    if np.linalg.norm(G) <= tol:
-        return x
-    raise NoConvergenceError(f"Gauss-Newton stalled at |G| = {np.linalg.norm(G)!r}")
+        G, J = residual(xa)
+        hit = np.linalg.norm(G, axis=1) <= tol
+        if hit.any():
+            x[rows[hit]] = xa[hit]
+            converged[rows[hit]] = True
+            rows, xa, G, J = rows[~hit], xa[~hit], G[~hit], J[~hit]
+            if rows.size == 0:
+                return x, converged
+        step = lstsq_stack(J, G)  # the step is -step, clamped to norm 1
+        xa = xa - step / np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1.0)
+    G, _ = residual(xa)
+    x[rows] = xa
+    converged[rows] = np.linalg.norm(G, axis=1) <= tol
+    return x, converged
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ inertia of the Lagrangian Hessian restricted to the constraint tangent space.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +27,10 @@ from .errors import (
     NoConvergenceError,
     NotCriticalError,
 )
-from .geometry import Configuration, gauss_newton
+from .geometry import Configuration, gauss_newton, lstsq_stack
 from .graphs import DistinguishedCycle, LinkageGraph
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +69,13 @@ class AngleChart:
     def dim(self) -> int:
         return self.n_vars - self.n_constraints
 
-    @property
-    def var_indices(self) -> list[int]:
-        return [e for e in range(self.n_edges) if e != self.gauge_edge]
+    @cached_property
+    def var_indices(self) -> np.ndarray:
+        return np.array([e for e in range(self.n_edges) if e != self.gauge_edge])
 
     def full_theta(self, x: np.ndarray) -> np.ndarray:
-        theta = np.zeros(self.n_edges)
-        theta[self.var_indices] = x
+        theta = np.zeros(x.shape[:-1] + (self.n_edges,))
+        theta[..., self.var_indices] = x
         return theta
 
     def reduce(self, theta: np.ndarray) -> np.ndarray:
@@ -96,25 +100,26 @@ class AngleChart:
         return np.arctan2(np.sin(theta), np.cos(theta))
 
     def constraints(self, theta: np.ndarray):
-        """Residual vector G (length 2 per cycle) and Jacobian J (m x |E|)."""
+        """Residual vector G (length 2 per cycle) and Jacobian J (m x |E|).
+
+        ``theta`` may be one angle vector (|E|,) or a stack (S, |E|); G and J
+        then gain the leading stack axis.
+        """
         ct, st = np.cos(theta), np.sin(theta)
-        B = self.cycle_matrix
-        bl = B * self.lengths[None, :]
-        gx = bl @ ct
-        gy = bl @ st
-        G = np.concatenate([gx, gy])
-        J = np.concatenate([-bl * st[None, :], bl * ct[None, :]], axis=0)
+        bl = self.cycle_matrix * self.lengths[None, :]
+        G = np.concatenate([ct @ bl.T, st @ bl.T], axis=-1)
+        J = np.concatenate([-bl * st[..., None, :], bl * ct[..., None, :]], axis=-2)
         return G, J
 
     def constraint_hessian_combo(self, theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """sum_j lam_j Hess(G_j); each Hessian is diagonal in the angles."""
+        """sum_j lam_j Hess(G_j); each Hessian is diagonal in the angles.
+
+        Stacks of angle vectors and multipliers give a stack of matrices.
+        """
         ncyc = self.cycle_matrix.shape[0]
-        ct, st = np.cos(theta), np.sin(theta)
-        diag = np.zeros(self.n_edges)
-        for j in range(ncyc):
-            bl = self.cycle_matrix[j] * self.lengths
-            diag += lam[j] * (-bl * ct) + lam[ncyc + j] * (-bl * st)
-        return np.diag(diag)
+        bl = self.cycle_matrix * self.lengths[None, :]
+        diag = -(lam[..., :ncyc] @ bl) * np.cos(theta) - (lam[..., ncyc:] @ bl) * np.sin(theta)
+        return _diag_stack(diag)
 
 
 def build_chart(g: LinkageGraph, gauge_edge: int | None = None) -> AngleChart:
@@ -170,8 +175,19 @@ def build_chart(g: LinkageGraph, gauge_edge: int | None = None) -> AngleChart:
 # objectives
 # ---------------------------------------------------------------------------
 
+def _diag_stack(d: np.ndarray) -> np.ndarray:
+    """Diagonal matrices with the last axis of ``d`` on their diagonals."""
+    k = d.shape[-1]
+    out = np.zeros(d.shape + (k,))
+    out[..., np.arange(k), np.arange(k)] = d
+    return out
+
+
 class CycleAreaObjective:
-    """Oriented (shoelace) area of a distinguished cycle, in chart angles."""
+    """Oriented (shoelace) area of a distinguished cycle, in chart angles.
+
+    ``grad`` and ``hess`` take one angle vector or a stack (S, |E|).
+    """
 
     def __init__(self, chart: AngleChart, gamma: DistinguishedCycle):
         self.chart = chart
@@ -191,19 +207,24 @@ class CycleAreaObjective:
         return 0.5 * float(np.sum(self.A * np.sin(diff)))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        diff = theta[None, :] - theta[:, None]  # diff[e, g] = theta_g - theta_e
-        return np.sum(self.A * np.cos(diff), axis=0)
+        # diff[..., e, g] = theta_g - theta_e
+        diff = theta[..., None, :] - theta[..., :, None]
+        return np.sum(self.A * np.cos(diff), axis=-2)
 
     def hess(self, theta: np.ndarray) -> np.ndarray:
-        diff = theta[None, :] - theta[:, None]
+        diff = theta[..., None, :] - theta[..., :, None]
         B = self.A * np.sin(diff)
-        H = B.T.copy()
-        np.fill_diagonal(H, -B.sum(axis=0))
+        H = np.swapaxes(B, -1, -2).copy()
+        k = theta.shape[-1]
+        H[..., np.arange(k), np.arange(k)] = -B.sum(axis=-2)
         return H
 
 
 class VertexDistanceObjective:
-    """Euclidean distance between two vertices, in chart angles."""
+    """Euclidean distance between two vertices, in chart angles.
+
+    ``grad`` and ``hess`` take one angle vector or a stack (S, |E|).
+    """
 
     def __init__(self, chart: AngleChart, x: str, y: str):
         self.chart = chart
@@ -212,27 +233,30 @@ class VertexDistanceObjective:
         self.bl = b * chart.lengths
 
     def _vec(self, theta):
-        return np.array([self.bl @ np.cos(theta), self.bl @ np.sin(theta)])
+        """Separation (vx, vy), each with a trailing axis for broadcasting."""
+        return ((np.cos(theta) @ self.bl)[..., None],
+                (np.sin(theta) @ self.bl)[..., None])
 
     def value(self, theta: np.ndarray) -> float:
-        return float(np.hypot(*self._vec(theta)))
+        vx, vy = self._vec(theta)
+        return float(np.hypot(vx, vy)[0])
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        v = self._vec(theta)
-        d = float(np.hypot(*v))
-        gq = 2.0 * (v[0] * (-self.bl * np.sin(theta)) + v[1] * (self.bl * np.cos(theta)))
+        vx, vy = self._vec(theta)
+        d = np.hypot(vx, vy)
+        gq = 2.0 * (vx * (-self.bl * np.sin(theta)) + vy * (self.bl * np.cos(theta)))
         return gq / (2.0 * d)
 
     def hess(self, theta: np.ndarray) -> np.ndarray:
-        v = self._vec(theta)
-        d = float(np.hypot(*v))
+        vx, vy = self._vec(theta)
+        d = np.hypot(vx, vy)[..., None]
         dx = -self.bl * np.sin(theta)
         dy = self.bl * np.cos(theta)
-        gq = 2.0 * (v[0] * dx + v[1] * dy)
-        hq = 2.0 * (np.outer(dx, dx) + np.outer(dy, dy))
-        hq += np.diag(2.0 * (v[0] * (-self.bl * np.cos(theta))
-                             + v[1] * (-self.bl * np.sin(theta))))
-        return hq / (2.0 * d) - np.outer(gq, gq) / (4.0 * d ** 3)
+        gq = 2.0 * (vx * dx + vy * dy)
+        hq = 2.0 * (dx[..., :, None] * dx[..., None, :] + dy[..., :, None] * dy[..., None, :])
+        hq += _diag_stack(2.0 * (vx * (-self.bl * np.cos(theta))
+                                 + vy * (-self.bl * np.sin(theta))))
+        return hq / (2.0 * d) - gq[..., :, None] * gq[..., None, :] / (4.0 * d ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +285,53 @@ class InertiaTriple:
 
 PROJECT_MAX_ITER = 100  # Gauss-Newton steps before a projection gives up
 NEWTON_MAX_ITER = 80    # KKT Newton steps before a seed counts as failed
+# seeds per stacked block in find_critical; bounds the sweep's peak memory
+SWEEP_BLOCK = 250
+
+# per-row outcome of ChartOracle.newton_stack
+NEWTON_CONVERGED, NEWTON_NONFINITE, NEWTON_BUDGET = 0, 1, 2
 
 
 def _dist(p: np.ndarray, q: np.ndarray) -> float:
     """Max-norm distance between two position vectors."""
     return float(np.max(np.abs(p - q)))
+
+
+def _kkt_solve(K: np.ndarray, rhs: np.ndarray):
+    """Solve K[i] sol[i] = rhs[i] over a stack; a singular K[i] gets the
+    least-squares solution.  Returns the solutions and a mask of the rows
+    whose solution is finite."""
+    try:
+        sol = np.linalg.solve(K, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the whole stacked call: redo row by row
+        sol = np.empty_like(rhs)
+        for i in range(len(K)):
+            try:
+                sol[i] = np.linalg.solve(K[i], rhs[i])
+            except np.linalg.LinAlgError:
+                sol[i] = np.linalg.lstsq(K[i], rhs[i], rcond=None)[0]
+    return sol, np.all(np.isfinite(sol), axis=1)
+
+
+def _cluster(pos: np.ndarray, resid: np.ndarray, thr: float) -> list[int]:
+    """Greedy clustering of converged points, taken in row order.
+
+    A point joins the first representative whose position vector lies within
+    ``thr`` (max-norm) and replaces it when its stationarity residual is
+    lower; otherwise it starts a cluster.  Returns the representatives' rows.
+    """
+    reps: list[int] = []
+    for i in range(len(pos)):
+        if reps:
+            near = np.flatnonzero(np.max(np.abs(pos[reps] - pos[i]), axis=1) <= thr)
+            if near.size:
+                j = near[0]
+                if resid[i] < resid[reps[j]]:
+                    reps[j] = i
+                continue
+        reps.append(i)
+    return reps
 
 
 class ChartOracle:
@@ -286,72 +352,102 @@ class ChartOracle:
         self.scale = g.total_length()
         self._vi = self.chart.var_indices
 
-    # reduced-variable wrappers -------------------------------------------------
+    # reduced-variable wrappers: each takes one point (n,) or a stack (S, n) -----
     def f(self, x: np.ndarray) -> float:
         return self.objective.value(self.chart.full_theta(x))
 
     def g(self, x: np.ndarray) -> np.ndarray:
-        return self.objective.grad(self.chart.full_theta(x))[self._vi]
+        return self.objective.grad(self.chart.full_theta(x))[..., self._vi]
 
     def h(self, x: np.ndarray) -> np.ndarray:
-        return self.objective.hess(self.chart.full_theta(x))[np.ix_(self._vi, self._vi)]
+        return self.objective.hess(self.chart.full_theta(x))[..., self._vi, :][..., self._vi]
 
     def constraints(self, x: np.ndarray):
         G, J = self.chart.constraints(self.chart.full_theta(x))
-        return G, J[:, self._vi]
+        return G, J[..., self._vi]
 
     def lagrangian_hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         theta = self.chart.full_theta(x)
         HL = self.objective.hess(theta) - self.chart.constraint_hessian_combo(theta, lam)
-        return HL[np.ix_(self._vi, self._vi)]
+        return HL[..., self._vi, :][..., self._vi]
 
     def multipliers(self, x: np.ndarray):
+        """Least-squares multipliers lam, stationarity residual rho = g - J^T lam,
+        constraint residual G and Jacobian J."""
         gS = self.g(x)
         G, J = self.constraints(x)
-        if J.shape[0] == 0:
-            return np.zeros(0), gS, G, J
-        lam, *_ = np.linalg.lstsq(J.T, gS, rcond=None)
-        return lam, gS - J.T @ lam, G, J
+        if J.shape[-2] == 0:
+            return np.zeros(G.shape), gS, G, J
+        JT = np.swapaxes(J, -1, -2)
+        lam = lstsq_stack(JT, gS)
+        return lam, gS - (JT @ lam[..., None])[..., 0], G, J
 
     def stationarity_residual(self, x: np.ndarray) -> float:
         _, rho, _, _ = self.multipliers(x)
         return float(np.linalg.norm(rho))
 
     # manifold operations -------------------------------------------------------
+    def project_stack(self, x0: np.ndarray):
+        """Gauss-Newton projection of each row of ``x0`` onto the closure set;
+        returns the iterates and a mask of the rows that converged."""
+        return gauss_newton(self.constraints, x0, 1e-12 * self.scale, PROJECT_MAX_ITER)
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """Gauss-Newton projection onto the closure constraint set."""
-        return gauss_newton(self.constraints, x, 1e-12 * self.scale, PROJECT_MAX_ITER)
+        xs, converged = self.project_stack(x[None])
+        if not converged[0]:
+            G, _ = self.constraints(xs[0])
+            raise NoConvergenceError(f"Gauss-Newton stalled at |G| = {np.linalg.norm(G)!r}")
+        return xs[0]
+
+    def newton_stack(self, x0: np.ndarray):
+        """Newton iteration on the KKT system for each row of ``x0``.
+
+        Returns the final iterates, their multipliers, the stationarity
+        residual |rho| at convergence (nan elsewhere) and a status per row:
+        NEWTON_CONVERGED, NEWTON_NONFINITE (a step was not finite) or
+        NEWTON_BUDGET (NEWTON_MAX_ITER steps without converging).
+        """
+        grad_tol = self.tols.gradient * max(1.0, self.scale ** 2)
+        feas_tol = 1e-11 * self.scale
+        n, m = self.chart.n_vars, self.chart.n_constraints
+        x = np.array(x0, dtype=float)
+        lam = np.zeros((len(x), m))
+        rho_norm = np.full(len(x), np.nan)
+        status = np.full(len(x), NEWTON_BUDGET)
+        rows = np.arange(len(x))  # rows of x still iterating, held in xa
+        xa = x.copy()
+        for it in range(NEWTON_MAX_ITER + 1):
+            lam_a, rho, G, J = self.multipliers(xa)
+            rn = np.linalg.norm(rho, axis=1)
+            hit = (rn <= grad_tol) & (np.linalg.norm(G, axis=1) <= feas_tol)
+            if hit.any():
+                done = rows[hit]
+                x[done], lam[done], rho_norm[done] = xa[hit], lam_a[hit], rn[hit]
+                status[done] = NEWTON_CONVERGED
+                keep = ~hit
+                rows, xa, lam_a, rho, G, J = (rows[keep], xa[keep], lam_a[keep],
+                                              rho[keep], G[keep], J[keep])
+            if it == NEWTON_MAX_ITER or rows.size == 0:
+                break
+            K = np.zeros((rows.size, n + m, n + m))
+            K[:, :n, :n] = self.lagrangian_hess(xa, lam_a)
+            K[:, :n, n:] = -np.swapaxes(J, 1, 2)
+            K[:, n:, :n] = J
+            sol, finite = _kkt_solve(K, -np.concatenate([rho, G], axis=1))
+            if not finite.all():
+                x[rows[~finite]] = xa[~finite]
+                status[rows[~finite]] = NEWTON_NONFINITE
+                rows, xa, sol = rows[finite], xa[finite], sol[finite]
+            dx = sol[:, :n]  # clamped to norm 0.5
+            xa = xa + 0.5 * dx / np.maximum(np.linalg.norm(dx, axis=1, keepdims=True), 0.5)
+        x[rows] = xa
+        return x, lam, rho_norm, status
 
     def newton_kkt(self, x: np.ndarray):
         """Newton iteration on the KKT system; returns (x, lam) or None."""
-        grad_tol = self.tols.gradient * max(1.0, self.scale ** 2)
-        feas_tol = 1e-11 * self.scale
-        for _ in range(NEWTON_MAX_ITER):
-            lam, rho, G, J = self.multipliers(x)
-            if np.linalg.norm(rho) <= grad_tol and np.linalg.norm(G) <= feas_tol:
-                return x, lam
-            HL = self.lagrangian_hess(x, lam)
-            m, n = J.shape
-            K = np.zeros((n + m, n + m))
-            K[:n, :n] = HL
-            K[:n, n:] = -J.T
-            K[n:, :n] = J
-            rhs = -np.concatenate([rho, G])
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-            if not np.all(np.isfinite(sol)):
-                return None
-            dx = sol[:n]
-            nrm = np.linalg.norm(dx)
-            if nrm > 0.5:
-                dx *= 0.5 / nrm
-            x = x + dx
-        lam, rho, G, _ = self.multipliers(x)
-        if np.linalg.norm(rho) <= grad_tol and np.linalg.norm(G) <= feas_tol:
-            return x, lam
-        return None
+        xs, lam, _, status = self.newton_stack(x[None])
+        return (xs[0], lam[0]) if status[0] == NEWTON_CONVERGED else None
 
     def inertia(self, x: np.ndarray, check_critical: bool = True) -> InertiaTriple:
         """Inertia of the Lagrangian Hessian on the constraint tangent space."""
@@ -388,48 +484,48 @@ class ChartOracle:
     def find_critical(self, n_seeds: int, seed: int = 42):
         """Clustered critical points from random feasible seeds.
 
-        Returns a list of (x, InertiaTriple, Configuration) sorted by area
-        value then chart coordinates.
+        The seeds run through projection and Newton-KKT as stacked arrays,
+        SWEEP_BLOCK at a time.  Returns a list of (x, InertiaTriple,
+        Configuration) sorted by area value then chart coordinates.
         """
         rng = np.random.default_rng(seed)
-        thr = self.tols.match * self.scale
-        found: list[np.ndarray] = []
-        for _ in range(n_seeds):
-            x0 = rng.uniform(-math.pi, math.pi, self.chart.n_vars)
-            try:
-                x0 = self.project(x0)
-            except NoConvergenceError:
-                continue
-            res = self.newton_kkt(x0)
-            if res is None:
-                continue
-            x, _ = res
-            found.append(x)
-        clusters = self._cluster(found, thr)
-        out = []
-        for x in clusters:
-            out.append((x, self.inertia(x), self.chart.configuration(self.chart.full_theta(x))))
+        starts = rng.uniform(-math.pi, math.pi, (n_seeds, self.chart.n_vars))
+        xs = [np.zeros((0, self.chart.n_vars))]
+        rhos = [np.zeros(0)]
+        project_failed = nonfinite = budget = 0
+        for b in range(0, n_seeds, SWEEP_BLOCK):
+            x, projected = self.project_stack(starts[b:b + SWEEP_BLOCK])
+            project_failed += int(np.sum(~projected))
+            x, _, rho_norm, status = self.newton_stack(x[projected])
+            nonfinite += int(np.sum(status == NEWTON_NONFINITE))
+            budget += int(np.sum(status == NEWTON_BUDGET))
+            converged = status == NEWTON_CONVERGED
+            xs.append(x[converged])
+            rhos.append(rho_norm[converged])
+        x, rho_norm = np.concatenate(xs), np.concatenate(rhos)
+        # lexicographic, stable order of the rounded rows; column 0 leads
+        order = np.lexsort(np.round(x, 9).T[::-1])
+        x, rho_norm = x[order], rho_norm[order]
+        reps = _cluster(self._positions_vector(x), rho_norm,
+                        self.tols.match * self.scale)
+        logger.debug(
+            "find_critical: %(seeds)d seeds, %(project_failed)d projection failures, "
+            "%(newton_nonfinite)d Newton non-finite steps, %(newton_budget)d Newton "
+            "budgets exhausted, %(converged)d converged, %(clusters)d clusters",
+            {"seeds": n_seeds, "project_failed": project_failed,
+             "newton_nonfinite": nonfinite, "newton_budget": budget,
+             "converged": len(x), "clusters": len(reps)})
+        out = [(x[i], self.inertia(x[i]),
+                self.chart.configuration(self.chart.full_theta(x[i]))) for i in reps]
         out.sort(key=lambda t: (round(self.f(t[0]), 9), tuple(np.round(t[0], 7))))
         return out
 
     def _positions_vector(self, x: np.ndarray) -> np.ndarray:
-        pos = self.chart.positions(self.chart.full_theta(x))
-        return np.concatenate([pos[v] for v in self.graph.vertices])
-
-    def _cluster(self, xs: list[np.ndarray], thr: float) -> list[np.ndarray]:
-        reps: list[tuple[np.ndarray, np.ndarray, float]] = []  # (x, posvec, residual)
-        order = sorted(xs, key=lambda x: tuple(np.round(x, 9)))
-        for x in order:
-            pv = self._positions_vector(x)
-            res = self.stationarity_residual(x)
-            for i, (_, qv, r0) in enumerate(reps):
-                if _dist(pv, qv) <= thr:
-                    if res < r0:
-                        reps[i] = (x, pv, res)
-                    break
-            else:
-                reps.append((x, pv, res))
-        return [r[0] for r in reps]
+        """Vertex positions (x0, y0, x1, y1, ...) of one point or a stack."""
+        theta = self.chart.full_theta(x)
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        pts = self.chart.path_matrix @ (self.chart.lengths[:, None] * u)
+        return pts.reshape(x.shape[:-1] + (2 * pts.shape[-2],))
 
     # finite differences ----------------------------------------------------------
     def fd_check(self, x: np.ndarray, grad_fn=None, hess_fn=None,
@@ -501,11 +597,15 @@ def project_to_manifold(chart: AngleChart, theta0: np.ndarray,
 
     def residual(x):
         G, J = chart.constraints(chart.full_theta(x))
-        return G, J[:, vi]
+        return G, J[..., vi]
 
     x0 = chart.reduce(theta0 - theta0[chart.gauge_edge])
-    x = gauss_newton(residual, x0, 1e-12 * float(chart.lengths.sum()), max_iter)
-    return chart.full_theta(x)
+    xs, converged = gauss_newton(residual, x0[None], 1e-12 * float(chart.lengths.sum()),
+                                 max_iter)
+    if not converged[0]:
+        G, _ = residual(xs[0])
+        raise NoConvergenceError(f"Gauss-Newton stalled at |G| = {np.linalg.norm(G)!r}")
+    return chart.full_theta(xs[0])
 
 
 def find_critical_numeric(g: LinkageGraph, gamma: DistinguishedCycle,

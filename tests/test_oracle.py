@@ -1,21 +1,28 @@
 """Edge-angle chart, constrained search, inertia, finite differences."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from linkmorse.enumeration import enumerate_critical_three_chain
 from linkmorse.errors import CheckFailedError, NoConvergenceError, NotCriticalError
+from linkmorse.geometry import gauss_newton
 from linkmorse.graphs import LinkageGraph, make_polygon, make_three_chain
 from linkmorse.indices import OpenChainCritical, open_chain_index
 from linkmorse.oracle import (
+    NEWTON_CONVERGED,
+    NEWTON_NONFINITE,
+    PROJECT_MAX_ITER,
     ChartOracle,
+    _kkt_solve,
     area_oracle,
     build_chart,
     distance_oracle,
 )
 
-from conftest import sample_polygon
+from conftest import sample_polygon, sample_three_chain_with_records
 
 
 def open_chain(lengths):
@@ -80,6 +87,24 @@ class TestProjection:
         assert np.linalg.norm(G) <= 1e-11
         assert theta[chart.gauge_edge] == 0.0
 
+    def test_stack_rows_match_single_rows(self, rng):
+        # a stack mixes a feasible start, starts that converge at different
+        # steps and, under a 3-step budget, starts that do not converge
+        o = area_oracle(*make_polygon([1.0, 1.3, 0.8, 1.4]))
+        x0 = rng.uniform(-math.pi, math.pi, (8, o.chart.n_vars))
+        x0[3] = o.project(x0[3])
+        tol = 1e-12 * o.scale
+        for budget in (3, PROJECT_MAX_ITER):
+            xs, converged = gauss_newton(o.constraints, x0, tol, budget)
+            if budget == 3:
+                assert converged[3] and not converged.all()
+            else:
+                assert converged.all()
+            for i in range(len(x0)):
+                xi, ci = gauss_newton(o.constraints, x0[i:i + 1], tol, budget)
+                assert ci[0] == converged[i]
+                assert np.allclose(xi[0], xs[i], rtol=0, atol=1e-12)
+
     def test_unclosable_polygon_raises(self, rng):
         # the longest edge exceeds the sum of the others: no closed polygon
         o = area_oracle(*make_polygon([1.0, 1.0, 5.0]))
@@ -140,7 +165,138 @@ class TestFindCritical:
             o.inertia(x)
 
 
+def criterion_02_instance(k):
+    """Instance k of acceptance criterion 2's three-chain sampler (rng 202)."""
+    rng = np.random.default_rng(202)
+    for _ in range(k + 1):
+        g, gamma, _ = sample_three_chain_with_records(rng, enumerate_critical_three_chain)
+    return g, gamma
+
+
+def reference_sweep(o, n_seeds, seed):
+    """find_critical one seed at a time: sequential draws, project, then
+    newton_kkt, then greedy clustering on (rounded x) order."""
+    rng = np.random.default_rng(seed)
+    found = []
+    project_failed = newton_failed = 0
+    for _ in range(n_seeds):
+        x0 = rng.uniform(-math.pi, math.pi, o.chart.n_vars)
+        try:
+            x0 = o.project(x0)
+        except NoConvergenceError:
+            project_failed += 1
+            continue
+        res = o.newton_kkt(x0)
+        if res is None:
+            newton_failed += 1
+            continue
+        found.append(res[0])
+    thr = o.tols.match * o.scale
+    reps = []  # (x, position vector, residual)
+    for x in sorted(found, key=lambda x: tuple(np.round(x, 9))):
+        pv, r = o._positions_vector(x), o.stationarity_residual(x)
+        for i, (_, qv, r0) in enumerate(reps):
+            if np.max(np.abs(pv - qv)) <= thr:
+                if r < r0:
+                    reps[i] = (x, pv, r)
+                break
+        else:
+            reps.append((x, pv, r))
+    return [x for x, _, _ in reps], project_failed, newton_failed
+
+
+def sweep_record(caplog, o, n_seeds, seed):
+    """find_critical's result and the counts of its DEBUG record."""
+    with caplog.at_level(logging.DEBUG, logger="linkmorse.oracle"):
+        found = o.find_critical(n_seeds, seed=seed)
+    (rec,) = [r for r in caplog.records if r.name == "linkmorse.oracle"]
+    assert rec.levelno == logging.DEBUG
+    return found, rec.args
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("k, n_seeds", [(0, 260), (2, 260)])
+    def test_stack_equals_rows(self, caplog, k, n_seeds):
+        # 260 seeds make one full block and one partial block
+        o = area_oracle(*criterion_02_instance(k))
+        ref, project_failed, newton_failed = reference_sweep(o, n_seeds, 77)
+        assert project_failed if k == 2 else newton_failed
+        found, counts = sweep_record(caplog, o, n_seeds, 77)
+        assert counts["project_failed"] == project_failed
+        assert counts["newton_nonfinite"] + counts["newton_budget"] == newton_failed
+        thr = o.tols.match * o.scale
+        assert len(found) == len(ref)
+        for x, tri, _ in found:
+            pv = o._positions_vector(x)
+            near = [xr for xr in ref if np.max(np.abs(o._positions_vector(xr) - pv)) <= thr]
+            assert len(near) == 1
+            assert o.inertia(near[0]).as_tuple() == tri.as_tuple()
+
+    @pytest.mark.parametrize("k, counts", [
+        (0, {"seeds": 1000, "project_failed": 0, "newton_nonfinite": 0,
+             "newton_budget": 737, "converged": 263, "clusters": 4}),
+        (2, {"seeds": 1000, "project_failed": 114, "newton_nonfinite": 0,
+             "newton_budget": 0, "converged": 886, "clusters": 8}),
+    ])
+    def test_sweep_counts_logged(self, caplog, k, counts):
+        o = area_oracle(*criterion_02_instance(k))
+        found, logged = sweep_record(caplog, o, 1000, 77)
+        assert logged == counts
+        assert len(found) == counts["clusters"]
+
+    def test_nonfinite_row_leaves_other_rows_alone(self):
+        # a NaN start makes a non-finite KKT step in its own row only; the
+        # aligned start converges at once, so active rows are renumbered
+        g, head, tail = open_chain([1.3, 1.0, 0.6])
+        o = distance_oracle(g, head, tail)
+        x0 = np.array([[0.0, 0.0], [0.3, -2.0], [np.nan, 0.1], [2.5, 1.0], [0.4, 0.2]])
+        xs, lam, rho, status = o.newton_stack(x0)
+        assert status.tolist() == [NEWTON_CONVERGED, NEWTON_CONVERGED, NEWTON_NONFINITE,
+                                   NEWTON_CONVERGED, NEWTON_CONVERGED]
+        for i in (0, 1, 3, 4):
+            xi, _, rho_i, status_i = o.newton_stack(x0[i:i + 1])
+            assert status_i[0] == status[i]
+            assert np.array_equal(xi[0], xs[i])
+            assert rho_i[0] == rho[i]
+
+    def test_singular_and_nonfinite_rows(self, rng):
+        K = rng.normal(size=(5, 6, 6))
+        rhs = rng.normal(size=(5, 6))
+        K[1, 3] = 0.0          # exactly singular: least squares
+        rhs[3, 2] = np.inf     # non-finite step
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(K[1], rhs[1])
+        sol, finite = _kkt_solve(K, rhs)
+        assert finite.tolist() == [True, True, True, False, True]
+        for i in range(5):
+            alone, finite_alone = _kkt_solve(K[i:i + 1], rhs[i:i + 1])
+            assert finite[i] == finite_alone[0]
+            if finite[i]:
+                assert np.array_equal(sol[i], alone[0])
+        assert np.array_equal(sol[1], np.linalg.lstsq(K[1], rhs[1], rcond=None)[0])
+        assert np.array_equal(sol[0], np.linalg.solve(K[0], rhs[0]))
+
+
 class TestOpenChainOracle:
+    @pytest.mark.parametrize("lengths, negatives", [
+        ([1.3, 1.0, 0.6], [2, 1, 1, 1]),
+        ([1.4, 1.1, 0.7, 0.5], [3, 2, 2, 2, 2, 1, 1, 1]),
+    ])
+    def test_sweep_without_constraints(self, lengths, negatives):
+        # an open chain has no closure rows (m = 0): every alignment is found
+        g, head, tail = open_chain(lengths)
+        o = distance_oracle(g, head, tail)
+        found = o.find_critical(200, seed=3)
+        assert len(found) == 2 ** (len(lengths) - 1)
+        assert sorted((tri.negative for _, tri, _ in found), reverse=True) == negatives
+        for x, tri, _ in found:
+            theta = o.chart.full_theta(x)
+            sigma = np.sign(np.cos(theta - theta[0]))
+            w = float(np.dot(sigma, lengths))
+            f = int(np.sum((sigma > 0) == (w > 0)))
+            crit = OpenChainCritical(len(lengths), f, (math.copysign(1.0, w), 0.0))
+            assert tri.negative == open_chain_index(crit)
+
     def test_all_alignment_patterns_match_formula(self, rng):
         # aligned chain criticals of the endpoint distance: index f - 1
         for r in (2, 3, 4, 5):
