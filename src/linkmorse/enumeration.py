@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,8 @@ from .indices import (
     cyclic_index,
     ptt_index,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -201,20 +204,43 @@ def enumerate_critical_structure(struct: PolygonWithChains,
         patterns_by_chain[k] = alignment_patterns(ch.lengths, tol=tols.wall * scale)
 
     records: list[CriticalRecord] = []
+    cyclic: dict[tuple[float, ...], list[CyclicPolygon]] = {}  # by cell lengths
+    counts = dict.fromkeys(
+        ("branches", "empty_branches", "two_edge_cell", "no_cyclic_root",
+         "cyclic_lookups", "cyclic_solved", "picks", "glue_mismatch", "outside_reach",
+         "no_representative", "records"), 0)
     for d_mask in range(2 ** len(flexible)):
         aligned_set = set(rigid) | {flexible[i] for i in range(len(flexible))
                                     if (d_mask >> i) & 1}
         aligned_list = sorted(aligned_set)
         pattern_choices = [patterns_by_chain[k] for k in aligned_list]
         for combo in itertools.product(*pattern_choices):
-            records.extend(
-                _records_for_branch(struct, glens, aligned_list, combo, tols, scale))
+            branch = _records_for_branch(struct, glens, aligned_list, combo,
+                                         tols, scale, cyclic, counts)
+            if not branch:
+                counts["empty_branches"] += 1
+            records.extend(branch)
     records.sort(key=lambda r: (r.index.index, r.key(), r.area))
+    counts["cyclic_solved"], counts["records"] = len(cyclic), len(records)
+    logger.debug(
+        "enumerate: %(branches)d branches, %(empty_branches)d empty, "
+        "%(two_edge_cell)d with a two-edge cell, %(no_cyclic_root)d with a cell "
+        "without cyclic root, %(cyclic_lookups)d cyclic lookups on "
+        "%(cyclic_solved)d length vectors, %(picks)d picks, %(glue_mismatch)d glue "
+        "mismatches, %(outside_reach)d free chains outside reach, "
+        "%(no_representative)d without representative, %(records)d records", counts)
     return records
 
 
 def _records_for_branch(struct: PolygonWithChains, glens, aligned_list, combo,
-                        tols: Tolerances, scale: float) -> list[CriticalRecord]:
+                        tols: Tolerances, scale: float, cyclic: dict,
+                        counts: dict[str, int]) -> list[CriticalRecord]:
+    """Records of one choice of aligned chains and patterns.
+
+    ``cyclic`` holds the cyclic solutions of every cell length tuple solved
+    so far in the enumeration; ``counts`` collects its statistics.
+    """
+    counts["branches"] += 1
     diag_w = [w for (_, w, _) in combo]
     diag_pairs = [(struct.gamma.vertices[struct.chains[k].i_pos],
                    struct.gamma.vertices[struct.chains[k].t_pos])
@@ -227,16 +253,24 @@ def _records_for_branch(struct: PolygonWithChains, glens, aligned_list, combo,
         if len(lens) < 3:
             if abs(lens[0] - lens[1]) <= tols.wall * scale:
                 raise NonGenericError("degenerate two-edge cell with equal lengths")
+            counts["two_edge_cell"] += 1
             return []  # two-edge cell cannot be cyclic: branch infeasible
-        sols = enumerate_cyclic(lens, tols)
-        if not sols:
+        counts["cyclic_lookups"] += 1
+        key = tuple(lens)
+        if key not in cyclic:
+            cyclic[key] = enumerate_cyclic(lens, tols)
+        if not cyclic[key]:
+            counts["no_cyclic_root"] += 1
             return []
-        cell_sols.append(sols)
+        cell_sols.append(cyclic[key])
 
     out = []
     for pick in itertools.product(*cell_sols):
+        counts["picks"] += 1
         rec = _assemble_record(struct, aligned_list, combo, cells, pick, tols, scale)
-        if rec is not None:
+        if isinstance(rec, str):
+            counts[rec] += 1
+        else:
             out.append(rec)
     return out
 
@@ -298,10 +332,12 @@ def _glue_cells(struct: PolygonWithChains, aligned_list, cells, pick, scale):
 
 
 def _assemble_record(struct: PolygonWithChains, aligned_list, combo, cells, pick,
-                     tols: Tolerances, scale: float):
+                     tols: Tolerances, scale: float) -> CriticalRecord | str:
+    """The record of one cell solution per cell, or why the pick is dropped:
+    "glue_mismatch", "outside_reach" or "no_representative"."""
     glued = _glue_cells(struct, aligned_list, cells, pick, scale)
     if glued is None:
-        return None
+        return "glue_mismatch"
     pos_xy, placed_cells = glued
 
     # chain statuses; a chain left free must reach its ends generically
@@ -318,7 +354,7 @@ def _assemble_record(struct: PolygonWithChains, aligned_list, combo, cells, pick
             raise NonGenericError(
                 f"free-chain endpoint distance {d!r} hits the reach boundary")
         if not reach.contains_strictly(d):
-            return None
+            return "outside_reach"
         for _, w_al, _ in alignment_patterns(ch.lengths):
             if abs(d - w_al) <= guard:
                 raise NonGenericError(
@@ -329,7 +365,7 @@ def _assemble_record(struct: PolygonWithChains, aligned_list, combo, cells, pick
                                     placed_cells, pos_xy, tols, scale)
     rep = _representative(struct, pos_xy, aligned_list, combo, scale)
     if rep is None:
-        return None
+        return "no_representative"
     area = shoelace(np.array([pos_xy[p] for p in range(len(struct.gamma))]))
     return CriticalRecord(tuple(statuses), tuple(placed_cells), rep, report,
                           report.manifold_dim, factors, float(area))

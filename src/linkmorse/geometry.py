@@ -277,12 +277,20 @@ def _build_cyclic(lengths, eps, omega, radius) -> CyclicPolygon:
     return poly
 
 
+# sign vectors whose closure values (one float per grid point each) are held
+# at once by _scan_grid; a power of two.  Four rows keep the peak memory of a
+# quadrilateral cell near that of one sign vector at a time; eight rows took
+# 45% more there and ran no faster.
+ROOT_BLOCK = 4
+
+
 def _omega_range(n: int) -> range:
     return range(-(n // 2), n // 2 + 1)
 
 
-def _radius_grid(lengths: np.ndarray, eps: np.ndarray, n_grid: int) -> np.ndarray:
-    """Log-spaced radius samples covering every closure root for this sign vector."""
+def _radius_tops(lengths: np.ndarray, eps: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest radius and, per sign vector (row of eps), the largest radius
+    of a log-spaced grid covering every closure root."""
     lmax = float(lengths.max())
     total = float(lengths.sum())
     n = len(lengths)
@@ -290,59 +298,142 @@ def _radius_grid(lengths: np.ndarray, eps: np.ndarray, n_grid: int) -> np.ndarra
     # beyond r_crit the arcsin part stays below pi/(4n), so windings != 0 are done
     r_crit = lmax / (2.0 * math.sin(math.pi / (4.0 * n * n)))
     # for winding 0 the root tail is bounded via sum(eps*l); guard the wall case
-    d = abs(float(np.dot(eps, lengths)))
-    d = max(d, 1e-9 * total)
-    r_tail = 0.75 * lmax * math.sqrt(total / d)
-    r_hi = max(r_crit, r_tail, 4.0 * r_min)
-    return np.geomspace(r_min, r_hi, n_grid)
+    d = np.abs([float(np.dot(e, lengths)) for e in eps])
+    d = np.maximum(d, 1e-9 * total)
+    r_tail = 0.75 * lmax * np.sqrt(total / d)
+    return r_min, np.maximum(np.maximum(r_crit, r_tail), 4.0 * r_min)
 
 
-def _closure_fn(lengths: np.ndarray, eps: np.ndarray):
-    def F(r):
-        return float(np.dot(eps, np.arcsin(np.minimum(1.0, lengths / (2.0 * r)))))
-    return F
+def _sign_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """Sign vectors of the masks: entry 0 is +1, entry k+1 is -1 when bit k is set."""
+    bits = (masks[:, None] >> np.arange(n - 1)) & 1
+    return np.hstack([np.ones((len(masks), 1)), 1.0 - 2.0 * bits])
 
 
-def _bisect(F, lo, hi, target, iters=200):
-    flo = F(lo) - target
+def _fill_block(P: np.ndarray, A: np.ndarray, high: int) -> None:
+    """Fill P (2**b rows) with sum_k eps_k * A[k] for the sign vectors with
+    masks high * 2**b + j.
+
+    The low bits are spread by prefix doubling, P <- [P + A[k]; P - A[k]],
+    and the high bits added after them, so every row sums A[0], A[1], ...
+    in order like ``(A * eps[:, None]).sum(axis=0)``.
+    """
+    b = len(P).bit_length() - 1
+    P[0] = A[0]
+    for k in range(1, b + 1):
+        h = 2 ** (k - 1)
+        np.subtract(P[:h], A[k], out=P[h:2 * h])
+        P[:h] += A[k]
+    for k in range(b + 1, len(A)):
+        if (high >> (k - 1 - b)) & 1:
+            P -= A[k]
+        else:
+            P += A[k]
+
+
+def _closure(lengths: np.ndarray, eps: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """F(r[i]) for the sign vectors eps[i], summed column by column as np.dot does."""
+    v = np.arcsin(np.minimum(1.0, lengths / (2.0 * r[:, None])))
+    f = v[:, 0] * eps[:, 0]
+    for k in range(1, len(lengths)):
+        f = f + v[:, k] * eps[:, k]
+    return f
+
+
+def _bisect_stack(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, target: np.ndarray, iters: int = 200) -> np.ndarray:
+    """Roots of F - target bracketed by [lo, hi], one per row, bisected together.
+
+    A row stops when F(mid) hits the target exactly (returning mid) or when
+    its bracket shrinks to 1e-15 relative (returning the bracket midpoint).
+    """
+    out = np.empty(len(lo))
+    rows = np.arange(len(lo))  # rows still bisecting
+    flo = _closure(lengths, eps, lo) - target
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        fm = F(mid) - target
-        if fm == 0.0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+        fm = _closure(lengths, eps, mid) - target
+        left = (flo < 0) == (fm < 0)
+        lo, flo, hi = np.where(left, mid, lo), np.where(left, fm, flo), np.where(left, hi, mid)
+        exact = fm == 0.0
+        done = exact | (hi - lo <= 1e-15 * hi)
+        out[rows[done]] = np.where(exact, mid, 0.5 * (lo + hi))[done]
+        keep = ~done
+        rows, lo, hi, flo, eps, target = (rows[keep], lo[keep], hi[keep], flo[keep],
+                                          eps[keep], target[keep])
+        if rows.size == 0:
+            return out
+    out[rows] = 0.5 * (lo + hi)
+    return out
 
 
-def _roots_for_sign_vector(lengths: np.ndarray, eps: np.ndarray,
-                           tols: Tolerances) -> list[tuple[int, float]]:
-    """(omega, R) roots of the closure condition for one sign vector."""
-    grid = _radius_grid(lengths, eps, tols.grid_points)
-    vals = (np.arcsin(np.minimum(1.0, lengths[:, None] / (2.0 * grid[None, :])))
-            * eps[:, None]).sum(axis=0)
-    F = _closure_fn(lengths, eps)
+def _cyclic_roots(lengths: np.ndarray, masks: Sequence[int],
+                  tols: Tolerances) -> list[list[tuple[int, float]]]:
+    """(omega, R) roots of the closure condition for a stack of sign vectors.
+
+    masks[i] names the sign vector of _sign_rows; the result lists the roots
+    of each in (omega, R) order, numerically identical roots of one winding
+    collapsed.  Sign vectors with the same grid top share one radius grid;
+    all brackets are bisected together.
+    """
     n = len(lengths)
-    roots: list[tuple[int, float]] = []
-    for omega in _omega_range(n):
-        target = math.pi * omega
-        diff = vals - target
-        if np.max(np.abs(diff)) < 1e-12:
+    masks = np.asarray(masks, dtype=np.int64)
+    eps = _sign_rows(n, masks)
+    r_min, tops = _radius_tops(lengths, eps)
+    roots: list[list[tuple[int, float]]] = [[] for _ in masks]
+    brackets = []  # (row, omega, lo, hi) arrays
+    for top in sorted(set(tops.tolist())):
+        grid = np.geomspace(r_min, top, tols.grid_points)
+        brackets += _scan_grid(lengths, grid, masks, np.nonzero(tops == top)[0], roots)
+    if brackets:
+        rows, omegas, lo, hi = (np.concatenate(parts) for parts in zip(*brackets))
+        radii = _bisect_stack(lengths, eps[rows], lo, hi, math.pi * omegas)
+        for i, om, r in zip(rows, omegas, radii):
+            roots[i].append((int(om), float(r)))
+    return [_collapse(rs) for rs in roots]
+
+
+def _scan_grid(lengths: np.ndarray, grid: np.ndarray, masks: np.ndarray,
+               rows: np.ndarray, roots: list) -> list:
+    """Sign-change brackets of the sign vectors masks[rows] on one grid.
+
+    Closure values are formed ROOT_BLOCK rows at a time from one arcsin
+    table, and only rows whose value range spans pi * omega are scanned.
+    Roots at the first grid point go straight into roots[row].
+    """
+    n = len(lengths)
+    omegas = np.array(list(_omega_range(n)))
+    targets = math.pi * omegas
+    # in place: the table and the block are the largest arrays held
+    A = lengths[:, None] / (2.0 * grid[None, :])
+    np.arcsin(np.minimum(A, 1.0, out=A), out=A)
+    b = min(ROOT_BLOCK, 2 ** (n - 1)).bit_length() - 1
+    P = np.empty((2 ** b, len(grid)))
+    brackets = []
+    for high in sorted(set((masks[rows] >> b).tolist())):
+        block = rows[masks[rows] >> b == high]
+        _fill_block(P, A, high)
+        local = masks[block] & ((1 << b) - 1)  # rows of P
+        vmin = P.min(axis=1)[local, None]
+        vmax = P.max(axis=1)[local, None]
+        # max |v - t| sits at a row extreme: rounding v - t is monotone in v
+        flat = np.maximum(np.abs(vmax - targets), np.abs(vmin - targets)) < 1e-12
+        for _ in range(np.count_nonzero(flat)):
             logger.warning("degenerate closure: F is identically pi*omega; skipping cell")
-            continue
-        if abs(diff[0]) < 1e-13:
-            roots.append((omega, float(grid[0])))
-        sign = np.sign(diff)
-        sign[sign == 0] = 1
-        hits = np.nonzero(sign[:-1] != sign[1:])[0]
-        for idx in hits:
-            r = _bisect(F, float(grid[idx]), float(grid[idx + 1]), target)
-            roots.append((omega, r))
-    # collapse numerically identical roots of one cell
+        for i, w in zip(*np.nonzero((np.abs(P[local, :1] - targets) < 1e-13) & ~flat)):
+            roots[block[i]].append((int(omegas[w]), float(grid[0])))
+        # a sign change needs values on both sides (a zero counts as +)
+        span = (vmin < targets) & (targets <= vmax) & ~flat
+        for w in np.nonzero(span.any(axis=0))[0]:
+            side = (P >= targets[w])[local[span[:, w]]]
+            q, idx = np.nonzero(side[:, :-1] != side[:, 1:])
+            brackets.append((block[span[:, w]][q], np.full(len(q), omegas[w]),
+                             grid[idx], grid[idx + 1]))
+    return brackets
+
+
+def _collapse(roots: list[tuple[int, float]]) -> list[tuple[int, float]]:
+    """Sorted roots with numerically identical roots of one winding merged."""
     out: list[tuple[int, float]] = []
     for omega, r in sorted(roots):
         if not any(o == omega and abs(r - r0) <= 1e-11 * r for o, r0 in out):
@@ -374,13 +465,12 @@ def solve_cyclic_all(lengths: Sequence[float], eps: Sequence[int], omega: int,
     total = sum(lengths)
     if 2 * max(lengths) >= total + tols.rel_length * total:
         raise ValueError("longest edge exceeds the sum of the others; no closed polygon")
-    arr = np.asarray(lengths)
-    eps_arr = np.asarray(eps, dtype=float)
-    out = []
-    for om, r in _roots_for_sign_vector(arr, eps_arr, tols):
-        if om == omega:
-            out.append(_build_cyclic(lengths, eps, omega, r))
-    return out
+    # F is odd in eps, so a sign vector starting with -1 has the roots of its
+    # negation at -omega
+    s0 = eps[0]
+    mask = sum(1 << (k - 1) for k in range(1, n) if eps[k] != s0)
+    (roots,) = _cyclic_roots(np.asarray(lengths), [mask], tols)
+    return [_build_cyclic(lengths, eps, omega, r) for om, r in roots if s0 * om == omega]
 
 
 def enumerate_cyclic(lengths: Sequence[float],
@@ -399,12 +489,11 @@ def enumerate_cyclic(lengths: Sequence[float],
     total = sum(lengths)
     if 2 * max(lengths) >= total * (1 - 1e-12):
         return []
-    arr = np.asarray(lengths)
+    masks = range(2 ** (n - 1))
     sols: list[CyclicPolygon] = []
-    for mask in range(2 ** (n - 1)):
+    for mask, roots in zip(masks, _cyclic_roots(np.asarray(lengths), masks, tols)):
         eps = [1] + [1 if (mask >> k) & 1 == 0 else -1 for k in range(n - 1)]
-        eps_arr = np.asarray(eps, dtype=float)
-        for omega, r in _roots_for_sign_vector(arr, eps_arr, tols):
+        for omega, r in roots:
             sols.append(_build_cyclic(lengths, eps, omega, r))
             sols.append(_build_cyclic(lengths, [-s for s in eps], -omega, r))
 
@@ -419,15 +508,25 @@ def _cyclic_sort_key(p: CyclicPolygon):
 
 
 def _flag_coincident(sols: list[CyclicPolygon], scale: float) -> None:
-    for a in range(len(sols)):
-        for b in range(a + 1, len(sols)):
-            pa, pb = sols[a], sols[b]
-            if abs(pa.radius - pb.radius) > 1e-7 * scale:
-                continue
-            if np.max(np.abs(pa.vertex_array() - pb.vertex_array())) <= 1e-7 * scale:
+    """Flag both solutions of every pair whose vertices agree within 1e-7 * scale.
+
+    Only pairs whose radii agree that closely are compared: in radius order,
+    the solutions that follow each one until the gap exceeds the tolerance.
+    """
+    tol = 1e-7 * scale
+    order = sorted(range(len(sols)), key=lambda i: sols[i].radius)
+    radii = [sols[i].radius for i in order]
+    verts = [sols[i].vertex_array() for i in order]
+    flagged = set()
+    for a in range(len(order)):
+        for b in range(a + 1, len(order)):
+            if radii[b] - radii[a] > tol:
+                break
+            if np.max(np.abs(verts[a] - verts[b])) <= tol:
                 logger.warning("two cyclic solutions coincide within tolerance")
-                sols[a] = _with_flag(pa, "coincident")
-                sols[b] = _with_flag(pb, "coincident")
+                flagged.update((order[a], order[b]))
+    for i in flagged:
+        sols[i] = _with_flag(sols[i], "coincident")
 
 
 def _with_flag(p: CyclicPolygon, flag: str) -> CyclicPolygon:

@@ -7,8 +7,8 @@ integer arithmetic plus one guarded sign test.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +17,8 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import CoincidingCentersError, NonGenericError, NotAlignedError
 from .geometry import CyclicPolygon
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,8 @@ def cyclic_index(p: CyclicPolygon, tols: Tolerances = DEFAULT_TOLS) -> int:
     """
     mu = p.e - 1 - 2 * p.omega if _tan_sum_positive(p, tols) else p.e - 2 - 2 * p.omega
     if not 0 <= mu <= max(p.n - 3, 0):
-        warnings.warn(
-            f"cyclic index {mu} escapes the Morse bound [0, {p.n - 3}]; "
-            "treat this configuration as suspect", stacklevel=2)
+        logger.warning("cyclic index %d escapes the Morse bound [0, %d]; "
+                       "treat this configuration as suspect", mu, p.n - 3)
     return mu
 
 

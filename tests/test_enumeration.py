@@ -1,10 +1,13 @@
 """Symbolic critical-point enumeration, classification, and Euler sums."""
 
+import hashlib
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from linkmorse import enumeration
 from linkmorse.enumeration import (
     classify_configuration,
     enumerate_critical_pnd,
@@ -206,6 +209,32 @@ class TestWorkedExample:
         parts = dict(rec.index.breakdown)
         assert sorted(v for k, v in parts.items() if k.startswith("cell")) == [0, 1, 5]
         assert sorted(v for k, v in parts.items() if k.startswith("chain")) == [1, 1]
+
+    def test_enumeration_counts_and_memoised_cells(self, caplog, monkeypatch):
+        # 34 cell lookups on 18 distinct length tuples; each tuple is solved
+        # once, and the digest of the records' keys, indices and dimensions
+        # is that of an enumeration solving every lookup afresh
+        calls = []
+
+        def counted(lens, tols):
+            calls.append(tuple(lens))
+            return enumerate_cyclic(lens, tols)
+
+        monkeypatch.setattr(enumeration, "enumerate_cyclic", counted)
+        g, gamma, _ = worked_example()
+        with caplog.at_level(logging.DEBUG, logger="linkmorse.enumeration"):
+            recs = enumerate_critical_pnd(g, gamma)
+        assert len(calls) == len(set(calls)) == 18
+        (rec,) = [r for r in caplog.records if r.name == "linkmorse.enumeration"]
+        assert rec.levelno == logging.DEBUG
+        assert rec.args == {
+            "branches": 15, "empty_branches": 4, "two_edge_cell": 0,
+            "no_cyclic_root": 3, "cyclic_lookups": 34, "cyclic_solved": 18,
+            "picks": 8158, "glue_mismatch": 0, "outside_reach": 2842,
+            "no_representative": 0, "records": 5316}
+        digest = hashlib.sha256(repr([(r.key(), r.index.index, r.manifold_dim)
+                                      for r in recs]).encode()).hexdigest()
+        assert digest == "97e990efdd1ac21b60ed578d795743ccf51a2cd26e968b1b44012455b80cccb9"
 
 
 class TestEulerSum:

@@ -1,5 +1,7 @@
 """Oriented area, cyclic polygons, reach, and genericity checks."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -13,8 +15,12 @@ from linkmorse.errors import (
     NotConcyclicError,
     NotPTTError,
 )
+from linkmorse import geometry
 from linkmorse.geometry import (
     Configuration,
+    _cyclic_roots,
+    _fill_block,
+    _flag_coincident,
     aligned_distance,
     area_derivative_wrt_side,
     chain_reach,
@@ -24,6 +30,7 @@ from linkmorse.geometry import (
     is_aligned,
     oriented_area,
     solve_cyclic,
+    solve_cyclic_all,
     triangle_area,
     wall_check,
 )
@@ -164,6 +171,181 @@ def _dense_scan_count(lengths, grid=200_000):
                 hits += 1
             count += 2 * hits  # mirror solutions counted too
     return count
+
+
+# ---------------------------------------------------------------------------
+# the closure roots of one sign vector at a time, as scalar code: the
+# reference the stacked root kernel must reproduce exactly
+# ---------------------------------------------------------------------------
+
+def _reference_roots(lengths, eps, n_grid=10_000):
+    """(omega, R) roots of one sign vector and its degenerate-closure count."""
+    lmax, total, n = float(lengths.max()), float(lengths.sum()), len(lengths)
+    r_min = lmax / 2.0
+    r_crit = lmax / (2.0 * math.sin(math.pi / (4.0 * n * n)))
+    d = max(abs(float(np.dot(eps, lengths))), 1e-9 * total)
+    r_tail = 0.75 * lmax * math.sqrt(total / d)
+    grid = np.geomspace(r_min, max(r_crit, r_tail, 4.0 * r_min), n_grid)
+    vals = (np.arcsin(np.minimum(1.0, lengths[:, None] / (2.0 * grid[None, :])))
+            * eps[:, None]).sum(axis=0)
+
+    def F(r):
+        return float(np.dot(eps, np.arcsin(np.minimum(1.0, lengths / (2.0 * r)))))
+
+    def bisect(lo, hi, target):
+        flo = F(lo) - target
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = F(mid) - target
+            if fm == 0.0:
+                return mid
+            if (flo < 0) == (fm < 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+            if hi - lo <= 1e-15 * hi:
+                break
+        return 0.5 * (lo + hi)
+
+    roots, flat = [], 0
+    for omega in range(-(n // 2), n // 2 + 1):
+        target = math.pi * omega
+        diff = vals - target
+        if np.max(np.abs(diff)) < 1e-12:
+            flat += 1
+            continue
+        if abs(diff[0]) < 1e-13:
+            roots.append((omega, float(grid[0])))
+        sign = np.sign(diff)
+        sign[sign == 0] = 1
+        for idx in np.nonzero(sign[:-1] != sign[1:])[0]:
+            roots.append((omega, bisect(float(grid[idx]), float(grid[idx + 1]), target)))
+    out = []
+    for omega, r in sorted(roots):
+        if not any(o == omega and abs(r - r0) <= 1e-11 * r for o, r0 in out):
+            out.append((omega, r))
+    return out, flat
+
+
+def _mask_eps(n, mask):
+    return np.array([1.0] + [1.0 if (mask >> k) & 1 == 0 else -1.0 for k in range(n - 1)])
+
+
+def _random_lengths(rng, n):
+    while True:
+        lens = rng.uniform(0.3, 2.0, n)
+        if 2 * lens.max() < 0.98 * lens.sum():
+            return lens
+
+
+class TestStackedRoots:
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_stack_equals_rows(self, n):
+        lens = _random_lengths(np.random.default_rng(1000 + n), n)
+        masks = range(2 ** (n - 1))
+        stacked = _cyclic_roots(lens, masks, Tolerances())
+        assert stacked == [_reference_roots(lens, _mask_eps(n, m))[0] for m in masks]
+        assert sum(map(len, stacked)) > 0
+        # enumerate_cyclic keeps every root and adds its mirror
+        radii = sorted(p.radius for p in enumerate_cyclic(list(lens)))
+        assert radii == sorted(2 * [r for roots in stacked for _, r in roots])
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 11])
+    def test_block_values_sum_in_row_order(self, n):
+        # bit for bit the row sums of the scalar code, block by block
+        lens = _random_lengths(np.random.default_rng(2000 + n), n)
+        grid = np.geomspace(lens.max() / 2, 40 * lens.sum(), 500)
+        A = np.arcsin(np.minimum(1.0, lens[:, None] / (2.0 * grid[None, :])))
+        b = min(geometry.ROOT_BLOCK, 2 ** (n - 1)).bit_length() - 1
+        P = np.empty((2 ** b, len(grid)))
+        for high in range(2 ** (n - 1 - b)):
+            eps = [_mask_eps(n, (high << b) + j) for j in range(2 ** b)]
+            _fill_block(P, A, high)
+            assert np.array_equal(P, [(A * e[:, None]).sum(axis=0) for e in eps])
+
+    def test_degenerate_closure_warned_per_cell(self, caplog):
+        # (+,+,-,-), (+,-,+,-) and (+,-,-,+) sum to exactly 0 at every radius
+        lens = np.ones(4)
+        ref = [_reference_roots(lens, _mask_eps(4, m)) for m in range(8)]
+        assert sum(flat for _, flat in ref) == 3
+        with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
+            stacked = _cyclic_roots(lens, range(8), Tolerances())
+        assert stacked == [roots for roots, _ in ref]
+        assert [r.getMessage() for r in caplog.records].count(
+            "degenerate closure: F is identically pi*omega; skipping cell") == 3
+
+    def test_triangle_with_diameter_edge(self):
+        # 3-4-5: the hypotenuse is a diameter, a root at the first grid point
+        lens = np.array([3.0, 4.0, 5.0])
+        stacked = _cyclic_roots(lens, range(4), Tolerances())
+        assert stacked == [_reference_roots(lens, _mask_eps(3, m))[0] for m in range(4)]
+        assert (0, 2.5) in stacked[2] and (1, 2.5) in stacked[0]
+        sols = enumerate_cyclic([3, 4, 5])
+        assert all({"diameter_edge", "coincident"} <= p.flags for p in sols)
+
+    def test_solve_cyclic_all_is_a_stack_of_one(self):
+        rng = np.random.default_rng(7)
+        for n in (3, 4, 5, 7):
+            lens = _random_lengths(rng, n)
+            for _ in range(4):
+                eps = rng.choice([-1, 1], n)
+                roots, _ = _reference_roots(lens, eps.astype(float))
+                for omega in range(-(n // 2), n // 2 + 1):
+                    sols = solve_cyclic_all(list(lens), list(eps), omega)
+                    assert [p.radius for p in sols] == [r for o, r in roots if o == omega]
+                    assert all(p.eps == tuple(eps) and p.omega == omega for p in sols)
+
+    def test_block_size_does_not_change_roots(self, monkeypatch):
+        lens = _random_lengths(np.random.default_rng(3), 7)
+        before = _cyclic_roots(lens, range(64), Tolerances())
+        for block in (8, 64):
+            monkeypatch.setattr(geometry, "ROOT_BLOCK", block)
+            assert _cyclic_roots(lens, range(64), Tolerances()) == before
+
+
+def _reference_flag_coincident(sols, scale):
+    """The pair loop over all solutions; returns the warning count."""
+    warned = 0
+    for a in range(len(sols)):
+        for b in range(a + 1, len(sols)):
+            pa, pb = sols[a], sols[b]
+            if abs(pa.radius - pb.radius) > 1e-7 * scale:
+                continue
+            if np.max(np.abs(pa.vertex_array() - pb.vertex_array())) <= 1e-7 * scale:
+                warned += 1
+                sols[a] = dataclasses.replace(pa, flags=pa.flags | {"coincident"})
+                sols[b] = dataclasses.replace(pb, flags=pb.flags | {"coincident"})
+    return warned
+
+
+@pytest.mark.parametrize("lens, coincide", [
+    ([3, 4, 5], True), ([1] * 4, True), ([1] * 6, True), ([1.0, 1.3, 0.8, 1.4, 1.1], False)])
+def test_flag_coincident_matches_pair_loop(lens, coincide, caplog):
+    sols = [dataclasses.replace(p, flags=p.flags - {"coincident"})
+            for p in enumerate_cyclic(lens)]
+    ref = list(sols)
+    warned = _reference_flag_coincident(ref, sum(lens))
+    with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
+        _flag_coincident(sols, sum(lens))
+    assert [p.flags for p in sols] == [p.flags for p in ref]
+    assert len(caplog.records) == warned
+    assert (warned > 0) == coincide
+
+
+def test_flag_coincident_radius_window(caplog):
+    # copies of one polygon at radius offsets (in units of the tolerance):
+    # only pairs within the tolerance in radius are compared
+    lens = [1.0, 1.3, 0.8, 1.4, 1.1]
+    p = enumerate_cyclic(lens)[0]
+    scale = sum(lens)
+    sols = [dataclasses.replace(p, radius=p.radius + k * 1e-7 * scale)
+            for k in (0.0, 1.7, 0.5, 3.0, 2.4)]
+    ref = list(sols)
+    warned = _reference_flag_coincident(ref, scale)
+    with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
+        _flag_coincident(sols, scale)
+    assert [p.flags for p in sols] == [p.flags for p in ref]
+    assert len(caplog.records) == warned == 3
 
 
 class TestCircleData:

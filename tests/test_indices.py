@@ -1,5 +1,7 @@
 """Closed-form index formulas and the Lagrange determinant identity."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -55,6 +57,16 @@ class TestCyclicIndex:
         huge_guard = Tolerances(sign_guard=0.99999)
         with pytest.raises(NonGenericError):
             cyclic_index(p, huge_guard)
+
+    def test_index_outside_morse_bound_is_logged(self, caplog):
+        # the equilateral triangle relabelled with winding 0: e - 1 - 2w = 2,
+        # outside [0, n - 3] = [0, 0]
+        p = dataclasses.replace(solve_cyclic([1, 1, 1], [1, 1, 1], 1), omega=0)
+        with caplog.at_level(logging.WARNING, logger="linkmorse.indices"):
+            assert cyclic_index(p) == 2
+        (rec,) = caplog.records
+        assert (rec.name, rec.levelno) == ("linkmorse.indices", logging.WARNING)
+        assert rec.getMessage().startswith("cyclic index 2 escapes the Morse bound [0, 0]")
 
     def test_mirror_indices_complement(self, rng):
         # empirical relation: mu(P) + mu(mirror P) = n - 3 for generic
