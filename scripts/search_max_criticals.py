@@ -38,7 +38,7 @@ def main():
         if wall_check(g).min_margin < 0.02 * g.total_length():
             continue
         try:
-            recs = enumerate_critical_three_chain(g, gamma, check_walls=False)
+            recs = enumerate_critical_three_chain(g, gamma)
         except NonGenericError:
             continue
         pts = sum(r.point_count or 0 for r in recs)

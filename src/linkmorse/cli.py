@@ -1,7 +1,8 @@
 """Command-line interface: recognize | critical | verify | continue.
 
-Exit codes: 0 success, 2 parse/usage error, 3 not a partial two-tree,
-4 wall hit under --strict, 5 verification disagreement.
+Exit codes: 0 success, 2 parse/usage error (malformed linkage or records
+file, invalid flag value), 3 not a partial two-tree, 4 wall hit under
+--strict, 5 verification disagreement.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from .config import RunConfig, Tolerances
 from .enumeration import enumerate_critical_structure, match_record
@@ -40,24 +42,49 @@ def _dump_json(obj, path: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _parse_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
 def _load(path: str):
     try:
         return load_linkage(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse linkage file {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        _parse_error(f"cannot parse linkage file {path!r}: {exc}")
+
+
+def _load_records(path: str) -> list[tuple]:
+    """(key, representative, index, manifold_dim) of every record of a
+    symbolic ``critical`` output file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        _parse_error(f"cannot read records file: {exc}")
+    if not isinstance(payload, dict) or payload.get("mode") != "symbolic":
+        _parse_error("verify expects symbolic records")
+    try:
+        return [(rec.get("key", f"record{k}"),
+                 Configuration.from_json_dict(rec["representative"]),
+                 rec["index"]["index"], rec["index"]["manifold_dim"])
+                for k, rec in enumerate(payload.get("records", []))]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        _parse_error(f"malformed records file: {exc!r}")
 
 
 def _config_from_args(args) -> RunConfig:
-    tols = Tolerances(
-        rel_length=args.tol_length,
-        collinearity=args.tol_collinearity,
-        concyclicity=args.tol_concyclicity,
-        gradient=args.tol_gradient,
-        eigen_zero_band=args.tol_eigen_zero,
-    )
-    return RunConfig(tols=tols, seed=args.seed, n_seeds=args.n_seeds,
-                     strict=args.strict, out=args.out, fmt=args.format)
+    try:
+        tols = Tolerances(
+            rel_length=args.tol_length,
+            collinearity=args.tol_collinearity,
+            concyclicity=args.tol_concyclicity,
+            gradient=args.tol_gradient,
+            eigen_zero_band=args.tol_eigen_zero,
+        )
+        return RunConfig(tols=tols, seed=args.seed, n_seeds=args.n_seeds)
+    except ValueError as exc:
+        _parse_error(f"invalid flag value: {exc}")
 
 
 def cmd_recognize(args) -> int:
@@ -94,14 +121,14 @@ def cmd_critical(args) -> int:
         walls = wall_check(g, tols=cfg.tols)
     except LinkmorseError:
         walls = None  # wall analysis needs a partial two-tree
-    if walls is not None and not walls.clean and cfg.strict:
+    if walls is not None and not walls.clean and args.strict:
         print("error: wall proximity detected and --strict set", file=sys.stderr)
         _dump_json({"wall_check": walls.to_json_dict()}, None)
         return EXIT_WALL
     out: dict = {"wall_check": walls.to_json_dict() if walls else None}
     struct = detect_polygon_with_chains(g, gamma)
     if struct is not None and walls is not None and walls.clean:
-        records = enumerate_critical_structure(struct, cfg.tols, check_walls=False)
+        records = enumerate_critical_structure(struct, cfg.tols)
         out["mode"] = "symbolic"
         out["records"] = [r.to_json_dict() for r in records]
     else:
@@ -120,7 +147,7 @@ def cmd_critical(args) -> int:
             "inertia": tri.to_json_dict(),
             "representative": c.to_json_dict(),
         } for x, tri, c in found]
-    _dump_json(out, cfg.out)
+    _dump_json(out, args.out)
     return EXIT_OK
 
 
@@ -130,15 +157,7 @@ def cmd_verify(args) -> int:
         print("error: verify needs a distinguished cycle (gamma)", file=sys.stderr)
         return EXIT_PARSE
     cfg = _config_from_args(args)
-    try:
-        with open(args.records, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read records file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if payload.get("mode") != "symbolic":
-        print("error: verify expects symbolic records", file=sys.stderr)
-        return EXIT_PARSE
+    claims = _load_records(args.records)
 
     struct = detect_polygon_with_chains(g, gamma)
     if struct is None:
@@ -149,13 +168,11 @@ def cmd_verify(args) -> int:
 
     diffs: list[str] = []
     oracle = area_oracle(g, gamma, cfg.tols)
-    for k, rec_json in enumerate(payload.get("records", [])):
-        key = rec_json.get("key", f"record{k}")
+    for k, (key, c, claimed, claimed_dim) in enumerate(claims):
         rec = by_key.get(key)
         if rec is None:
             diffs.append(f"record {k} ({key}): no matching enumerated record")
             continue
-        c = Configuration.from_json_dict(rec_json["representative"])
         x = oracle.chart.reduce(oracle.chart.theta_from_configuration(c))
         resid = oracle.stationarity_residual(x)
         if resid > 1e-6 * max(1.0, oracle.scale ** 2):
@@ -163,13 +180,12 @@ def cmd_verify(args) -> int:
                          f"(residual {resid!r})")
             continue
         tri = oracle.inertia(x)
-        claimed = rec_json["index"]["index"]
         if tri.negative != claimed:
             diffs.append(f"record {k} ({key}): index mismatch "
                          f"oracle={tri.negative} recorded={claimed}")
-        if tri.zero != rec_json["index"]["manifold_dim"]:
+        if tri.zero != claimed_dim:
             diffs.append(f"record {k} ({key}): zero-count mismatch "
-                         f"oracle={tri.zero} recorded={rec_json['index']['manifold_dim']}")
+                         f"oracle={tri.zero} recorded={claimed_dim}")
 
     found = oracle.find_critical(cfg.n_seeds, cfg.seed)
     matched_keys = set()
@@ -189,7 +205,7 @@ def cmd_verify(args) -> int:
 
     verdict = {"agreement": not diffs, "diffs": diffs,
                "oracle_points": len(found), "records": len(records)}
-    _dump_json(verdict, cfg.out)
+    _dump_json(verdict, args.out)
     return EXIT_OK if not diffs else EXIT_DIFF
 
 
@@ -207,11 +223,11 @@ def cmd_continue(args) -> int:
         return EXIT_PARSE
     diagram = continue_family(g, args.edge, args.start, args.stop, args.steps,
                               gamma, cfg)
-    if cfg.out:
-        _dump_json(diagram.to_json_dict(), cfg.out + ".json")
-        with open(cfg.out + ".csv", "w", encoding="utf-8") as fh:
+    if args.out:
+        _dump_json(diagram.to_json_dict(), args.out + ".json")
+        with open(args.out + ".csv", "w", encoding="utf-8") as fh:
             fh.write(diagram.to_csv())
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         sys.stdout.write(diagram.to_csv())
     else:
         _dump_json(diagram.to_json_dict(), None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 
@@ -26,8 +27,8 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"tolerance {f.name} must be positive")
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"tolerance {f.name} must be positive and finite")
 
 
 DEFAULT_TOLS = Tolerances()
@@ -35,17 +36,19 @@ DEFAULT_TOLS = Tolerances()
 
 @dataclass
 class RunConfig:
-    """Reproducibility and I/O knobs for a CLI run or oracle sweep."""
+    """What an oracle sweep reads: the tolerances, the random seed and the
+    number of random starting points.
+
+    Output choices (``--strict``, ``--out``, ``--format``) stay with the
+    CLI's parsed arguments.
+    """
 
     tols: Tolerances = field(default_factory=Tolerances)
     seed: int = 42
     n_seeds: int = 1000
-    strict: bool = False
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")

@@ -166,33 +166,29 @@ def _factor_chi(r: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 def enumerate_critical_pnd(g: LinkageGraph, gamma: DistinguishedCycle,
-                           tols: Tolerances = DEFAULT_TOLS,
-                           check_walls: bool = True) -> list[CriticalRecord]:
+                           tols: Tolerances = DEFAULT_TOLS) -> list[CriticalRecord]:
     """All critical records of a polygon-with-non-crossing-diagonals linkage."""
     struct = detect_polygon_with_chains(g, gamma)
     if struct is None:
         raise NotPTTError("linkage is not a polygon with non-crossing attached chains")
-    return enumerate_critical_structure(struct, tols, check_walls=check_walls)
+    return enumerate_critical_structure(struct, tols)
 
 
 def enumerate_critical_three_chain(g: LinkageGraph, gamma: DistinguishedCycle,
-                                   tols: Tolerances = DEFAULT_TOLS,
-                                   check_walls: bool = True) -> list[CriticalRecord]:
+                                   tols: Tolerances = DEFAULT_TOLS) -> list[CriticalRecord]:
     """Critical records of a three-chain linkage (cycle plus one chain)."""
-    three_chain_arms(g, gamma)  # validates the shape
-    return enumerate_critical_pnd(g, gamma, tols, check_walls=check_walls)
+    *_, struct = three_chain_arms(g, gamma)  # validates the shape
+    return enumerate_critical_structure(struct, tols)
 
 
 def enumerate_critical_structure(struct: PolygonWithChains,
-                                 tols: Tolerances = DEFAULT_TOLS,
-                                 check_walls: bool = True) -> list[CriticalRecord]:
+                                 tols: Tolerances = DEFAULT_TOLS) -> list[CriticalRecord]:
     g = struct.graph
     scale = g.total_length()
-    if check_walls:
-        report = wall_check(g, tols=tols)
-        if not report.clean:
-            raise NonGenericError(
-                f"lengths sit on or near a wall (margin {report.min_margin!r})")
+    report = wall_check(g, tols=tols)
+    if not report.clean:
+        raise NonGenericError(
+            f"lengths sit on or near a wall (margin {report.min_margin!r})")
 
     glens = struct.gamma_lengths()
     nchains = len(struct.chains)
@@ -488,14 +484,6 @@ class Classification:
     cells: tuple[Cell, ...]
     cell_verdicts: tuple[CellVerdict, ...]
     record: CriticalRecord | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "critical": self.critical,
-            "chains": [s.to_json_dict() for s in self.chain_status],
-            "cells": [{"concyclic": v.concyclic, "residual": v.residual}
-                      for v in self.cell_verdicts],
-        }
 
 
 def classify_configuration(g: LinkageGraph, gamma: DistinguishedCycle,

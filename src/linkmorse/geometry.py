@@ -633,8 +633,8 @@ class ReachInterval:
     dmin: float
     dmax: float
 
-    def contains_strictly(self, d: float, margin: float = 0.0) -> bool:
-        return self.dmin + margin < d < self.dmax - margin
+    def contains_strictly(self, d: float) -> bool:
+        return self.dmin < d < self.dmax
 
     def near_boundary(self, d: float, tol: float) -> bool:
         return abs(d - self.dmin) <= tol or abs(d - self.dmax) <= tol
@@ -690,9 +690,6 @@ class GenericityReport:
     def min_margin(self) -> float:
         return min((abs(e.value) for e in self.entries), default=math.inf)
 
-    def warnings(self) -> list[WallEntry]:
-        return [e for e in self.entries if abs(e.value) < self.tol]
-
     def to_json_dict(self) -> dict:
         return {
             "clean": self.clean,
@@ -703,29 +700,23 @@ class GenericityReport:
         }
 
 
-def wall_check(g: LinkageGraph, tol: float | None = None,
-               tols: Tolerances = DEFAULT_TOLS) -> GenericityReport:
+def wall_check(g: LinkageGraph, tols: Tolerances = DEFAULT_TOLS) -> GenericityReport:
     """Closest signed length sum to zero over every simple cycle of g.
 
     A clean report certifies the working genericity assumption that no cycle
     can fit a straight line.
     """
-    if tol is None:
-        tol = tols.wall * g.total_length()
     cycles = simple_cycles_via_sp(g)
     entries = []
     for cyc in sorted(cycles, key=lambda c: (len(c), c)):
         lens = np.array([g.edges[k][2] for k in cyc])
         m = len(lens)
-        masks = np.arange(2 ** (m - 1))
-        signs = np.ones((len(masks), m))
-        for b in range(m - 1):
-            signs[:, b + 1] = np.where((masks >> b) & 1, -1.0, 1.0)
+        signs = _sign_rows(m, np.arange(2 ** (m - 1)))
         sums = signs @ lens
         best = int(np.argmin(np.abs(sums)))
         entries.append(WallEntry(tuple(cyc), tuple(int(s) for s in signs[best]),
                                  float(sums[best])))
-    return GenericityReport(tuple(entries), tol)
+    return GenericityReport(tuple(entries), tols.wall * g.total_length())
 
 
 def simple_cycles_via_sp(g: LinkageGraph) -> list[tuple[int, ...]]:

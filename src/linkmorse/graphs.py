@@ -125,10 +125,6 @@ class DistinguishedCycle:
     def lengths(self, g: LinkageGraph) -> list[float]:
         return [g.edges[i][2] for i in self.edge_indices(g)]
 
-    def reversed(self) -> "DistinguishedCycle":
-        vs = self.vertices
-        return DistinguishedCycle((vs[0],) + tuple(reversed(vs[1:])))
-
 
 # ---------------------------------------------------------------------------
 # series-parallel trees

@@ -42,9 +42,7 @@ class AngleChart:
     """Edge-angle coordinates with closure constraints from fundamental cycles."""
 
     graph: LinkageGraph
-    root: str
     gauge_edge: int
-    tree_edges: tuple[int, ...]
     # signed tree-path indicator: path_matrix[vi, e] = +-1 when edge e lies on
     # the root-to-vertex path, with +1 for canonical (u -> v) traversal
     path_matrix: np.ndarray
@@ -81,14 +79,15 @@ class AngleChart:
     def reduce(self, theta: np.ndarray) -> np.ndarray:
         return theta[self.var_indices]
 
-    def positions(self, theta: np.ndarray) -> dict[str, np.ndarray]:
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        pts = self.path_matrix @ (self.lengths[:, None] * u)
-        return {v: pts[k] for k, v in enumerate(self.graph.vertices)}
+    def points(self, theta: np.ndarray) -> np.ndarray:
+        """Vertex positions (|V|, 2) in graph vertex order; a stack of angle
+        vectors (S, |E|) gives (S, |V|, 2)."""
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return self.path_matrix @ (self.lengths[:, None] * u)
 
     def configuration(self, theta: np.ndarray) -> Configuration:
-        pos = self.positions(theta)
-        return Configuration({v: (float(p[0]), float(p[1])) for v, p in pos.items()})
+        return Configuration({v: (float(p[0]), float(p[1]))
+                              for v, p in zip(self.graph.vertices, self.points(theta))})
 
     def theta_from_configuration(self, c: Configuration) -> np.ndarray:
         """Edge angles of a configuration, rotated so the gauge edge is at zero."""
@@ -120,6 +119,27 @@ class AngleChart:
         bl = self.cycle_matrix * self.lengths[None, :]
         diag = -(lam[..., :ncyc] @ bl) * np.cos(theta) - (lam[..., ncyc:] @ bl) * np.sin(theta)
         return _diag_stack(diag)
+
+    def closure(self, x: np.ndarray):
+        """Residual G and Jacobian J in the reduced angles x (gauge angle
+        dropped); one point (n,) or a stack (S, n)."""
+        G, J = self.constraints(self.full_theta(x))
+        return G, J[..., self.var_indices]
+
+    def project_stack(self, x0: np.ndarray):
+        """Gauss-Newton projection of each row of ``x0`` (reduced angles)
+        onto the closure set; returns the iterates and a mask of the rows
+        that converged."""
+        return gauss_newton(self.closure, x0, 1e-12 * self.graph.total_length(),
+                            PROJECT_MAX_ITER)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Gauss-Newton projection of one point onto the closure set."""
+        xs, converged = self.project_stack(x[None])
+        if not converged[0]:
+            G, _ = self.closure(xs[0])
+            raise NoConvergenceError(f"Gauss-Newton stalled at |G| = {np.linalg.norm(G)!r}")
+        return xs[0]
 
 
 def build_chart(g: LinkageGraph, gauge_edge: int | None = None) -> AngleChart:
@@ -164,8 +184,7 @@ def build_chart(g: LinkageGraph, gauge_edge: int | None = None) -> AngleChart:
     if gauge_edge is None:
         gauge_edge = min(range(n_e),
                          key=lambda k: (min(g.edges[k][:2]), max(g.edges[k][:2]), k))
-    chart = AngleChart(g, root, gauge_edge, tuple(sorted(tree)), M, C,
-                       np.array(g.lengths()))
+    chart = AngleChart(g, gauge_edge, M, C, np.array(g.lengths()))
     assert chart.n_vars == n_e - 1
     assert chart.n_constraints == 2 * (n_e - n_v + 1)
     return chart
@@ -363,8 +382,7 @@ class ChartOracle:
         return self.objective.hess(self.chart.full_theta(x))[..., self._vi, :][..., self._vi]
 
     def constraints(self, x: np.ndarray):
-        G, J = self.chart.constraints(self.chart.full_theta(x))
-        return G, J[..., self._vi]
+        return self.chart.closure(x)
 
     def lagrangian_hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         theta = self.chart.full_theta(x)
@@ -387,18 +405,9 @@ class ChartOracle:
         return float(np.linalg.norm(rho))
 
     # manifold operations -------------------------------------------------------
-    def project_stack(self, x0: np.ndarray):
-        """Gauss-Newton projection of each row of ``x0`` onto the closure set;
-        returns the iterates and a mask of the rows that converged."""
-        return gauss_newton(self.constraints, x0, 1e-12 * self.scale, PROJECT_MAX_ITER)
-
     def project(self, x: np.ndarray) -> np.ndarray:
         """Gauss-Newton projection onto the closure constraint set."""
-        xs, converged = self.project_stack(x[None])
-        if not converged[0]:
-            G, _ = self.constraints(xs[0])
-            raise NoConvergenceError(f"Gauss-Newton stalled at |G| = {np.linalg.norm(G)!r}")
-        return xs[0]
+        return self.chart.project(x)
 
     def newton_stack(self, x0: np.ndarray):
         """Newton iteration on the KKT system for each row of ``x0``.
@@ -494,7 +503,7 @@ class ChartOracle:
         rhos = [np.zeros(0)]
         project_failed = nonfinite = budget = 0
         for b in range(0, n_seeds, SWEEP_BLOCK):
-            x, projected = self.project_stack(starts[b:b + SWEEP_BLOCK])
+            x, projected = self.chart.project_stack(starts[b:b + SWEEP_BLOCK])
             project_failed += int(np.sum(~projected))
             x, _, rho_norm, status = self.newton_stack(x[projected])
             nonfinite += int(np.sum(status == NEWTON_NONFINITE))
@@ -522,14 +531,11 @@ class ChartOracle:
 
     def _positions_vector(self, x: np.ndarray) -> np.ndarray:
         """Vertex positions (x0, y0, x1, y1, ...) of one point or a stack."""
-        theta = self.chart.full_theta(x)
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        pts = self.chart.path_matrix @ (self.chart.lengths[:, None] * u)
+        pts = self.chart.points(self.chart.full_theta(x))
         return pts.reshape(x.shape[:-1] + (2 * pts.shape[-2],))
 
     # finite differences ----------------------------------------------------------
-    def fd_check(self, x: np.ndarray, grad_fn=None, hess_fn=None,
-                 grad_tol: float = 1e-6, hess_tol: float = 1e-4):
+    def fd_check(self, x: np.ndarray, grad_fn=None):
         """Central-difference audit of the analytic gradient and Hessian of
         the objective at a feasible point.  Raises CheckFailedError with the
         offending entries."""
@@ -544,11 +550,11 @@ class ChartOracle:
             gn[i] = (f(x + e) - f(x - e)) / (2 * h)
         gscale = max(1.0, float(np.max(np.abs(ga))))
         bad = [("grad", (i,), float(ga[i]), float(gn[i]))
-               for i in range(n) if abs(ga[i] - gn[i]) > grad_tol * gscale]
+               for i in range(n) if abs(ga[i] - gn[i]) > 1e-6 * gscale]
 
         # second differences need a larger step: roundoff scales as 1/h^2
         hh = 1e-4
-        Ha = (hess_fn or self.h)(x)
+        Ha = self.h(x)
         Hn = np.empty((n, n))
         f0 = f(x)
         for i in range(n):
@@ -564,7 +570,7 @@ class ChartOracle:
         hscale = max(1.0, float(np.max(np.abs(Ha))))
         bad += [("hess", (i, j), float(Ha[i, j]), float(Hn[i, j]))
                 for i in range(n) for j in range(i, n)
-                if abs(Ha[i, j] - Hn[i, j]) > hess_tol * hscale]
+                if abs(Ha[i, j] - Hn[i, j]) > 1e-4 * hscale]
         report = {
             "grad_err": float(np.max(np.abs(ga - gn)) / gscale),
             "hess_err": float(np.max(np.abs(Ha - Hn)) / hscale),
@@ -576,8 +582,8 @@ class ChartOracle:
 
 
 def area_oracle(g: LinkageGraph, gamma: DistinguishedCycle,
-                tols: Tolerances = DEFAULT_TOLS, gauge_edge: int | None = None) -> ChartOracle:
-    return ChartOracle(g, gamma, tols, gauge_edge)
+                tols: Tolerances = DEFAULT_TOLS) -> ChartOracle:
+    return ChartOracle(g, gamma, tols)
 
 
 def distance_oracle(g: LinkageGraph, x: str, y: str,
@@ -586,26 +592,13 @@ def distance_oracle(g: LinkageGraph, x: str, y: str,
                        objective=lambda chart: VertexDistanceObjective(chart, x, y))
 
 
-def project_to_manifold(chart: AngleChart, theta0: np.ndarray,
-                        max_iter: int = PROJECT_MAX_ITER) -> np.ndarray:
+def project_to_manifold(chart: AngleChart, theta0: np.ndarray) -> np.ndarray:
     """Gauss-Newton projection of a full angle vector onto the closure set.
 
-    The gauge angle stays frozen; raises NoConvergenceError after the
-    iteration budget.
+    The angles are first rotated so the gauge angle is zero; raises
+    NoConvergenceError after the iteration budget.
     """
-    vi = chart.var_indices
-
-    def residual(x):
-        G, J = chart.constraints(chart.full_theta(x))
-        return G, J[..., vi]
-
-    x0 = chart.reduce(theta0 - theta0[chart.gauge_edge])
-    xs, converged = gauss_newton(residual, x0[None], 1e-12 * float(chart.lengths.sum()),
-                                 max_iter)
-    if not converged[0]:
-        G, _ = residual(xs[0])
-        raise NoConvergenceError(f"Gauss-Newton stalled at |G| = {np.linalg.norm(G)!r}")
-    return chart.full_theta(xs[0])
+    return chart.full_theta(chart.project(chart.reduce(theta0 - theta0[chart.gauge_edge])))
 
 
 def find_critical_numeric(g: LinkageGraph, gamma: DistinguishedCycle,
@@ -624,10 +617,10 @@ def constrained_inertia(g: LinkageGraph, gamma: DistinguishedCycle, c: Configura
 
 
 def fd_check(g: LinkageGraph, gamma: DistinguishedCycle, c: Configuration,
-             tols: Tolerances = DEFAULT_TOLS, **kw):
+             tols: Tolerances = DEFAULT_TOLS):
     oracle = area_oracle(g, gamma, tols)
     x = oracle.chart.reduce(oracle.chart.theta_from_configuration(c))
-    return oracle.fd_check(x, **kw)
+    return oracle.fd_check(x)
 
 
 # ---------------------------------------------------------------------------

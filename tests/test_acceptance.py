@@ -117,7 +117,7 @@ def test_criterion_03_sixteen_point_witness():
             if wall_check(g).min_margin < 0.02 * g.total_length():
                 continue
             try:
-                recs = enumerate_critical_three_chain(g, gamma, check_walls=False)
+                recs = enumerate_critical_three_chain(g, gamma)
             except NonGenericError:
                 continue
             if sum(r.point_count or 0 for r in recs) == 16:

@@ -139,3 +139,61 @@ class TestContinue:
     def test_bad_range_exit_2(self, three_chain_file):
         assert main(["continue", three_chain_file, "--edge", "0",
                      "--from", "-1.0", "--to", "0.6"]) == 2
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestInputErrors:
+    """Malformed input ends in exit 2 and one ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--n-seeds", "0"],
+        ["--tol-gradient", "0"],
+        ["--tol-gradient", "-1"],
+        ["--tol-gradient", "nan"],
+        ["--seed", "-1"],
+    ], ids=["n_seeds_0", "tol_gradient_0", "tol_gradient_negative", "tol_gradient_nan",
+            "seed_negative"])
+    def test_invalid_flag_value(self, three_chain_file, capsys, flags):
+        assert exit_code(flags + ["critical", three_chain_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid flag value")
+
+    @pytest.mark.parametrize("change", [
+        lambda d: [1],
+        lambda d: d | {"edges": 5},
+        lambda d: d | {"gamma": 3},
+    ], ids=["top_level_list", "edges_not_a_list", "gamma_not_a_list"])
+    def test_malformed_linkage_file(self, tmp_path, capsys, change):
+        g, gamma = max16_three_chain()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(change(g.to_json_dict(gamma=gamma))))
+        assert exit_code(["critical", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse linkage file")
+
+    @pytest.mark.parametrize("payload", [
+        [{"mode": "symbolic", "records": []}],
+        {"mode": "symbolic", "records": 5},
+        {"mode": "symbolic", "records": [{"key": "k", "index": {"index": 0,
+                                                                 "manifold_dim": 0}}]},
+        {"mode": "symbolic", "records": [{"key": "k", "representative": {"coords": {}}}]},
+    ], ids=["top_level_list", "records_not_a_list", "no_representative", "no_index"])
+    def test_malformed_records_file(self, tmp_path, three_chain_file, capsys,
+                                    monkeypatch, payload):
+        def no_enumeration(*args, **kw):
+            raise AssertionError("records file must be checked before enumeration")
+
+        monkeypatch.setattr("linkmorse.cli.enumerate_critical_structure", no_enumeration)
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps(payload))
+        assert exit_code(["verify", three_chain_file, str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
