@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import NoReturn
 
 from .config import RunConfig, Tolerances
 from .enumeration import enumerate_critical_structure, match_record
-from .errors import LinkmorseError, NonGenericError, NotSPError
+from .errors import LinkmorseError, NonGenericError, NotCriticalError, NotSPError
 from .geometry import Configuration, wall_check
 from .graphs import (
     detect_polygon_with_chains,
@@ -33,18 +34,30 @@ EXIT_WALL = 4
 EXIT_DIFF = 5
 
 
-def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
 def _parse_error(message: str) -> NoReturn:
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_PARSE)
+
+
+@contextmanager
+def _output(path: str | None):
+    """The file at ``path`` opened for writing, or stdout without a path.
+    A failed open or write exits 2 with one error line."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        _parse_error(f"cannot write {path!r}: {exc}")
+
+
+def _dump_json(obj, path: str | None) -> None:
+    """Write ``obj`` as it is encoded, so the whole text never exists at once."""
+    with _output(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load(path: str):
@@ -174,12 +187,11 @@ def cmd_verify(args) -> int:
             diffs.append(f"record {k} ({key}): no matching enumerated record")
             continue
         x = oracle.chart.reduce(oracle.chart.theta_from_configuration(c))
-        resid = oracle.stationarity_residual(x)
-        if resid > 1e-6 * max(1.0, oracle.scale ** 2):
-            diffs.append(f"record {k} ({key}): representative not critical "
-                         f"(residual {resid!r})")
+        try:
+            tri = oracle.inertia(x)
+        except NotCriticalError as exc:
+            diffs.append(f"record {k} ({key}): representative {exc}")
             continue
-        tri = oracle.inertia(x)
         if tri.negative != claimed:
             diffs.append(f"record {k} ({key}): index mismatch "
                          f"oracle={tri.negative} recorded={claimed}")
@@ -223,14 +235,12 @@ def cmd_continue(args) -> int:
         return EXIT_PARSE
     diagram = continue_family(g, args.edge, args.start, args.stop, args.steps,
                               gamma, cfg)
-    if args.out:
-        _dump_json(diagram.to_json_dict(), args.out + ".json")
-        with open(args.out + ".csv", "w", encoding="utf-8") as fh:
+    # --out writes both files; without it --format picks one for stdout
+    if args.out or args.format == "json":
+        _dump_json(diagram.to_json_dict(), args.out and args.out + ".json")
+    if args.out or args.format == "csv":
+        with _output(args.out and args.out + ".csv") as fh:
             fh.write(diagram.to_csv())
-    elif args.format == "csv":
-        sys.stdout.write(diagram.to_csv())
-    else:
-        _dump_json(diagram.to_json_dict(), None)
     for w in diagram.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return EXIT_OK

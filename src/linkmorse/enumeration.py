@@ -50,7 +50,6 @@ from .graphs import (
     cell_lengths,
     detect_polygon_with_chains,
     elementary_cycles,
-    three_chain_arms,
 )
 from .indices import (
     IndexReport,
@@ -87,10 +86,8 @@ class ChainStatus:
 
 @dataclass(frozen=True)
 class PlacedCell:
-    cell: Cell
     poly: CyclicPolygon
     center: tuple[float, float]   # circumcenter in the glued frame
-    vertices: tuple[tuple[float, float], ...]  # glued coords, cell boundary order
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,6 @@ class CriticalRecord:
     cells: tuple[PlacedCell, ...]
     representative: Configuration
     index: IndexReport
-    manifold_dim: int
     factors: tuple[ManifoldFactor, ...]
     area: float
 
@@ -121,6 +117,10 @@ class CriticalRecord:
             "".join("+" if s > 0 else "-" for s in pc.poly.eps)
             + f"w{pc.poly.omega}r{pc.poly.radius:.9e}" for pc in self.cells)
         return f"{chains}#{cells}"
+
+    @property
+    def manifold_dim(self) -> int:
+        return self.index.manifold_dim
 
     @property
     def chi(self) -> int | None:
@@ -177,7 +177,11 @@ def enumerate_critical_pnd(g: LinkageGraph, gamma: DistinguishedCycle,
 def enumerate_critical_three_chain(g: LinkageGraph, gamma: DistinguishedCycle,
                                    tols: Tolerances = DEFAULT_TOLS) -> list[CriticalRecord]:
     """Critical records of a three-chain linkage (cycle plus one chain)."""
-    *_, struct = three_chain_arms(g, gamma)  # validates the shape
+    struct = detect_polygon_with_chains(g, gamma)
+    if struct is None or len(struct.chains) != 1:
+        raise NotPTTError("not a three-chain: need the cycle plus exactly one attached chain")
+    if struct.chains[0].i_pos != 0:
+        raise NotPTTError("three-chain cycle must start at the chain attachment I")
     return enumerate_critical_structure(struct, tols)
 
 
@@ -296,8 +300,7 @@ def _glue_cells(struct: PolygonWithChains, aligned_list, cells, pick, scale):
                     return False
             else:
                 pos_xy[p] = verts[j]
-        placed[ci] = PlacedCell(cell, poly, (float(center[0]), float(center[1])),
-                                tuple(map(tuple, verts)))
+        placed[ci] = PlacedCell(poly, (float(center[0]), float(center[1])))
         return True
 
     if not place(0, np.eye(2), np.zeros(2)):
@@ -363,8 +366,8 @@ def _assemble_record(struct: PolygonWithChains, aligned_list, combo, cells, pick
     if rep is None:
         return "no_representative"
     area = shoelace(np.array([pos_xy[p] for p in range(len(struct.gamma))]))
-    return CriticalRecord(tuple(statuses), tuple(placed_cells), rep, report,
-                          report.manifold_dim, factors, float(area))
+    return CriticalRecord(tuple(statuses), tuple(placed_cells), rep, report, factors,
+                          float(area))
 
 
 def _index_report(struct: PolygonWithChains, statuses, aligned_list, cells,
@@ -443,8 +446,9 @@ def _representative(struct: PolygonWithChains, pos_xy, aligned_list, combo,
 
 
 def _place_free_chain(ch: AttachedChain, pi: np.ndarray, pt: np.ndarray,
-                      scale: float, tries: int = 25):
-    """Deterministic seeded interior configuration of a chain with pinned ends."""
+                      scale: float):
+    """Deterministic seeded interior configuration of a chain with pinned
+    ends, from up to 25 seeded starts."""
     target = pt - pi
     lens = np.asarray(ch.lengths)
     key = hashlib.sha256(
@@ -458,7 +462,7 @@ def _place_free_chain(ch: AttachedChain, pi: np.ndarray, pt: np.ndarray,
         # the Jacobian rows are (-lens * sin, lens * cos)
         return cs @ lens - target, cs[..., ::-1, :] * jac
 
-    for _ in range(tries):
+    for _ in range(25):
         phi = rng.uniform(-math.pi, math.pi, len(lens))
         x, converged = gauss_newton(residual, phi[None], 1e-12 * scale, 120)
         if converged[0]:
@@ -552,15 +556,12 @@ def classify_structure(struct: PolygonWithChains, c: Configuration,
 def _record_from_classification(struct, c, statuses, aligned_list, cells,
                                 verdicts, tols: Tolerances):
     pos_xy = {p: c.point(v) for p, v in enumerate(struct.gamma.vertices)}
-    placed = []
-    for cell, v in zip(cells, verdicts):
-        pts = np.array([pos_xy[p] for p in cell.positions])
-        placed.append(PlacedCell(cell, v.poly, v.poly.center, tuple(map(tuple, pts))))
+    placed = [PlacedCell(v.poly, v.poly.center) for v in verdicts]
     report, factors = _index_report(struct, statuses, aligned_list, cells, placed,
                                     pos_xy, tols, struct.graph.total_length())
     area = shoelace(np.array(list(pos_xy.values())))
-    return CriticalRecord(tuple(statuses), tuple(placed), c, report,
-                          report.manifold_dim, factors, float(area))
+    return CriticalRecord(tuple(statuses), tuple(placed), c, report, factors,
+                          float(area))
 
 
 # ---------------------------------------------------------------------------

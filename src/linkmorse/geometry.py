@@ -726,32 +726,19 @@ def simple_cycles_via_sp(g: LinkageGraph) -> list[tuple[int, ...]]:
     yields its cycles.
     """
     out: list[tuple[int, ...]] = []
-    for block, sub, tree in sp_decompose_blocks(g):
-        for cyc in _block_cycles(sub, tree):
+    for block, tree in sp_decompose_blocks(g):
+        for cyc in _block_cycles(tree):
             out.append(tuple(sorted(block[k] for k in cyc)))
     return sorted(set(out))
 
 
-def _block_cycles(g: LinkageGraph, tree: SPTree) -> list[tuple[int, ...]]:
-    edge_ids: dict[tuple[str, str, float], list[int]] = {}
-    for k, e in enumerate(g.edges):
-        edge_ids.setdefault(e, []).append(k)
-    used: dict[tuple[str, str, float], int] = {}
-
-    def take_id(u, v, length):
-        for key in ((u, v, length), (v, u, length)):
-            if key in edge_ids:
-                idx = used.get(key, 0)
-                if idx < len(edge_ids[key]):
-                    used[key] = idx + 1
-                    return edge_ids[key][idx]
-        raise KeyError((u, v, length))
-
+def _block_cycles(tree: SPTree) -> list[tuple[int, ...]]:
+    """Cycles of one block's SP tree, as indices into the block's edges."""
     cycles: list[frozenset[int]] = []
 
     def paths(node) -> list[frozenset[int]]:
         if isinstance(node, SPEdge):
-            return [frozenset((take_id(node.u, node.v, node.length),))]
+            return [frozenset((node.index,))]
         if isinstance(node, SPSeries):
             acc = [frozenset()]
             for child in node.children:

@@ -7,7 +7,7 @@ composition creates them) so edges are addressed by index into the edge list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import CrossingDiagonalsError, NotPTTError, NotSPError
@@ -135,6 +135,7 @@ class SPEdge:
     u: str
     v: str
     length: float
+    index: int | None = field(default=None, compare=False)  # in the decomposed graph
 
     @property
     def i(self):
@@ -184,7 +185,7 @@ SPTree = SPEdge | SPSeries | SPParallel
 
 def _flip(node: SPTree) -> SPTree:
     if isinstance(node, SPEdge):
-        return SPEdge(node.v, node.u, node.length)
+        return SPEdge(node.v, node.u, node.length, node.index)
     if isinstance(node, SPSeries):
         return SPSeries(tuple(_flip(c) for c in reversed(node.children)))
     return SPParallel(tuple(_flip(c) for c in node.children))
@@ -257,7 +258,7 @@ def sp_decompose(g: LinkageGraph, i: str, t: str) -> SPTree:
 
     # live edges: id -> (u, v, tree oriented u->v)
     live: dict[int, tuple[str, str, SPTree]] = {
-        k: (u, v, SPEdge(u, v, length)) for k, (u, v, length) in enumerate(g.edges)
+        k: (u, v, SPEdge(u, v, length, k)) for k, (u, v, length) in enumerate(g.edges)
     }
     next_id = len(live)
 
@@ -365,9 +366,9 @@ def biconnected_blocks(g: LinkageGraph) -> list[tuple[int, ...]]:
     return sorted(blocks)
 
 
-def sp_decompose_blocks(g: LinkageGraph) -> list[tuple[tuple[int, ...], LinkageGraph, SPTree]]:
-    """(edge indices, subgraph, SP tree) of every biconnected block that is
-    not a bridge.
+def sp_decompose_blocks(g: LinkageGraph) -> list[tuple[tuple[int, ...], SPTree]]:
+    """(edge indices, SP tree) of every biconnected block that is not a
+    bridge; an SPEdge's index is its position in the block's edge indices.
 
     Within a block any adjacent pair can serve as terminals; pairs are tried
     in sorted order.  Raises NotPTTError when some block has no SP
@@ -385,7 +386,7 @@ def sp_decompose_blocks(g: LinkageGraph) -> list[tuple[tuple[int, ...], LinkageG
                 tree = sp_decompose(sub, u, v)
             except NotSPError:
                 continue
-            out.append((block, sub, tree))
+            out.append((block, tree))
             break
         else:
             raise NotPTTError(f"block {list(block)} has no series-parallel decomposition")
@@ -412,10 +413,6 @@ class RelativeComponent:
     vertices: tuple[str, ...]
     edge_indices: tuple[int, ...]
     attachments: tuple[str, ...]  # 1 or 2 vertices on the cycle
-
-    def subgraph(self, g: LinkageGraph) -> LinkageGraph:
-        edges = tuple(g.edges[i] for i in self.edge_indices)
-        return LinkageGraph(tuple(sorted(self.vertices)), edges)
 
 
 @dataclass(frozen=True)
@@ -681,21 +678,6 @@ def make_three_chain(a: Sequence[float], b: Sequence[float],
             edges.append((path[k], path[k + 1], float(lens[k])))
     gamma = DistinguishedCycle(tuple(["I"] + aj + ["T"] + list(reversed(bj))))
     return LinkageGraph(vertices, tuple(edges)), gamma
-
-
-def three_chain_arms(g: LinkageGraph, gamma: DistinguishedCycle):
-    """(a_lengths, b_lengths, z_lengths, structure) for a three-chain linkage."""
-    struct = detect_polygon_with_chains(g, gamma)
-    if struct is None or len(struct.chains) != 1:
-        raise NotPTTError("not a three-chain: need the cycle plus exactly one attached chain")
-    chain = struct.chains[0]
-    lens = struct.gamma_lengths()
-    i_pos, t_pos = chain.i_pos, chain.t_pos
-    if i_pos != 0:
-        raise NotPTTError("three-chain cycle must start at the chain attachment I")
-    a = tuple(lens[:t_pos])
-    b = tuple(reversed(lens[t_pos:]))
-    return a, b, chain.lengths, struct
 
 
 # ---------------------------------------------------------------------------

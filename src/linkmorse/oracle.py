@@ -138,7 +138,7 @@ class AngleChart:
         xs, converged = self.project_stack(x[None])
         if not converged[0]:
             G, _ = self.closure(xs[0])
-            raise NoConvergenceError(f"Gauss-Newton stalled at |G| = {np.linalg.norm(G)!r}")
+            raise NoConvergenceError(f"Gauss-Newton stalled at |G| = {float(np.linalg.norm(G))!r}")
         return xs[0]
 
 
@@ -462,10 +462,10 @@ class ChartOracle:
         """Inertia of the Lagrangian Hessian on the constraint tangent space."""
         lam, rho, G, J = self.multipliers(x)
         if check_critical:
-            bound = 1e-6 * max(1.0, self.scale ** 2)
-            if np.linalg.norm(rho) > bound or np.linalg.norm(G) > 1e-8 * self.scale:
+            rho_norm, G_norm = float(np.linalg.norm(rho)), float(np.linalg.norm(G))
+            if rho_norm > 1e-6 * max(1.0, self.scale ** 2) or G_norm > 1e-8 * self.scale:
                 raise NotCriticalError(
-                    f"not critical: |rho| = {np.linalg.norm(rho)!r}, |G| = {np.linalg.norm(G)!r}")
+                    f"not critical: |rho| = {rho_norm!r}, |G| = {G_norm!r}")
         HL = self.lagrangian_hess(x, lam)
         if J.shape[0] == 0:
             N = np.eye(J.shape[1])

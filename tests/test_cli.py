@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from linkmorse.cli import main
+from linkmorse.cli import _dump_json, main
 from linkmorse.graphs import make_polygon, make_three_chain
 from linkmorse.instances import max16_three_chain, pitchfork_family
 
@@ -117,6 +118,22 @@ class TestVerify:
         verdict = json.loads(capsys.readouterr().out)
         assert any("record 0" in d and "index mismatch" in d for d in verdict["diffs"])
 
+    @pytest.mark.parametrize("shift", [1e-3, 2e-7])
+    def test_representative_off_closure_exit_5(self, tmp_path, three_chain_file, capsys,
+                                               shift):
+        records = tmp_path / "records.json"
+        assert main(["--out", str(records), "critical", three_chain_file]) == 0
+        payload = json.loads(records.read_text())
+        coords = payload["records"][0]["representative"]["coords"]
+        coords["A1"][0] += shift
+        records.write_text(json.dumps(payload))
+        assert main(["--n-seeds", "400", "verify", three_chain_file,
+                     str(records)]) == 5
+        diffs = json.loads(capsys.readouterr().out)["diffs"]
+        key = payload["records"][0]["key"]
+        assert any(d.startswith(f"record 0 ({key}): representative not critical: |rho| = ")
+                   and "np.float64" not in d for d in diffs)
+
 
 class TestContinue:
     def test_writes_json_and_csv(self, tmp_path):
@@ -197,3 +214,62 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestOutput:
+    """One writer: --out and stdout carry the same bytes, which are those of
+    ``json.dumps(indent=2, sort_keys=True)``; a failed write exits 2."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path, three_chain_file):
+        records = tmp_path / "records.json"
+        assert main(["--out", str(records), "critical", three_chain_file]) == 0
+        g, gamma, edge, _ = pitchfork_family()
+        family = write_linkage(tmp_path / "fam.json", g, gamma)
+        return {
+            "recognize": ["recognize", three_chain_file],
+            "critical": ["critical", three_chain_file],
+            "verify": ["--n-seeds", "400", "verify", three_chain_file, str(records)],
+            "continue": ["--n-seeds", "150", "continue", family, "--edge", str(edge),
+                         "--from", "0.62", "--to", "0.70", "--steps", "4"],
+        }
+
+    @pytest.mark.parametrize("command", ["recognize", "critical", "verify", "continue"])
+    def test_out_equals_stdout_equals_dumps(self, tmp_path, capsysbinary, argvs, command):
+        out = tmp_path / "out"
+        assert main(argvs[command]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(["--out", str(out)] + argvs[command]) == 0
+        assert capsysbinary.readouterr().out == b""
+        written = (tmp_path / "out.json" if command == "continue" else out).read_bytes()
+        assert written == stdout
+        text = stdout.decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        if command == "continue":
+            assert main(["--format", "csv"] + argvs[command]) == 0
+            assert (tmp_path / "out.csv").read_bytes() == capsysbinary.readouterr().out
+
+    @pytest.mark.parametrize("command", ["critical", "continue"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, argvs, command):
+        out = tmp_path / "missing" / "x"
+        assert exit_code(["--out", str(out)] + argvs[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write '{out}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_dump_streams(self, tmp_path):
+        records = [{"key": f"record{k}", "area": k / 7.0,
+                    "index": {"index": k % 9, "manifold_dim": k % 2},
+                    "center_glued": [k / 3.0, -k / 11.0],
+                    "chains": [{"kind": "free", "w": k / 13.0}]} for k in range(20000)]
+        path = tmp_path / "records.json"
+        tracemalloc.start()
+        try:
+            _dump_json({"records": records}, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 5_000_000
+        assert peak < size / 10

@@ -17,7 +17,12 @@ from linkmorse.enumeration import (
 )
 from linkmorse.errors import NonGenericError, NotPTTError
 from linkmorse.geometry import Configuration, enumerate_cyclic
-from linkmorse.graphs import detect_polygon_with_chains, make_polygon, make_three_chain
+from linkmorse.graphs import (
+    DistinguishedCycle,
+    detect_polygon_with_chains,
+    make_polygon,
+    make_three_chain,
+)
 from linkmorse.indices import cyclic_index
 from linkmorse.instances import (
     bott_morse_three_chain,
@@ -65,6 +70,17 @@ class TestThreeChainEnumeration:
             assert tri.zero == rec.manifold_dim
             seen.add(rec.key())
         assert seen == {r.key() for r in recs}
+
+    def test_rejects_polygon_with_two_chains(self):
+        g, gamma, _ = worked_example()
+        with pytest.raises(NotPTTError, match="not a three-chain"):
+            enumerate_critical_three_chain(g, gamma)
+
+    def test_rejects_cycle_not_starting_at_i(self):
+        g, gamma = make_three_chain(*THREE_CHAIN)
+        rotated = DistinguishedCycle(gamma.vertices[1:] + gamma.vertices[:1])
+        with pytest.raises(NotPTTError, match="must start at the chain attachment I"):
+            enumerate_critical_three_chain(g, rotated)
 
     def test_pnd_entry_point_equivalent(self):
         g, gamma = make_three_chain(*THREE_CHAIN)

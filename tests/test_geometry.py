@@ -29,12 +29,15 @@ from linkmorse.geometry import (
     enumerate_cyclic,
     is_aligned,
     oriented_area,
+    simple_cycles_via_sp,
     solve_cyclic,
     solve_cyclic_all,
     triangle_area,
     wall_check,
 )
 from linkmorse.graphs import DistinguishedCycle, LinkageGraph, make_polygon, make_three_chain
+
+from conftest import random_sp_graph
 
 SQ = DistinguishedCycle(("a", "b", "c", "d"))
 
@@ -482,6 +485,46 @@ class TestWallCheck:
         g = LinkageGraph(("a", "b", "c", "d"), tuple((u, v, 1.0) for u, v in pairs))
         with pytest.raises(NotPTTError):
             wall_check(g)
+
+
+def brute_force_cycles(g: LinkageGraph) -> list[tuple[int, ...]]:
+    """Edge-index sets in which every vertex has degree 0 or 2 and whose
+    edges form one connected piece."""
+    out = []
+    m = len(g.edges)
+    for mask in range(1, 2 ** m):
+        ks = [k for k in range(m) if mask >> k & 1]
+        adj: dict[str, list[str]] = {}
+        for k in ks:
+            u, v, _ = g.edges[k]
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        if any(len(nbrs) != 2 for nbrs in adj.values()):
+            continue
+        seen, stack = set(), [g.edges[ks[0]][0]]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(adj[x])
+        if seen == set(adj):
+            out.append(tuple(ks))
+    return sorted(out)
+
+
+class TestSimpleCycles:
+    def test_random_sp_graphs_match_brute_force(self, rng):
+        for _ in range(40):
+            g, _, _ = random_sp_graph(rng)
+            assert simple_cycles_via_sp(g) == brute_force_cycles(g)
+
+    def test_equal_length_parallel_and_antiparallel_edges(self):
+        g = LinkageGraph(("a", "b", "c", "d"), (
+            ("a", "b", 1.0), ("b", "a", 1.0), ("a", "b", 1.0), ("b", "c", 1.0),
+            ("c", "a", 1.0), ("a", "c", 1.0), ("c", "d", 2.0), ("d", "a", 2.0)))
+        cycles = simple_cycles_via_sp(g)
+        assert cycles == brute_force_cycles(g)
+        assert (0, 1) in cycles and (1, 3, 4) in cycles
 
 
 def test_aligned_distance_detects_rigid_match(rng):

@@ -88,6 +88,24 @@ class TestSPDecompose:
                 == sorted(tuple(sorted(e[:2])) + (e[2],) for e in g.edges)
             assert (tree.i, tree.t) == (i, t)
 
+    def test_leaves_carry_edge_index(self, rng):
+        def leaves(node):
+            if isinstance(node, SPEdge):
+                return [node]
+            return [leaf for c in node.children for leaf in leaves(c)]
+
+        for _ in range(40):
+            g, i, t = random_sp_graph(rng)
+            found = leaves(sp_decompose(g, i, t))
+            assert sorted(e.index for e in found) == list(range(len(g.edges)))
+            for e in found:
+                u, v, length = g.edges[e.index]
+                assert {e.u, e.v} == {u, v} and e.length == length
+        # the index is not part of equality or of the JSON form
+        assert SPEdge("I", "T", 2.0, 0) == SPEdge("I", "T", 2.0)
+        assert sp_tree_to_json(SPEdge("I", "T", 2.0, 0)) == \
+            {"op": "E", "u": "I", "v": "T", "len": 2.0}
+
     def test_json_round_trip(self, rng):
         g, i, t = random_sp_graph(rng)
         tree = sp_decompose(g, i, t)
