@@ -43,7 +43,7 @@ def main():
             continue
         pts = sum(r.point_count or 0 for r in recs)
         if best is None or pts > best[0]:
-            best = (pts, [tuple(a) for a in arms])
+            best = (pts, [tuple(a.tolist()) for a in arms])
             print(f"trial {trial}: {pts} critical points, arms = {best[1]}")
         if pts >= args.target:
             break

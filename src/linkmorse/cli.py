@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import NoReturn
@@ -18,6 +19,7 @@ from .enumeration import enumerate_critical_structure, match_record
 from .errors import LinkmorseError, NonGenericError, NotCriticalError, NotSPError
 from .geometry import Configuration, wall_check
 from .graphs import (
+    LinkageGraph,
     detect_polygon_with_chains,
     is_partial_two_tree,
     load_linkage,
@@ -67,9 +69,13 @@ def _load(path: str):
         _parse_error(f"cannot parse linkage file {path!r}: {exc}")
 
 
-def _load_records(path: str) -> list[tuple]:
+def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
     """(key, representative, index, manifold_dim) of every record of a
-    symbolic ``critical`` output file."""
+    symbolic ``critical`` output file for the linkage ``g``.
+
+    Each representative must place exactly the linkage's vertices at finite
+    coordinates; whether it closes up is for verification to judge.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -78,12 +84,20 @@ def _load_records(path: str) -> list[tuple]:
     if not isinstance(payload, dict) or payload.get("mode") != "symbolic":
         _parse_error("verify expects symbolic records")
     try:
-        return [(rec.get("key", f"record{k}"),
-                 Configuration.from_json_dict(rec["representative"]),
-                 rec["index"]["index"], rec["index"]["manifold_dim"])
-                for k, rec in enumerate(payload.get("records", []))]
+        claims = [(rec.get("key", f"record{k}"),
+                   Configuration.from_json_dict(rec["representative"]),
+                   rec["index"]["index"], rec["index"]["manifold_dim"])
+                  for k, rec in enumerate(payload.get("records", []))]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         _parse_error(f"malformed records file: {exc!r}")
+    for k, (_, c, _, _) in enumerate(claims):
+        if set(c.coords) != set(g.vertices):
+            _parse_error(f"malformed records file: record {k}'s representative "
+                         "does not place exactly the linkage's vertices")
+        if not all(math.isfinite(x) for xy in c.coords.values() for x in xy):
+            _parse_error(f"malformed records file: record {k}'s representative "
+                         "has a non-finite coordinate")
+    return claims
 
 
 def _config_from_args(args) -> RunConfig:
@@ -136,7 +150,7 @@ def cmd_critical(args) -> int:
         walls = None  # wall analysis needs a partial two-tree
     if walls is not None and not walls.clean and args.strict:
         print("error: wall proximity detected and --strict set", file=sys.stderr)
-        _dump_json({"wall_check": walls.to_json_dict()}, None)
+        _dump_json({"wall_check": walls.to_json_dict()}, args.out)
         return EXIT_WALL
     out: dict = {"wall_check": walls.to_json_dict() if walls else None}
     struct = detect_polygon_with_chains(g, gamma)
@@ -170,7 +184,7 @@ def cmd_verify(args) -> int:
         print("error: verify needs a distinguished cycle (gamma)", file=sys.stderr)
         return EXIT_PARSE
     cfg = _config_from_args(args)
-    claims = _load_records(args.records)
+    claims = _load_records(args.records, g)
 
     struct = detect_polygon_with_chains(g, gamma)
     if struct is None:

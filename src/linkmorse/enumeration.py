@@ -30,6 +30,7 @@ from .errors import (
 from .geometry import (
     Configuration,
     CyclicPolygon,
+    ReachInterval,
     aligned_distance,
     aligned_residual,
     alignment_patterns,
@@ -113,9 +114,7 @@ class CriticalRecord:
 
     def key(self) -> str:
         chains = "|".join(s.key() for s in self.chain_status)
-        cells = ";".join(
-            "".join("+" if s > 0 else "-" for s in pc.poly.eps)
-            + f"w{pc.poly.omega}r{pc.poly.radius:.9e}" for pc in self.cells)
+        cells = ";".join(pc.poly.signature for pc in self.cells)
         return f"{chains}#{cells}"
 
     @property
@@ -185,6 +184,21 @@ def enumerate_critical_three_chain(g: LinkageGraph, gamma: DistinguishedCycle,
     return enumerate_critical_structure(struct, tols)
 
 
+@dataclass
+class _Enumeration:
+    """What the branches of one enumeration share."""
+
+    struct: PolygonWithChains
+    tols: Tolerances
+    scale: float
+    glens: list[float]
+    reach: list[ReachInterval]        # per chain
+    aligned_ws: list[list[float]]     # per chain: end-to-end lengths of its alignments
+    # cell lengths -> (cyclic solutions, their indices, each filled when first needed)
+    cyclic: dict[tuple[float, ...], tuple[list[CyclicPolygon], list[int | None]]]
+    counts: dict[str, int]
+
+
 def enumerate_critical_structure(struct: PolygonWithChains,
                                  tols: Tolerances = DEFAULT_TOLS) -> list[CriticalRecord]:
     g = struct.graph
@@ -194,7 +208,6 @@ def enumerate_critical_structure(struct: PolygonWithChains,
         raise NonGenericError(
             f"lengths sit on or near a wall (margin {report.min_margin!r})")
 
-    glens = struct.gamma_lengths()
     nchains = len(struct.chains)
     rigid = [k for k, ch in enumerate(struct.chains) if ch.r == 1]
     flexible = [k for k in range(nchains) if k not in rigid]
@@ -203,25 +216,29 @@ def enumerate_critical_structure(struct: PolygonWithChains,
     for k, ch in enumerate(struct.chains):
         patterns_by_chain[k] = alignment_patterns(ch.lengths, tol=tols.wall * scale)
 
+    en = _Enumeration(
+        struct=struct, tols=tols, scale=scale, glens=struct.gamma_lengths(),
+        reach=[chain_reach(ch.lengths) for ch in struct.chains],
+        aligned_ws=[[w for _, w, _ in alignment_patterns(ch.lengths)]
+                    for ch in struct.chains],
+        cyclic={}, counts=dict.fromkeys(
+            ("branches", "empty_branches", "two_edge_cell", "no_cyclic_root",
+             "cyclic_lookups", "cyclic_solved", "picks", "glue_mismatch",
+             "outside_reach", "no_representative", "records"), 0))
     records: list[CriticalRecord] = []
-    cyclic: dict[tuple[float, ...], list[CyclicPolygon]] = {}  # by cell lengths
-    counts = dict.fromkeys(
-        ("branches", "empty_branches", "two_edge_cell", "no_cyclic_root",
-         "cyclic_lookups", "cyclic_solved", "picks", "glue_mismatch", "outside_reach",
-         "no_representative", "records"), 0)
     for d_mask in range(2 ** len(flexible)):
         aligned_set = set(rigid) | {flexible[i] for i in range(len(flexible))
                                     if (d_mask >> i) & 1}
         aligned_list = sorted(aligned_set)
         pattern_choices = [patterns_by_chain[k] for k in aligned_list]
         for combo in itertools.product(*pattern_choices):
-            branch = _records_for_branch(struct, glens, aligned_list, combo,
-                                         tols, scale, cyclic, counts)
+            branch = _records_for_branch(en, aligned_list, combo)
             if not branch:
-                counts["empty_branches"] += 1
+                en.counts["empty_branches"] += 1
             records.extend(branch)
     records.sort(key=lambda r: (r.index.index, r.key(), r.area))
-    counts["cyclic_solved"], counts["records"] = len(cyclic), len(records)
+    counts = en.counts
+    counts["cyclic_solved"], counts["records"] = len(en.cyclic), len(records)
     logger.debug(
         "enumerate: %(branches)d branches, %(empty_branches)d empty, "
         "%(two_edge_cell)d with a two-edge cell, %(no_cyclic_root)d with a cell "
@@ -232,14 +249,18 @@ def enumerate_critical_structure(struct: PolygonWithChains,
     return records
 
 
-def _records_for_branch(struct: PolygonWithChains, glens, aligned_list, combo,
-                        tols: Tolerances, scale: float, cyclic: dict,
-                        counts: dict[str, int]) -> list[CriticalRecord]:
+def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalRecord]:
     """Records of one choice of aligned chains and patterns.
 
-    ``cyclic`` holds the cyclic solutions of every cell length tuple solved
-    so far in the enumeration; ``counts`` collects its statistics.
+    A pick is one cyclic solution per cell, taken in ``itertools.product``
+    order.  Picks whose free chains are clearly out of reach in their own
+    cells are dropped first; the others are glued together as arrays.  Then
+    each pick runs the checks that can raise ``NonGenericError``, in pick
+    order, so the first non-generic pick raises as if the picks were
+    assembled one at a time.  The representatives, which cannot raise, are
+    placed last, for all surviving picks at once.
     """
+    struct, tols, scale, counts = en.struct, en.tols, en.scale, en.counts
     counts["branches"] += 1
     diag_w = [w for (_, w, _) in combo]
     diag_pairs = [(struct.gamma.vertices[struct.chains[k].i_pos],
@@ -249,7 +270,7 @@ def _records_for_branch(struct: PolygonWithChains, glens, aligned_list, combo,
 
     cell_sols = []
     for cell in cells:
-        lens = cell_lengths(cell, glens, diag_w)
+        lens = cell_lengths(cell, en.glens, diag_w)
         if len(lens) < 3:
             if abs(lens[0] - lens[1]) <= tols.wall * scale:
                 raise NonGenericError("degenerate two-edge cell with equal lengths")
@@ -257,151 +278,271 @@ def _records_for_branch(struct: PolygonWithChains, glens, aligned_list, combo,
             return []  # two-edge cell cannot be cyclic: branch infeasible
         counts["cyclic_lookups"] += 1
         key = tuple(lens)
-        if key not in cyclic:
-            cyclic[key] = enumerate_cyclic(lens, tols)
-        if not cyclic[key]:
+        if key not in en.cyclic:
+            sols = enumerate_cyclic(lens, tols)
+            en.cyclic[key] = (sols, [None] * len(sols))
+        if not en.cyclic[key][0]:
             counts["no_cyclic_root"] += 1
             return []
-        cell_sols.append(cyclic[key])
+        cell_sols.append(en.cyclic[key])
 
-    out = []
-    for pick in itertools.product(*cell_sols):
+    glue = _Gluing(struct, aligned_list, cells, [sols for sols, _ in cell_sols], scale)
+    free = [k for k in range(len(struct.chains)) if k not in aligned_list]
+    screen = _reach_screen(en, cells, glue.verts, free)
+    sides = [_cells_of_diagonal(cells, di) for di in range(len(aligned_list))]
+    factors = _free_factors(struct, aligned_list)
+    base: list[ChainStatus | None] = [None] * len(struct.chains)
+    for k, (sigma, w, f) in zip(aligned_list, combo):
+        base[k] = ChainStatus("aligned", w, tuple(sigma), f)
+
+    picks = []
+    for pick in itertools.product(*(range(len(sols)) for sols, _ in cell_sols)):
         counts["picks"] += 1
-        rec = _assemble_record(struct, aligned_list, combo, cells, pick, tols, scale)
-        if isinstance(rec, str):
-            counts[rec] += 1
+        if _outside_reach_early(screen, pick):
+            counts["outside_reach"] += 1
         else:
-            out.append(rec)
+            picks.append(pick)
+    if not picks:
+        return []
+    pick_rows = np.array(picks, dtype=np.intp).reshape(len(picks), -1)
+    pts, placed, mismatch = glue(pick_rows)
+    # an aligned chain's index term is fixed by the placements of the two
+    # cells beside its diagonal: one term per group of picks, on first use
+    terms = []
+    for a, b in sides:
+        _, which = glue.group(pick_rows, sorted({*glue.deps[a], *glue.deps[b]}))
+        terms.append((which.tolist(), {}))
+
+    kept = []  # (row, placed cells, statuses, index report)
+    for row, pick in enumerate(picks):
+        if mismatch[row]:
+            counts["glue_mismatch"] += 1
+            continue
+        statuses = _free_statuses(en, base, free, pts[row])
+        if statuses is None:
+            counts["outside_reach"] += 1
+            continue
+        cell_mu = []
+        for (sols, mus), s in zip(cell_sols, pick):
+            if mus[s] is None:
+                mus[s] = cyclic_index(sols[s], tols)
+            cell_mu.append(mus[s])
+        cells_here = tuple(pcs[which[row]] for pcs, which in placed)
+        chain_nus = []
+        for k, (a, b), (which, memo) in zip(aligned_list, sides, terms):
+            if which[row] not in memo:
+                ch = struct.chains[k]
+                memo[which[row]] = _chain_term(
+                    ch, statuses[k].f, pts[row, ch.t_pos] - pts[row, ch.i_pos],
+                    cells_here[a].center, cells_here[b].center, tols, scale)
+            chain_nus.append(memo[which[row]])
+        report = _index_report(aligned_list, cell_mu, chain_nus, factors)
+        kept.append((row, cells_here, statuses, report))
+
+    if not kept:
+        return []
+    pts = pts[[k[0] for k in kept]]
+    reps = _representatives(struct, aligned_list, combo, pts, scale)
+    out = []
+    for (_, cells_here, statuses, report), p, rep in zip(kept, pts, reps):
+        if rep is None:
+            counts["no_representative"] += 1
+            continue
+        out.append(CriticalRecord(tuple(statuses), cells_here, rep, report, factors,
+                                  shoelace(p)))
     return out
 
 
-def _glue_cells(struct: PolygonWithChains, aligned_list, cells, pick, scale):
-    """Glue cell solutions along shared diagonals; positions per cycle position.
-
-    Returns (gamma position -> coords, list of PlacedCell) or None when the
-    cells disagree (should not happen for consistent diagonal lengths).
-    """
-    placed: dict[int, PlacedCell | None] = {ci: None for ci in range(len(cells))}
-    pos_xy: dict[int, np.ndarray] = {}
-
-    by_diag: dict[int, list[int]] = {}
-    for ci, cell in enumerate(cells):
-        for e in cell.edges:
-            if e.kind == "diag":
-                by_diag.setdefault(e.index, []).append(ci)
-
-    def place(ci, R, t):
-        cell, poly = cells[ci], pick[ci]
-        verts = poly.vertex_array() @ R.T + t
-        center = R @ np.asarray(poly.center) + t
-        for j, p in enumerate(cell.positions):
-            if p in pos_xy:
-                if np.max(np.abs(pos_xy[p] - verts[j])) > 1e-6 * scale:
-                    return False
-            else:
-                pos_xy[p] = verts[j]
-        placed[ci] = PlacedCell(poly, (float(center[0]), float(center[1])))
-        return True
-
-    if not place(0, np.eye(2), np.zeros(2)):
-        return None
-    queue = [0]
-    while queue:
-        ci = queue.pop(0)
-        for e in cells[ci].edges:
-            if e.kind != "diag":
-                continue
-            for cj in by_diag[e.index]:
-                if placed[cj] is not None:
-                    continue
-                k = aligned_list[e.index]
-                pa = struct.chains[k].i_pos
-                pb = struct.chains[k].t_pos
-                cellj, polyj = cells[cj], pick[cj]
-                j1 = cellj.positions.index(pa)
-                j2 = cellj.positions.index(pb)
-                q = polyj.vertex_array()
-                R, t = transform_mapping_segment(q[j1], q[j2], pos_xy[pa], pos_xy[pb])
-                if not place(cj, R, t):
-                    return None
-                queue.append(cj)
-    if any(p is None for p in placed.values()):
-        return None
-    return pos_xy, [placed[ci] for ci in range(len(cells))]
-
-
-def _assemble_record(struct: PolygonWithChains, aligned_list, combo, cells, pick,
-                     tols: Tolerances, scale: float) -> CriticalRecord | str:
-    """The record of one cell solution per cell, or why the pick is dropped:
-    "glue_mismatch", "outside_reach" or "no_representative"."""
-    glued = _glue_cells(struct, aligned_list, cells, pick, scale)
-    if glued is None:
-        return "glue_mismatch"
-    pos_xy, placed_cells = glued
-
-    # chain statuses; a chain left free must reach its ends generically
-    statuses: list[ChainStatus] = []
-    for k, ch in enumerate(struct.chains):
-        if k in aligned_list:
-            sigma, w, f = combo[aligned_list.index(k)]
-            statuses.append(ChainStatus("aligned", w, tuple(sigma), f))
-            continue
-        d = float(np.hypot(*(pos_xy[ch.t_pos] - pos_xy[ch.i_pos])))
-        reach = chain_reach(ch.lengths)
-        guard = tols.reach_boundary * scale
+def _free_statuses(en: _Enumeration, base, free, pts) -> list[ChainStatus] | None:
+    """``base`` with the status of every free chain filled in from the glued
+    cycle positions ``pts``, or None when a free chain cannot reach its ends.
+    A chain left free must reach them generically."""
+    guard = en.tols.reach_boundary * en.scale
+    statuses = list(base)
+    for k in free:
+        ch = en.struct.chains[k]
+        d = float(np.hypot(*(pts[ch.t_pos] - pts[ch.i_pos])))
+        reach = en.reach[k]
         if reach.near_boundary(d, guard):
             raise NonGenericError(
                 f"free-chain endpoint distance {d!r} hits the reach boundary")
         if not reach.contains_strictly(d):
-            return "outside_reach"
-        for _, w_al, _ in alignment_patterns(ch.lengths):
+            return None
+        for w_al in en.aligned_ws[k]:
             if abs(d - w_al) <= guard:
                 raise NonGenericError(
                     "configuration is simultaneously circular and aligned")
-        statuses.append(ChainStatus("free", d))
-
-    report, factors = _index_report(struct, statuses, aligned_list, cells,
-                                    placed_cells, pos_xy, tols, scale)
-    rep = _representative(struct, pos_xy, aligned_list, combo, scale)
-    if rep is None:
-        return "no_representative"
-    area = shoelace(np.array([pos_xy[p] for p in range(len(struct.gamma))]))
-    return CriticalRecord(tuple(statuses), tuple(placed_cells), rep, report, factors,
-                          float(area))
+        statuses[k] = ChainStatus("free", d)
+    return statuses
 
 
-def _index_report(struct: PolygonWithChains, statuses, aligned_list, cells,
-                  placed_cells, pos_xy, tols: Tolerances, scale: float):
-    """IndexReport and free-chain factors of a critical configuration.
+def _reach_screen(en: _Enumeration, cells, verts, free) -> list[tuple[int, list]]:
+    """Per free chain, in order: the cell that holds both its ends and, per
+    solution of that cell (vertices ``verts[cell]``), whether the chain's
+    end-to-end distance there is clearly inside its reach (True), clearly
+    outside (False), or within two guard bands of a reach bound or an
+    alignment length (None).
 
-    One cyclic-polygon index per cell, then one term per aligned chain from
-    its forward count and endpoint vector; pos_xy maps cycle positions to
-    coordinates.
+    Chains do not cross, so both ends of a free chain lie in one cell, and
+    the distance read from that cell's own vertices differs from the glued
+    one by rounding only.
     """
-    cell_mu = [cyclic_index(pc.poly, tols) for pc in placed_cells]
-    breakdown = [(f"cell{ci}", mu) for ci, mu in enumerate(cell_mu)]
-    chain_nus = []
-    for di, k in enumerate(aligned_list):
-        ch = struct.chains[k]
-        if ch.r == 1:
-            nu = 0  # single rigid edge: f-1 = r-f = 0
+    band = 2 * en.tols.reach_boundary * en.scale
+    screen = []
+    for k in free:
+        ch = en.struct.chains[k]
+        for c, cell in enumerate(cells):
+            if ch.i_pos in cell.positions and ch.t_pos in cell.positions:
+                break
         else:
-            cell_a, cell_b = _cells_of_diagonal(cells, di)
-            w_vec = pos_xy[ch.t_pos] - pos_xy[ch.i_pos]
-            crit = OpenChainCritical(ch.r, statuses[k].f, (float(w_vec[0]), float(w_vec[1])))
-            try:
-                nu = aligned_nu(crit, placed_cells[cell_a].center,
-                                placed_cells[cell_b].center,
-                                tol=tols.reach_boundary * scale)
-            except CoincidingCentersError as exc:
-                raise NonGenericError(str(exc)) from exc
-        chain_nus.append(nu)
-        breakdown.append((f"chain{k}", nu))
-    free = [k for k in range(len(struct.chains)) if k not in aligned_list]
-    dim = sum(struct.chains[k].r - 2 for k in free)
-    factors = tuple(ManifoldFactor(k, struct.chains[k].r, struct.chains[k].r - 2,
-                                   _factor_chi(struct.chains[k].r)) for k in free)
-    return IndexReport(ptt_index(cell_mu, chain_nus), dim, tuple(breakdown)), factors
+            break  # not screened: this chain and the later ones take the full path
+        ji, jt = cells[c].positions.index(ch.i_pos), cells[c].positions.index(ch.t_pos)
+        reach, verdicts = en.reach[k], []
+        for d in np.hypot(*(verts[c][:, jt] - verts[c][:, ji]).T).tolist():
+            if reach.near_boundary(d, band) or any(abs(d - w) <= band
+                                                   for w in en.aligned_ws[k]):
+                verdicts.append(None)
+            else:
+                verdicts.append(reach.contains_strictly(d))
+        screen.append((c, verdicts))
+    return screen
+
+
+def _outside_reach_early(screen, pick) -> bool:
+    """True when the first free chain not clearly inside its reach is clearly
+    outside it, so the full checks would drop the pick as "outside_reach"."""
+    for c, verdicts in screen:
+        verdict = verdicts[pick[c]]
+        if verdict is not True:
+            return verdict is False
+    return False
+
+
+class _Gluing:
+    """Glues one solution per cell along the shared diagonals, for all of a
+    branch's picks at once.
+
+    Cell 0 keeps its own frame; the others follow breadth-first, each moved
+    rigidly so that its copy of the diagonal to the cell it is reached from
+    lands on that cell's.  A placement depends only on the cell's solution
+    and on those of the cells that placed its shared vertices first, so each
+    distinct such choice is placed once.
+    """
+
+    def __init__(self, struct: PolygonWithChains, aligned_list, cells, sols,
+                 scale: float):
+        self.sols, self.tol, self.n = sols, 1e-6 * scale, len(struct.gamma)
+        self.verts = [np.array([poly.vertices for poly in s], dtype=float) for s in sols]
+        self.centers = [np.array([poly.center for poly in s], dtype=float) for s in sols]
+        by_diag: dict[int, list[int]] = {}
+        for ci, cell in enumerate(cells):
+            for e in cell.edges:
+                if e.kind == "diag":
+                    by_diag.setdefault(e.index, []).append(ci)
+        # per cell: the diagonal it is glued along, as (position, vertex index)
+        # of its initial and terminal end; None for cell 0
+        self.via: dict[int, tuple | None] = {0: None}
+        self.order = [0]
+        for ci in self.order:  # visits the cells as they are appended
+            for e in cells[ci].edges:
+                if e.kind != "diag":
+                    continue
+                for cj in by_diag[e.index]:
+                    if cj in self.via:
+                        continue
+                    ch = struct.chains[aligned_list[e.index]]
+                    pos = cells[cj].positions
+                    self.via[cj] = ((ch.i_pos, pos.index(ch.i_pos)),
+                                    (ch.t_pos, pos.index(ch.t_pos)))
+                    self.order.append(cj)
+        if len(self.order) < len(cells):
+            raise AssertionError("cells are not connected by their diagonals")
+
+        first: dict[int, int] = {}  # cycle position -> cell that places it
+        self.fresh = {}    # cell -> (positions it places, their vertex indices)
+        self.shared = {}   # cell -> the same for the positions placed before it
+        self.deps = {}     # cell -> cells whose solutions fix its placement
+        for c in self.order:
+            fresh, shared, deps = ([], []), ([], []), {c}
+            for j, p in enumerate(cells[c].positions):
+                if p in first:
+                    deps.update(self.deps[first[p]])
+                    into = shared
+                else:
+                    first[p] = c
+                    into = fresh
+                into[0].append(p)
+                into[1].append(j)
+            self.fresh[c] = tuple(np.array(x, dtype=np.intp) for x in fresh)
+            self.shared[c] = tuple(np.array(x, dtype=np.intp) for x in shared)
+            self.deps[c] = sorted(deps)
+
+    def group(self, picks: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
+        """The picks grouped by their solutions of ``cells``: the first pick
+        of each group and the group of each pick."""
+        key = np.ravel_multi_index(picks[:, cells].T, [len(self.sols[c]) for c in cells])
+        _, first, which = np.unique(key, return_index=True, return_inverse=True)
+        return first, which
+
+    def __call__(self, picks: np.ndarray):
+        """Glue the picks ``picks`` (rows of one solution index per cell).
+
+        Returns the cycle positions (picks, n, 2), per cell the distinct
+        PlacedCells and, per pick, which of them it uses, and a mask of the
+        picks whose cells disagree on a shared vertex.
+        """
+        pts = np.empty((len(picks), self.n, 2))
+        placed = [None] * len(self.order)
+        mismatch = np.zeros(len(picks), dtype=bool)
+        for c in self.order:
+            rows, which = self.group(picks, self.deps[c])
+            s = picks[rows, c]
+            q = self.verts[c][s]
+            if self.via[c] is None:
+                R, t = np.tile(np.eye(2), (len(rows), 1, 1)), np.zeros((len(rows), 2))
+            else:
+                (pa, ja), (pb, jb) = self.via[c]
+                R, t = transform_mapping_segment(q[:, ja], q[:, jb],
+                                                 pts[rows, pa], pts[rows, pb])
+            verts = q @ R.transpose(0, 2, 1) + t[:, None]
+            center = (R @ self.centers[c][s][..., None])[..., 0] + t
+            ps, js = self.shared[c]
+            off = np.abs(pts[rows][:, ps] - verts[:, js]).max(axis=2) > self.tol
+            mismatch |= off.any(axis=1)[which]
+            ps, js = self.fresh[c]
+            pts[:, ps] = verts[which][:, js]
+            placed[c] = ([PlacedCell(self.sols[c][si], tuple(xy))
+                          for si, xy in zip(s.tolist(), center.tolist())], which.tolist())
+        return pts, placed, mismatch
+
+
+def _free_factors(struct: PolygonWithChains, aligned_list) -> tuple[ManifoldFactor, ...]:
+    """Critical-manifold factor of every free chain."""
+    return tuple(ManifoldFactor(k, ch.r, ch.r - 2, _factor_chi(ch.r))
+                 for k, ch in enumerate(struct.chains) if k not in aligned_list)
+
+
+def _chain_term(ch: AttachedChain, f: int, w_vec, center_a, center_b,
+                tols: Tolerances, scale: float) -> int:
+    """Index term of an aligned chain from its forward count ``f``, its
+    endpoint vector and the circumcenters of the cells on either side of its
+    diagonal (b traverses it forward)."""
+    if ch.r == 1:
+        return 0  # single rigid edge: f-1 = r-f = 0
+    crit = OpenChainCritical(ch.r, f, (float(w_vec[0]), float(w_vec[1])))
+    try:
+        return aligned_nu(crit, center_a, center_b, tol=tols.reach_boundary * scale)
+    except CoincidingCentersError as exc:
+        raise NonGenericError(str(exc)) from exc
+
+
+def _index_report(aligned_list, cell_mu, chain_nus, factors) -> IndexReport:
+    """IndexReport from one cyclic-polygon index per cell, one term per
+    aligned chain and the free chains' factors."""
+    breakdown = [(f"cell{ci}", mu) for ci, mu in enumerate(cell_mu)]
+    breakdown += [(f"chain{k}", nu) for k, nu in zip(aligned_list, chain_nus)]
+    return IndexReport(ptt_index(cell_mu, chain_nus), sum(f.dim for f in factors),
+                       tuple(breakdown))
 
 
 def _cells_of_diagonal(cells, di):
@@ -419,37 +560,55 @@ def _cells_of_diagonal(cells, di):
     return cell_a, cell_b
 
 
-def _representative(struct: PolygonWithChains, pos_xy, aligned_list, combo,
-                    scale) -> Configuration | None:
-    coords: dict[str, tuple[float, float]] = {}
-    for p, v in enumerate(struct.gamma.vertices):
-        coords[v] = (float(pos_xy[p][0]), float(pos_xy[p][1]))
+def _representatives(struct: PolygonWithChains, aligned_list, combo, pts,
+                     scale: float) -> list[Configuration | None]:
+    """Representatives of a branch's glued picks from their cycle positions
+    ``pts`` (picks, n, 2), or None where a free chain could not be placed.
+
+    Aligned chains lie along their diagonals; each free chain is placed for
+    all picks as one stack.  Joints are laid out for all picks at once, with
+    the arithmetic of one pick at a time.
+    """
+    names = list(struct.gamma.vertices)
+    blocks = [pts]  # (picks, vertices, 2) coordinates of the vertices in names
+    ok = np.ones(len(pts), dtype=bool)
     for k, ch in enumerate(struct.chains):
-        pi, pt = pos_xy[ch.i_pos], pos_xy[ch.t_pos]
+        pi, pt = pts[:, ch.i_pos], pts[:, ch.t_pos]
+        joints = []
         if k in aligned_list:
             sigma, w, _ = combo[aligned_list.index(k)]
             what = (pt - pi) / w
             s = 0.0
-            for j, joint in enumerate(ch.joints):
+            for j in range(len(ch.joints)):
                 s += sigma[j] * ch.lengths[j]
-                q = pi + s * what
-                coords[joint] = (float(q[0]), float(q[1]))
+                joints.append(pi + s * what)
         else:
-            phis = _place_free_chain(ch, pi, pt, scale)
-            if phis is None:
-                return None
-            q = pi.copy()
-            for j, joint in enumerate(ch.joints):
-                q = q + ch.lengths[j] * np.array([math.cos(phis[j]), math.sin(phis[j])])
-                coords[joint] = (float(q[0]), float(q[1]))
-    return Configuration(coords)
+            rows = np.flatnonzero(ok)
+            phis = np.zeros((len(pts), ch.r))
+            phis[rows], placed = _place_free_chain(ch, (pt - pi)[rows], scale)
+            ok[rows[~placed]] = False
+            q = pi
+            for j in range(len(ch.joints)):
+                step = [[math.cos(phi), math.sin(phi)] for phi in phis[:, j]]
+                q = q + ch.lengths[j] * np.array(step)
+                joints.append(q)
+        if joints:
+            names.extend(ch.joints)
+            blocks.append(np.stack(joints, axis=1))
+    coords = np.concatenate(blocks, axis=1).tolist()
+    return [Configuration(dict(zip(names, map(tuple, c)))) if good else None
+            for c, good in zip(coords, ok)]
 
 
-def _place_free_chain(ch: AttachedChain, pi: np.ndarray, pt: np.ndarray,
-                      scale: float):
-    """Deterministic seeded interior configuration of a chain with pinned
-    ends, from up to 25 seeded starts."""
-    target = pt - pi
+def _place_free_chain(ch: AttachedChain, targets: np.ndarray, scale: float):
+    """Deterministic seeded interior configurations of a chain with pinned
+    ends, one per end-to-end vector in ``targets`` (rows, 2).
+
+    Returns the joint angles (rows, r) and a mask of the rows placed.  Every
+    row tries the same 25 seeded starts in the same order, the k-th try of
+    all rows not yet placed running as one stack, so each row gets what a
+    stack of one would.
+    """
     lens = np.asarray(ch.lengths)
     key = hashlib.sha256(
         f"{tuple(ch.lengths)}|{ch.i_pos}|{ch.t_pos}".encode()).digest()
@@ -457,17 +616,23 @@ def _place_free_chain(ch: AttachedChain, pi: np.ndarray, pt: np.ndarray,
 
     jac = np.array([[-1.0], [1.0]]) * lens
 
-    def residual(phi):
+    def ends(phi):
         cs = np.stack([np.cos(phi), np.sin(phi)], axis=-2)
         # the Jacobian rows are (-lens * sin, lens * cos)
-        return cs @ lens - target, cs[..., ::-1, :] * jac
+        return cs @ lens, cs[..., ::-1, :] * jac
 
+    phis = np.zeros((len(targets), len(lens)))
+    placed = np.zeros(len(targets), dtype=bool)
     for _ in range(25):
+        rows = np.flatnonzero(~placed)
+        if rows.size == 0:
+            break
         phi = rng.uniform(-math.pi, math.pi, len(lens))
-        x, converged = gauss_newton(residual, phi[None], 1e-12 * scale, 120)
-        if converged[0]:
-            return x[0]
-    return None
+        x, converged = gauss_newton(ends, np.tile(phi, (rows.size, 1)),
+                                    1e-12 * scale, 120, targets[rows])
+        phis[rows[converged]] = x[converged]
+        placed[rows[converged]] = True
+    return phis, placed
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +722,16 @@ def _record_from_classification(struct, c, statuses, aligned_list, cells,
                                 verdicts, tols: Tolerances):
     pos_xy = {p: c.point(v) for p, v in enumerate(struct.gamma.vertices)}
     placed = [PlacedCell(v.poly, v.poly.center) for v in verdicts]
-    report, factors = _index_report(struct, statuses, aligned_list, cells, placed,
-                                    pos_xy, tols, struct.graph.total_length())
+    cell_mu = [cyclic_index(v.poly, tols) for v in verdicts]
+    chain_nus = []
+    for di, k in enumerate(aligned_list):
+        ch = struct.chains[k]
+        a, b = _cells_of_diagonal(cells, di)
+        chain_nus.append(_chain_term(ch, statuses[k].f, pos_xy[ch.t_pos] - pos_xy[ch.i_pos],
+                                     placed[a].center, placed[b].center, tols,
+                                     struct.graph.total_length()))
+    factors = _free_factors(struct, aligned_list)
+    report = _index_report(aligned_list, cell_mu, chain_nus, factors)
     area = shoelace(np.array(list(pos_xy.values())))
     return CriticalRecord(tuple(statuses), tuple(placed), c, report, factors,
                           float(area))

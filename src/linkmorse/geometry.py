@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +82,10 @@ def oriented_area(c: Configuration, cycle: DistinguishedCycle) -> float:
 
 def shoelace(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    # the next vertex's coordinates as contiguous copies, the layout np.roll
+    # gives, so np.dot adds the same products in the same order
+    xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+    return 0.5 * float(np.dot(x, yn) - np.dot(y, xn))
 
 
 def is_aligned(c: Configuration, path: Sequence[str], tol: float) -> bool:
@@ -134,12 +138,13 @@ def aligned_distance(src: np.ndarray, dst: np.ndarray) -> float:
 
 def transform_mapping_segment(p_from: np.ndarray, q_from: np.ndarray,
                               p_to: np.ndarray, q_to: np.ndarray):
-    """Rotation+translation taking segment (p_from,q_from) to (p_to,q_to)."""
-    a = q_from - p_from
-    b = q_to - p_to
-    phi = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
-    R = rotation(phi)
-    t = p_to - R @ p_from
+    """Rotations R (rows, 2, 2) and translations t (rows, 2) taking each
+    segment (p_from, q_from) to (p_to, q_to); all four are (rows, 2)."""
+    a = (q_from - p_from).tolist()
+    b = (q_to - p_to).tolist()
+    R = np.array([rotation(math.atan2(by, bx) - math.atan2(ay, ax))
+                  for (ax, ay), (bx, by) in zip(a, b)]).reshape(-1, 2, 2)
+    t = p_to - (R @ p_from[..., None])[..., 0]
     return R, t
 
 
@@ -159,21 +164,29 @@ def lstsq_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (((b[..., None, :] @ u) / s[..., None, :]) @ vt)[..., 0, :]
 
 
-def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int):
-    """Solve residual(x) = 0 for a stack of starts by least-squares steps
-    clamped to norm 1.
+def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int,
+                 target: np.ndarray | None = None):
+    """Solve residual(x) = target for a stack of starts by least-squares
+    steps clamped to norm 1.
 
     ``x0`` has one start per row.  ``residual`` maps a stack of rows to the
-    residuals G (rows, m) and Jacobians J (rows, m, n).  Each row stops at
-    its first iterate with |G| <= tol.  Returns the final iterates and a
-    boolean array marking the rows that converged within ``max_iter`` steps.
+    values F (rows, m) and Jacobians J (rows, m, n); ``target`` is zero
+    (None) or one row of m values per start, and G = F - target.  Each row
+    stops at its first iterate with |G| <= tol.  Returns the final iterates
+    and a boolean array marking the rows that converged within ``max_iter``
+    steps.
     """
     x = np.array(x0, dtype=float)
     converged = np.zeros(len(x), dtype=bool)
     rows = np.arange(len(x))  # rows of x still iterating, held in xa
     xa = x.copy()
+
+    def misfit(xa, rows):
+        F, J = residual(xa)
+        return (F if target is None else F - target[rows]), J
+
     for _ in range(max_iter):
-        G, J = residual(xa)
+        G, J = misfit(xa, rows)
         hit = np.linalg.norm(G, axis=1) <= tol
         if hit.any():
             x[rows[hit]] = xa[hit]
@@ -183,7 +196,7 @@ def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int):
                 return x, converged
         step = lstsq_stack(J, G)  # the step is -step, clamped to norm 1
         xa = xa - step / np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1.0)
-    G, _ = residual(xa)
+    G, _ = misfit(xa, rows)
     x[rows] = xa
     converged[rows] = np.linalg.norm(G, axis=1) <= tol
     return x, converged
@@ -214,9 +227,15 @@ class CyclicPolygon:
     def e(self) -> int:
         return sum(1 for s in self.eps if s > 0)
 
-    @property
+    @cached_property
     def area(self) -> float:
         return shoelace(np.asarray(self.vertices))
+
+    @cached_property
+    def signature(self) -> str:
+        """Edge signs, winding and radius: the polygon's part of a record key."""
+        return ("".join("+" if s > 0 else "-" for s in self.eps)
+                + f"w{self.omega}r{self.radius:.9e}")
 
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
@@ -240,6 +259,12 @@ class CyclicPolygon:
             raise ValueError("closure edge off tolerance")
 
     def to_json_dict(self) -> dict:
+        return dict(self._json)
+
+    @cached_property
+    def _json(self) -> dict:
+        # built once per polygon; the records that share the polygon share
+        # its lists, which nothing mutates
         return {
             "lengths": list(self.lengths),
             "center": list(self.center),

@@ -69,6 +69,19 @@ class TestCritical:
         path = write_linkage(tmp_path / "wall.json", g, gamma)
         assert main(["--strict", "critical", path]) == 4
 
+    def test_wall_strict_report_goes_to_out(self, tmp_path, capsys):
+        g, gamma = make_polygon([1.0, 1.0, 1.0, 3.0])
+        path = write_linkage(tmp_path / "wall.json", g, gamma)
+        assert main(["--strict", "critical", path]) == 4
+        stdout = capsys.readouterr().out
+        out = tmp_path / "wall_out.json"
+        assert main(["--strict", "--out", str(out), "critical", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: wall proximity")
+        assert out.read_text() == stdout
+        assert json.loads(stdout)["wall_check"]["clean"] is False
+
     def test_numeric_fallback_outside_class(self, tmp_path, capsys):
         from linkmorse.instances import non_ptt_example
         g, gamma = non_ptt_example()
@@ -214,6 +227,30 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("spoil", [
+        lambda coords: coords.pop("A1"),
+        lambda coords: coords["A1"].__setitem__(0, float("nan")),
+    ], ids=["missing_vertex", "nan_coordinate"])
+    def test_bad_representative(self, tmp_path, three_chain_file, capsys, monkeypatch,
+                                spoil):
+        records = tmp_path / "records.json"
+        assert main(["--out", str(records), "critical", three_chain_file]) == 0
+        payload = json.loads(records.read_text())
+        spoil(payload["records"][1]["representative"]["coords"])
+        records.write_text(json.dumps(payload))
+        capsys.readouterr()
+
+        def no_enumeration(*args, **kw):
+            raise AssertionError("records file must be checked before enumeration")
+
+        monkeypatch.setattr("linkmorse.cli.enumerate_critical_structure", no_enumeration)
+        assert exit_code(["verify", three_chain_file, str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed records file: record 1")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestOutput:

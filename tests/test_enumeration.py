@@ -9,6 +9,7 @@ import pytest
 
 from linkmorse import enumeration
 from linkmorse.enumeration import (
+    _place_free_chain,
     classify_configuration,
     enumerate_critical_pnd,
     enumerate_critical_three_chain,
@@ -16,10 +17,20 @@ from linkmorse.enumeration import (
     match_record,
 )
 from linkmorse.errors import NonGenericError, NotPTTError
-from linkmorse.geometry import Configuration, enumerate_cyclic
+from linkmorse.geometry import (
+    Configuration,
+    enumerate_cyclic,
+    gauss_newton,
+    rotation,
+    transform_mapping_segment,
+    wall_check,
+)
 from linkmorse.graphs import (
+    AttachedChain,
     DistinguishedCycle,
+    LinkageGraph,
     detect_polygon_with_chains,
+    elementary_cycles,
     make_polygon,
     make_three_chain,
 )
@@ -152,12 +163,10 @@ class TestClassification:
                 assert back.area == pytest.approx(r.area, rel=0, abs=1e-12 * scale ** 2)
 
     def test_free_chain_out_of_reach(self):
-        from linkmorse.enumeration import _place_free_chain
-        from linkmorse.graphs import AttachedChain
-
         chain = AttachedChain(("A1", "A2"), (1.0, 0.9, 1.1), 0, 3)
-        target = np.array([3.5, 0.0])  # beyond the chain's total length 3.0
-        assert _place_free_chain(chain, np.zeros(2), target, 10.0) is None
+        targets = np.array([[3.5, 0.0]])  # beyond the chain's total length 3.0
+        _, placed = _place_free_chain(chain, targets, 10.0)
+        assert placed.tolist() == [False]
 
     def test_random_feasible_not_critical(self, rng):
         g, gamma = make_three_chain(*THREE_CHAIN)
@@ -179,9 +188,6 @@ class TestClassification:
         # aligned Z forces two cells: with a 3-edge arm A the A-cell is a
         # quadrilateral, so a generic placement of A is not concyclic even
         # though the chain condition holds
-        from linkmorse.enumeration import _place_free_chain
-        from linkmorse.graphs import AttachedChain
-
         a = (1.0, 0.9, 1.1)
         b = (0.8, 1.1)
         z = (0.7, 0.75)
@@ -191,8 +197,8 @@ class TestClassification:
         from linkmorse.geometry import triangle_apex
         b_apex = triangle_apex(b[0], b[1], w, up=False)
         chain_a = AttachedChain(("A1", "A2"), a, 0, 3)
-        phis = _place_free_chain(chain_a, pi, pt, g.total_length())
-        assert phis is not None
+        (phis,), placed = _place_free_chain(chain_a, (pt - pi)[None], g.total_length())
+        assert placed.tolist() == [True]
         coords = {"I": (0.0, 0.0), "T": (w, 0.0), "Z1": (z[0], 0.0),
                   "B1": (float(b_apex[0]), float(b_apex[1]))}
         q = pi.copy()
@@ -212,6 +218,196 @@ class TestClassification:
         c = Configuration({v: (0.0, 0.0) for v in g.vertices})
         with pytest.raises(NotPTTError):
             classify_configuration(g, gamma, c)
+
+
+def place_one_pick(ch, target, scale):
+    """Free-chain placement one pick at a time, as the enumeration did before
+    it stacked the picks: up to 25 seeded starts, each run as a stack of one.
+    Returns the joint angles and the try that placed them, or (None, None)."""
+    lens = np.asarray(ch.lengths)
+    key = hashlib.sha256(
+        f"{tuple(ch.lengths)}|{ch.i_pos}|{ch.t_pos}".encode()).digest()
+    rng = np.random.default_rng(int.from_bytes(key[:8], "little"))
+    jac = np.array([[-1.0], [1.0]]) * lens
+
+    def residual(phi):
+        cs = np.stack([np.cos(phi), np.sin(phi)], axis=-2)
+        return cs @ lens - target, cs[..., ::-1, :] * jac
+
+    for k in range(25):
+        phi = rng.uniform(-math.pi, math.pi, len(lens))
+        x, converged = gauss_newton(residual, phi[None], 1e-12 * scale, 120)
+        if converged[0]:
+            return x[0], k
+    return None, None
+
+
+class TestStackedPlacement:
+    def test_rows_equal_one_pick_at_a_time(self):
+        # one stack mixing rows placed on the first try, rows placed on a
+        # later try and a row out of reach; each row equals its own run
+        chain = AttachedChain(("A1",), (1.3, 0.7), 2, 5)
+        targets = np.array([[0.9, 0.4], [-0.19865595849077633, -0.5759398141466006],
+                            [2.5, 0.0], [1.2, -0.3],
+                            [-0.0694978984107346, -1.5903815105063717]])
+        phis, placed = _place_free_chain(chain, targets, 6.0)
+        tries = []
+        for row, target in enumerate(targets):
+            ref, k = place_one_pick(chain, target, 6.0)
+            tries.append(k)
+            assert placed[row] == (ref is not None)
+            if ref is not None:
+                assert phis[row].tolist() == ref.tolist()
+        assert tries[2] is None
+        assert 0 in tries and any(k for k in tries)
+
+    def test_worked_example_representatives(self):
+        # every free-chain placement of the worked example equals the
+        # one-pick-at-a-time run from the glued chain ends
+        g, gamma, _ = worked_example()
+        struct = detect_polygon_with_chains(g, gamma)
+        scale = g.total_length()
+        recs = [r for r in enumerate_critical_pnd(g, gamma)
+                if any(s.kind == "free" for s in r.chain_status)]
+        assert len(recs) == 996
+        for rec in recs[::7]:
+            for ch, s in zip(struct.chains, rec.chain_status):
+                if s.kind != "free":
+                    continue
+                ends = rec.representative.points(
+                    [gamma.vertices[ch.i_pos], gamma.vertices[ch.t_pos]])
+                ref, _ = place_one_pick(ch, ends[1] - ends[0], scale)
+                q, joints = ends[0].copy(), []
+                for ln, phi in zip(ch.lengths, ref):
+                    q = q + ln * np.array([math.cos(phi), math.sin(phi)])
+                    joints.append([float(q[0]), float(q[1])])
+                assert rec.representative.points(ch.joints).tolist() == joints[:-1]
+
+
+def glue_one_pick(struct, aligned_list, cells, polys, scale):
+    """Cycle positions and glued circumcenters of one pick, glued on its own
+    breadth-first from cell 0 as the enumeration did before it glued the
+    picks of a branch together."""
+    pos, centers = {}, {}
+
+    def place(ci, R, t):
+        verts = polys[ci].vertex_array() @ R.T + t
+        center = R @ np.asarray(polys[ci].center) + t
+        for j, p in enumerate(cells[ci].positions):
+            if p in pos:
+                assert np.max(np.abs(pos[p] - verts[j])) <= 1e-6 * scale
+            else:
+                pos[p] = verts[j]
+        centers[ci] = (float(center[0]), float(center[1]))
+
+    place(0, np.eye(2), np.zeros(2))
+    queue = [0]
+    while queue:
+        ci = queue.pop(0)
+        for e in cells[ci].edges:
+            if e.kind != "diag":
+                continue
+            for cj in [c for c, cell in enumerate(cells)
+                       if any(f.kind == "diag" and f.index == e.index for f in cell.edges)]:
+                if cj in centers:
+                    continue
+                ch = struct.chains[aligned_list[e.index]]
+                q = polys[cj].vertex_array()
+                j1 = cells[cj].positions.index(ch.i_pos)
+                j2 = cells[cj].positions.index(ch.t_pos)
+                a, b = q[j2] - q[j1], pos[ch.t_pos] - pos[ch.i_pos]
+                R = rotation(math.atan2(b[1], b[0]) - math.atan2(a[1], a[0]))
+                place(cj, R, pos[ch.i_pos] - R @ q[j1])
+                queue.append(cj)
+    return [pos[p].tolist() for p in range(len(struct.gamma))], \
+        [centers[ci] for ci in range(len(cells))]
+
+
+class TestStackedGluing:
+    @pytest.mark.parametrize("instance", ["worked", "bm223", "two_chain_hexagon"])
+    def test_records_equal_one_pick_at_a_time(self, instance):
+        # every record's cycle positions and glued centers are those of its
+        # pick glued on its own, bit for bit
+        if instance == "worked":
+            g, gamma, _ = worked_example()
+        elif instance == "bm223":
+            g, gamma = bott_morse_three_chain()
+        else:
+            # chains v0-v2 and v2-v4 share v2, so three cells can meet there
+            g, gamma = make_polygon([1.9, 0.81, 1.45, 0.95, 1.61, 1.58])
+            g = LinkageGraph(g.vertices + ("c1", "d1", "d2"), g.edges + (
+                ("v0", "c1", 0.83), ("c1", "v2", 1.74),
+                ("v2", "d1", 1.49), ("d1", "d2", 1.52), ("d2", "v4", 1.73)))
+        struct = detect_polygon_with_chains(g, gamma)
+        scale = g.total_length()
+        recs = enumerate_critical_pnd(g, gamma)
+        assert recs
+        if instance == "two_chain_hexagon":
+            assert any(len(r.cells) == 3 for r in recs)
+        for rec in recs[::5]:
+            aligned_list = [k for k, s in enumerate(rec.chain_status) if s.kind == "aligned"]
+            diags = [(gamma.vertices[struct.chains[k].i_pos],
+                      gamma.vertices[struct.chains[k].t_pos]) for k in aligned_list]
+            cells = elementary_cycles(gamma, diags)
+            pos, centers = glue_one_pick(struct, aligned_list, cells,
+                                         [pc.poly for pc in rec.cells], scale)
+            assert rec.representative.points(gamma.vertices).tolist() == pos
+            assert [pc.center for pc in rec.cells] == centers
+
+    @pytest.mark.parametrize("instance", ["worked", "bm223"])
+    def test_reach_screen_changes_nothing(self, caplog, monkeypatch, instance):
+        # the picks the screen drops before gluing are exactly picks the
+        # glued checks drop as out of reach: without the screen the records
+        # and every count are the same
+        g, gamma = (worked_example()[:2] if instance == "worked"
+                    else bott_morse_three_chain())
+
+        def run():
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="linkmorse.enumeration"):
+                recs = enumerate_critical_pnd(g, gamma)
+            (rec,) = [r for r in caplog.records if r.name == "linkmorse.enumeration"]
+            return [r.to_json_dict() for r in recs], rec.args
+
+        screened = run()
+        monkeypatch.setattr(enumeration, "_outside_reach_early", lambda screen, pick: False)
+        assert run() == screened
+
+    @pytest.mark.parametrize("short", [1e-9, -1e-9, 0.9e-7, -0.9e-7])
+    def test_pick_near_reach_bound_still_raises(self, short):
+        # a free chain whose reach ends just short of (or just past) its end
+        # distance in one cyclic solution of the quadrilateral, by a fraction
+        # of the 1e-7 guard band: the screen must leave that pick to the
+        # glued checks, which refuse it
+        lens = [1.0, 1.3, 0.8, 1.4]
+        q = enumerate_cyclic(lens)[0].vertex_array()
+        d = float(np.hypot(*(q[2] - q[0])))
+        g, gamma = make_polygon(lens)
+        a = 0.4 * d
+        g = LinkageGraph(g.vertices + ("c1",), g.edges + (
+            ("v0", "c1", a), ("c1", "v2", d - a - short * (sum(lens) + d))))
+        assert wall_check(g).clean
+        with pytest.raises(NonGenericError, match="hits the reach boundary"):
+            enumerate_critical_pnd(g, gamma)
+
+    @pytest.mark.parametrize("short", [1e-9, -1e-9])
+    def test_pick_near_alignment_still_raises(self, short):
+        # in the first cyclic solution of the pentagon, chain a (v0-v2) can
+        # just about align (0.6 - 0.3 + 0.7 of its end distance d) while
+        # chain b (v2-v4) is far out of reach: the pick must still reach the
+        # glued checks, which refuse chain a before they look at chain b
+        lens = [1.0, 1.3, 0.8, 1.4, 1.1]
+        q = enumerate_cyclic(lens)[0].vertex_array()
+        d = float(np.hypot(*(q[2] - q[0])))
+        g, gamma = make_polygon(lens)
+        scale = sum(lens) + 1.6 * d + 0.4
+        g = LinkageGraph(g.vertices + ("a1", "a2", "b1"), g.edges + (
+            ("v0", "a1", 0.6 * d), ("a1", "a2", 0.3 * d),
+            ("a2", "v2", 0.7 * d + short * scale),
+            ("v2", "b1", 0.2), ("b1", "v4", 0.2)))
+        assert wall_check(g).clean
+        with pytest.raises(NonGenericError, match="simultaneously circular and aligned"):
+            enumerate_critical_pnd(g, gamma)
 
 
 class TestWorkedExample:
@@ -251,6 +447,30 @@ class TestWorkedExample:
         digest = hashlib.sha256(repr([(r.key(), r.index.index, r.manifold_dim)
                                       for r in recs]).encode()).hexdigest()
         assert digest == "97e990efdd1ac21b60ed578d795743ccf51a2cd26e968b1b44012455b80cccb9"
+
+    def test_cells_placed_and_indexed_once(self, monkeypatch):
+        # 5,316 glued picks of two or three cells: a cell other than cell 0
+        # is moved once per placement of the cells it hangs on (7,476 moves
+        # in 17 stacks, one per such cell and branch, against one move per
+        # cell and pick when every pick was glued afresh), and each cyclic
+        # solution used by a record is indexed once
+        moves, indexed = [], []
+
+        def move(*args):
+            moves.append(len(args[0]))
+            return transform_mapping_segment(*args)
+
+        def index(poly, tols):
+            indexed.append(id(poly))
+            return cyclic_index(poly, tols)
+
+        monkeypatch.setattr(enumeration, "transform_mapping_segment", move)
+        monkeypatch.setattr(enumeration, "cyclic_index", index)
+        g, gamma, _ = worked_example()
+        recs = enumerate_critical_pnd(g, gamma)
+        assert (len(moves), sum(moves)) == (17, 7476)
+        assert len(indexed) == len(set(indexed)) == 934
+        assert set(indexed) == {id(pc.poly) for r in recs for pc in r.cells}
 
 
 class TestEulerSum:

@@ -29,6 +29,7 @@ from linkmorse.geometry import (
     enumerate_cyclic,
     is_aligned,
     oriented_area,
+    shoelace,
     simple_cycles_via_sp,
     solve_cyclic,
     solve_cyclic_all,
@@ -135,6 +136,18 @@ class TestEnumerateCyclic:
         keys = {(p.eps, p.omega) for p in sols}
         assert ((1, 1, 1, 1), 1) in keys
         assert ((-1, -1, -1, -1), -1) in keys
+
+    def test_json_built_once_and_copied(self):
+        # the dict is built once per polygon; each call hands out a fresh
+        # top-level dict with the values of a fresh build
+        p = enumerate_cyclic([1.0, 1.3, 0.8, 1.4])[0]
+        d = p.to_json_dict()
+        assert d is not p.to_json_dict()
+        assert d["vertices"] is p.to_json_dict()["vertices"]
+        d["area"] = None
+        fresh = dataclasses.replace(p)
+        assert p.to_json_dict() == fresh.to_json_dict()
+        assert fresh.to_json_dict()["area"] == fresh.area == shoelace(fresh.vertex_array())
 
     def test_equilateral_pentagon_golden_count(self):
         # golden value 14, re-verified by a dense independent scan of the
