@@ -51,7 +51,6 @@ from .oracle import (
     build_chart,
     constrained_inertia,
     continue_family,
-    fd_check,
     find_critical_numeric,
     project_to_manifold,
 )

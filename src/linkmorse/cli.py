@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from typing import NoReturn
 
-from .config import RunConfig, Tolerances
+from .config import DEFAULT_TOLS, RunConfig, Tolerances
 from .enumeration import enumerate_critical_structure, match_record
 from .errors import LinkmorseError, NonGenericError, NotCriticalError, NotSPError
 from .geometry import Configuration, wall_check
@@ -244,7 +244,7 @@ def cmd_continue(args) -> int:
     if args.edge < 0 or args.edge >= len(g.edges):
         print(f"error: edge index {args.edge} out of range", file=sys.stderr)
         return EXIT_PARSE
-    if not (args.start > 0 and args.stop > 0) or args.steps < 0:
+    if not (0 < args.start < math.inf and 0 < args.stop < math.inf) or args.steps < 0:
         print("error: bad parameter range", file=sys.stderr)
         return EXIT_PARSE
     diagram = continue_family(g, args.edge, args.start, args.stop, args.steps,
@@ -264,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="linkmorse", allow_abbrev=False,
                                  description="critical points of the oriented "
                                              "area on linkage configuration spaces")
-    ap.add_argument("--tol-length", type=float, default=1e-9)
-    ap.add_argument("--tol-collinearity", type=float, default=1e-8)
-    ap.add_argument("--tol-concyclicity", type=float, default=1e-8)
-    ap.add_argument("--tol-gradient", type=float, default=1e-10)
-    ap.add_argument("--tol-eigen-zero", type=float, default=1e-7)
+    ap.add_argument("--tol-length", type=float, default=DEFAULT_TOLS.rel_length)
+    ap.add_argument("--tol-collinearity", type=float, default=DEFAULT_TOLS.collinearity)
+    ap.add_argument("--tol-concyclicity", type=float, default=DEFAULT_TOLS.concyclicity)
+    ap.add_argument("--tol-gradient", type=float, default=DEFAULT_TOLS.gradient)
+    ap.add_argument("--tol-eigen-zero", type=float, default=DEFAULT_TOLS.eigen_zero_band)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--n-seeds", type=int, default=1000)
     ap.add_argument("--strict", action="store_true")

@@ -286,10 +286,11 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
             return []
         cell_sols.append(en.cyclic[key])
 
-    glue = _Gluing(struct, aligned_list, cells, [sols for sols, _ in cell_sols], scale)
+    sides = [_cells_of_diagonal(cells, di) for di in range(len(aligned_list))]
+    glue = _Gluing(struct, aligned_list, cells, sides,
+                   [sols for sols, _ in cell_sols], scale)
     free = [k for k in range(len(struct.chains)) if k not in aligned_list]
     screen = _reach_screen(en, cells, glue.verts, free)
-    sides = [_cells_of_diagonal(cells, di) for di in range(len(aligned_list))]
     factors = _free_factors(struct, aligned_list)
     base: list[ChainStatus | None] = [None] * len(struct.chains)
     for k, (sigma, w, f) in zip(aligned_list, combo):
@@ -426,19 +427,15 @@ class _Gluing:
     rigidly so that its copy of the diagonal to the cell it is reached from
     lands on that cell's.  A placement depends only on the cell's solution
     and on those of the cells that placed its shared vertices first, so each
-    distinct such choice is placed once.
+    distinct such choice is placed once.  ``sides`` holds the two cells of
+    each diagonal.
     """
 
-    def __init__(self, struct: PolygonWithChains, aligned_list, cells, sols,
+    def __init__(self, struct: PolygonWithChains, aligned_list, cells, sides, sols,
                  scale: float):
         self.sols, self.tol, self.n = sols, 1e-6 * scale, len(struct.gamma)
         self.verts = [np.array([poly.vertices for poly in s], dtype=float) for s in sols]
         self.centers = [np.array([poly.center for poly in s], dtype=float) for s in sols]
-        by_diag: dict[int, list[int]] = {}
-        for ci, cell in enumerate(cells):
-            for e in cell.edges:
-                if e.kind == "diag":
-                    by_diag.setdefault(e.index, []).append(ci)
         # per cell: the diagonal it is glued along, as (position, vertex index)
         # of its initial and terminal end; None for cell 0
         self.via: dict[int, tuple | None] = {0: None}
@@ -447,7 +444,7 @@ class _Gluing:
             for e in cells[ci].edges:
                 if e.kind != "diag":
                     continue
-                for cj in by_diag[e.index]:
+                for cj in sides[e.index]:
                     if cj in self.via:
                         continue
                     ch = struct.chains[aligned_list[e.index]]
@@ -643,7 +640,6 @@ def _place_free_chain(ch: AttachedChain, targets: np.ndarray, scale: float):
 class CellVerdict:
     concyclic: bool
     poly: CyclicPolygon | None
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -705,9 +701,9 @@ def classify_structure(struct: PolygonWithChains, c: Configuration,
         pts = np.array([c.point(struct.gamma.vertices[p]) for p in cell.positions])
         try:
             poly = cyclic_data_from_points(pts, tols)
-            verdicts.append(CellVerdict(True, poly, 0.0))
-        except NotConcyclicError as exc:
-            verdicts.append(CellVerdict(False, None, float(exc.max_deviation or math.inf)))
+            verdicts.append(CellVerdict(True, poly))
+        except NotConcyclicError:
+            verdicts.append(CellVerdict(False, None))
             all_cyclic = False
 
     record = None
@@ -781,10 +777,6 @@ class EulerReport:
     value: int | None
     known: bool
     unknown_keys: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "known": self.known,
-                "unknown_records": list(self.unknown_keys)}
 
 
 def euler_sum(records: list[CriticalRecord]) -> EulerReport:

@@ -7,6 +7,7 @@ composition creates them) so edges are addressed by index into the edge list.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -29,8 +30,8 @@ class LinkageGraph:
                 raise ValueError(f"self-loop at {u!r}")
             if u not in vset or v not in vset:
                 raise ValueError(f"edge ({u!r},{v!r}) uses unknown vertex")
-            if not length > 0:
-                raise ValueError(f"edge ({u!r},{v!r}) has non-positive length")
+            if not 0 < length < math.inf:
+                raise ValueError(f"edge ({u!r},{v!r}) needs a positive finite length")
         if not self._connected():
             raise ValueError("graph is not connected")
 
@@ -370,9 +371,11 @@ def sp_decompose_blocks(g: LinkageGraph) -> list[tuple[tuple[int, ...], SPTree]]
     """(edge indices, SP tree) of every biconnected block that is not a
     bridge; an SPEdge's index is its position in the block's edge indices.
 
-    Within a block any adjacent pair can serve as terminals; pairs are tried
-    in sorted order.  Raises NotPTTError when some block has no SP
-    decomposition, which happens iff g has a K4 minor.
+    The terminals are the lexicographically smallest pair of adjacent
+    vertices: a 2-connected graph without a K4 minor is series-parallel with
+    the ends of any one of its edges as terminals (Duffin 1965), so one
+    reduction per block decides.  Raises NotPTTError when some block has no
+    SP decomposition, which happens iff g has a K4 minor.
     """
     out = []
     for block in biconnected_blocks(g):
@@ -380,16 +383,12 @@ def sp_decompose_blocks(g: LinkageGraph) -> list[tuple[tuple[int, ...], SPTree]]
             continue
         vs = sorted({v for k in block for v in g.edges[k][:2]})
         sub = LinkageGraph(tuple(vs), tuple(g.edges[k] for k in block))
-        pairs = sorted({tuple(sorted(e[:2])) for e in sub.edges})
-        for u, v in pairs:
-            try:
-                tree = sp_decompose(sub, u, v)
-            except NotSPError:
-                continue
-            out.append((block, tree))
-            break
-        else:
-            raise NotPTTError(f"block {list(block)} has no series-parallel decomposition")
+        u, v = min(tuple(sorted(e[:2])) for e in sub.edges)
+        try:
+            out.append((block, sp_decompose(sub, u, v)))
+        except NotSPError as exc:
+            raise NotPTTError(
+                f"block {list(block)} has no series-parallel decomposition") from exc
     return out
 
 
@@ -417,15 +416,14 @@ class RelativeComponent:
 
 @dataclass(frozen=True)
 class RelativeDecomposition:
-    gamma: DistinguishedCycle
     components: tuple[RelativeComponent, ...]
 
 
 def relative_decomposition(g: LinkageGraph, gamma: DistinguishedCycle) -> RelativeDecomposition:
     """Split g minus the cycle edges into attached components.
 
-    Each component must meet the cycle in at most two vertices; those serve
-    as series-parallel terminals of the component.
+    Each component must meet the cycle in at most two vertices; whether it
+    is a chain is for ``detect_polygon_with_chains`` to decide.
     """
     gamma.validate(g)
     cyc_edges = set(gamma.edge_indices(g))
@@ -471,15 +469,8 @@ def relative_decomposition(g: LinkageGraph, gamma: DistinguishedCycle) -> Relati
         if len(attach) > 2:
             raise NotPTTError(
                 f"component attaches to the cycle at {len(attach)} vertices: {attach}")
-        if len(attach) == 2:
-            sub = LinkageGraph(tuple(sorted(vs)), tuple(g.edges[k] for k in ks))
-            try:
-                sp_decompose(sub, attach[0], attach[1])
-            except NotSPError as exc:
-                raise NotPTTError(
-                    f"component at {attach} is not SP with those terminals") from exc
         comps.append(RelativeComponent(tuple(sorted(vs)), tuple(sorted(ks)), attach))
-    return RelativeDecomposition(gamma, tuple(comps))
+    return RelativeDecomposition(tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +617,8 @@ def detect_polygon_with_chains(g: LinkageGraph,
 
 
 def _component_as_path(g: LinkageGraph, comp: RelativeComponent):
-    """Interior joints and lengths if the component is an a-to-b path."""
+    """Interior joints and lengths if the component is an a-to-b path.  The
+    component is connected, so the degree check leaves only that path."""
     a, b = comp.attachments
     adj: dict[str, list[tuple[str, float]]] = {}
     for k in comp.edge_indices:
@@ -640,15 +632,10 @@ def _component_as_path(g: LinkageGraph, comp: RelativeComponent):
     joints, lengths = [], []
     prev, cur = None, a
     while cur != b:
-        nxt = [p for p in adj[cur] if p[0] != prev]
-        if len(nxt) != 1:
-            return None
-        prev, (cur, length) = cur, nxt[0]
+        prev, (cur, length) = cur, next(p for p in adj[cur] if p[0] != prev)
         lengths.append(length)
         if cur != b:
             joints.append(cur)
-    if len(lengths) != len(comp.edge_indices):
-        return None
     return joints, lengths
 
 
@@ -696,6 +683,8 @@ def linkage_from_json_dict(d: dict):
     terminals = None
     if d.get("terminals"):
         terminals = (str(d["terminals"]["I"]), str(d["terminals"]["T"]))
+        if len(set(terminals) & set(vertices)) != 2:
+            raise ValueError(f"terminals {terminals} must be two distinct vertices")
     return g, gamma, terminals
 
 

@@ -616,13 +616,6 @@ def constrained_inertia(g: LinkageGraph, gamma: DistinguishedCycle, c: Configura
     return oracle.inertia(x)
 
 
-def fd_check(g: LinkageGraph, gamma: DistinguishedCycle, c: Configuration,
-             tols: Tolerances = DEFAULT_TOLS):
-    oracle = area_oracle(g, gamma, tols)
-    x = oracle.chart.reduce(oracle.chart.theta_from_configuration(c))
-    return oracle.fd_check(x)
-
-
 # ---------------------------------------------------------------------------
 # continuation
 # ---------------------------------------------------------------------------
@@ -749,6 +742,7 @@ def _match_step(diagram: BranchDiagram, oracle_at, ok: ChartOracle, fresh,
         if br.lost_at is not None:
             continue
         xprev = br.points[-1].x
+        # np.linspace repeats values on a range narrower than the float spacing
         if len(br.points) >= 2 and br.points[-2].param != br.points[-1].param:
             slope = ((br.points[-1].x - br.points[-2].x)
                      / (br.points[-1].param - br.points[-2].param))
@@ -927,7 +921,7 @@ def _local_companions(diagram, br, a, b, oracle_at, capture, born):
     """Branch ids born (or dying) in this step near the flipping branch."""
     others = []  # (id, point compared with the flipping branch)
     for other in diagram.branches:
-        if other.id == br.id or not other.points:
+        if other.id == br.id:
             continue
         if born:
             if other.points[0].param == b.param:

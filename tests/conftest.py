@@ -108,3 +108,15 @@ def random_subdivided_k4(rng):
             edges.append((x, y, float(rng.uniform(0.3, 2.0))))
     vs = sorted({v for e in edges for v in e[:2]})
     return LinkageGraph(tuple(vs), tuple(edges))
+
+
+def random_multigraph(rng):
+    """Random connected multigraph on 3-7 vertices: a random spanning tree
+    plus random extra edges, parallel ones included."""
+    n = int(rng.integers(3, 8))
+    vs = tuple(f"x{k}" for k in range(n))
+    pairs = [(int(rng.integers(0, k)), k) for k in range(1, n)]
+    pairs += [tuple(rng.choice(n, 2, replace=False).tolist())
+              for _ in range(int(rng.integers(0, 2 * n)))]
+    edges = tuple((vs[a], vs[b], float(rng.uniform(0.3, 2.0))) for a, b in pairs)
+    return LinkageGraph(vs, edges)

@@ -6,8 +6,8 @@ import tracemalloc
 import pytest
 
 from linkmorse.cli import _dump_json, main
-from linkmorse.graphs import make_polygon, make_three_chain
-from linkmorse.instances import max16_three_chain, pitchfork_family
+from linkmorse.graphs import LinkageGraph, make_polygon, make_three_chain
+from linkmorse.instances import max16_three_chain, non_ptt_example, pitchfork_family
 
 
 def write_linkage(path, g, gamma=None, terminals=None):
@@ -31,12 +31,21 @@ class TestRecognize:
         assert len(report["relative_decomposition"]) == 1
 
     def test_k4_exit_3(self, tmp_path, capsys):
-        from linkmorse.graphs import LinkageGraph
         pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
         g = LinkageGraph(("a", "b", "c", "d"), tuple((u, v, 1.0) for u, v in pairs))
         path = write_linkage(tmp_path / "k4.json", g)
         assert main(["recognize", path]) == 3
         assert json.loads(capsys.readouterr().out)["ptt"] is False
+
+    def test_pendant_bar_lists_component(self, tmp_path, capsys):
+        g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
+        g = LinkageGraph(g.vertices + ("P",), g.edges + (("Z1", "P", 0.5),))
+        path = write_linkage(tmp_path / "pendant.json", g, gamma)
+        assert main(["recognize", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ptt"] is True
+        (comp,) = report["relative_decomposition"]
+        assert comp["attachments"] == ["I", "T"]
 
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -82,8 +91,17 @@ class TestCritical:
         assert out.read_text() == stdout
         assert json.loads(stdout)["wall_check"]["clean"] is False
 
+    def test_wall_without_strict_falls_back(self, tmp_path, capsys):
+        g, gamma = make_polygon([1.0, 1.0, 1.0, 3.0])
+        path = write_linkage(tmp_path / "wall.json", g, gamma)
+        assert main(["--n-seeds", "100", "critical", path]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["mode"] == "numeric"
+        assert payload["warning"] == "wall proximity; numeric-only fallback"
+        assert captured.err == "warning: wall proximity; numeric-only fallback\n"
+
     def test_numeric_fallback_outside_class(self, tmp_path, capsys):
-        from linkmorse.instances import non_ptt_example
         g, gamma = non_ptt_example()
         path = write_linkage(tmp_path / "nonptt.json", g, gamma)
         assert main(["--n-seeds", "120", "critical", path]) == 0
@@ -147,6 +165,40 @@ class TestVerify:
         assert any(d.startswith(f"record 0 ({key}): representative not critical: |rho| = ")
                    and "np.float64" not in d for d in diffs)
 
+    def test_wall_lengths_exit_4(self, tmp_path, capsys):
+        g, gamma = make_polygon([1.0, 1.0, 1.0, 3.0])
+        path = write_linkage(tmp_path / "wall.json", g, gamma)
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps({"mode": "symbolic", "records": []}))
+        assert main(["verify", path, str(records)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-generic lengths: ")
+
+    def test_outside_symbolic_class_exit_2(self, tmp_path, capsys):
+        g, gamma = non_ptt_example()
+        path = write_linkage(tmp_path / "nonptt.json", g, gamma)
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps({"mode": "symbolic", "records": []}))
+        assert main(["verify", path, str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: linkage outside the symbolic class\n"
+
+    def test_unknown_key_exit_5(self, tmp_path, capsys):
+        g, gamma = max16_three_chain()
+        path = write_linkage(tmp_path / "m16.json", g, gamma)
+        records = tmp_path / "records.json"
+        assert main(["--out", str(records), "critical", path]) == 0
+        payload = json.loads(records.read_text())
+        payload["records"][3]["key"] += "x"
+        records.write_text(json.dumps(payload))
+        assert main(["--seed", "77", "--n-seeds", "400", "verify", path,
+                     str(records)]) == 5
+        diffs = json.loads(capsys.readouterr().out)["diffs"]
+        assert f"record 3 ({payload['records'][3]['key']}): no matching enumerated record" \
+            in diffs
+
 
 class TestContinue:
     def test_writes_json_and_csv(self, tmp_path):
@@ -196,11 +248,47 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: invalid flag value")
 
+    @pytest.mark.parametrize("command", ["critical", "verify", "continue"])
+    def test_no_gamma(self, tmp_path, capsys, command):
+        g, _ = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
+        path = write_linkage(tmp_path / "tc.json", g)
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps({"mode": "symbolic", "records": []}))
+        rest = {"critical": [], "verify": [str(records)],
+                "continue": ["--edge", "0", "--from", "0.5", "--to", "0.6"]}[command]
+        assert exit_code([command, path] + rest) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "(gamma)" in captured.err
+
+    @pytest.mark.parametrize("bounds", [("0.5", "inf"), ("inf", "0.6")],
+                             ids=["to_inf", "from_inf"])
+    def test_infinite_parameter(self, three_chain_file, capsys, bounds):
+        assert exit_code(["continue", three_chain_file, "--edge", "0",
+                          "--from", bounds[0], "--to", bounds[1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad parameter range\n"
+
+    @pytest.mark.parametrize("terminals", [{"I": "I", "T": "X9"}, {"I": "T", "T": "T"}],
+                             ids=["missing_vertex", "equal"])
+    def test_bad_terminals(self, tmp_path, capsys, terminals):
+        g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
+        d = g.to_json_dict(gamma=gamma) | {"terminals": terminals}
+        path = tmp_path / "terms.json"
+        path.write_text(json.dumps(d))
+        assert exit_code(["recognize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot parse linkage file")
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("change", [
         lambda d: [1],
         lambda d: d | {"edges": 5},
         lambda d: d | {"gamma": 3},
-    ], ids=["top_level_list", "edges_not_a_list", "gamma_not_a_list"])
+        lambda d: d | {"edges": [d["edges"][0] | {"len": float("inf")}] + d["edges"][1:]},
+    ], ids=["top_level_list", "edges_not_a_list", "gamma_not_a_list", "infinite_length"])
     def test_malformed_linkage_file(self, tmp_path, capsys, change):
         g, gamma = max16_three_chain()
         path = tmp_path / "bad.json"

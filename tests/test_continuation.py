@@ -162,3 +162,14 @@ class TestGeneralizedPitchfork223:
                 tri = o.inertia(x)
                 assert tri.zero == 1
                 assert tri.negative == circ[0].index.index
+
+
+def test_range_below_float_spacing():
+    # np.linspace repeats a value when the range is narrower than the float
+    # spacing: the branch predictor must not divide by the zero step
+    g, gamma, edge, _ = pitchfork_family()
+    diagram = continue_family(g, edge, 0.65, 0.6500000000000001, 3, gamma,
+                              RunConfig(n_seeds=1))
+    assert diagram.params[0] == diagram.params[1]
+    assert diagram.branches and not diagram.warnings
+    assert all(len(b.points) == 4 for b in diagram.branches)

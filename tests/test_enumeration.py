@@ -1,6 +1,7 @@
 """Symbolic critical-point enumeration, classification, and Euler sums."""
 
 import hashlib
+import json
 import logging
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from linkmorse import enumeration
+from linkmorse.cli import main
 from linkmorse.enumeration import (
     _place_free_chain,
     classify_configuration,
@@ -471,6 +473,47 @@ class TestWorkedExample:
         assert (len(moves), sum(moves)) == (17, 7476)
         assert len(indexed) == len(set(indexed)) == 934
         assert set(indexed) == {id(pc.poly) for r in recs for pc in r.cells}
+
+
+def _verify(tmp_path, g, gamma, capsys):
+    """The CLI's verdict on the linkage's own ``critical`` records, 400 seeds."""
+    path = tmp_path / "linkage.json"
+    path.write_text(json.dumps(g.to_json_dict(gamma=gamma)))
+    records = tmp_path / "records.json"
+    assert main(["--out", str(records), "critical", str(path)]) == 0
+    assert main(["--seed", "77", "--n-seeds", "400", "verify", str(path),
+                 str(records)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestChainShapes:
+    def test_rigid_one_edge_chain(self, tmp_path, capsys):
+        # a bar v0-v2 is a chain aligned in every configuration, with no
+        # index term of its own
+        g, gamma = make_polygon([1.0, 1.1, 1.3, 1.2, 0.9])
+        g = LinkageGraph(g.vertices, g.edges + (("v0", "v2", 1.45),))
+        recs = enumerate_critical_pnd(g, gamma)
+        assert len(recs) == 8
+        assert all(r.chain_status[0].kind == "aligned" and len(r.cells) == 2
+                   for r in recs)
+        assert all(dict(r.index.breakdown)["chain0"] == 0 for r in recs)
+        verdict = _verify(tmp_path, g, gamma, capsys)
+        assert (verdict["agreement"], verdict["oracle_points"]) == (True, 8)
+
+    def test_chain_between_adjacent_vertices(self, tmp_path, capsys, caplog):
+        # aligning the chain v0-c-v1 cuts off a two-edge cell, which cannot be
+        # cyclic: those branches are empty and the chain stays free
+        g, gamma = make_polygon([1.0, 1.17, 1.19, 1.18, 1.5])
+        g = LinkageGraph(g.vertices + ("c",),
+                         g.edges + (("v0", "c", 1.16), ("c", "v1", 0.44)))
+        with caplog.at_level(logging.DEBUG, logger="linkmorse.enumeration"):
+            recs = enumerate_critical_pnd(g, gamma)
+        (rec,) = [r for r in caplog.records if r.name == "linkmorse.enumeration"]
+        assert rec.args["two_edge_cell"] == 2
+        assert len(recs) == 10
+        assert all(r.chain_status[0].kind == "free" for r in recs)
+        verdict = _verify(tmp_path, g, gamma, capsys)
+        assert (verdict["agreement"], verdict["oracle_points"]) == (True, 20)
 
 
 class TestEulerSum:

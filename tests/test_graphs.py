@@ -10,6 +10,8 @@ from linkmorse.graphs import (
     SPEdge,
     SPParallel,
     SPSeries,
+    biconnected_blocks,
+    detect_polygon_with_chains,
     elementary_cycles,
     evaluate_sp_tree,
     is_partial_two_tree,
@@ -23,7 +25,15 @@ from linkmorse.graphs import (
 )
 from linkmorse.instances import non_ptt_example
 
-from conftest import random_sp_graph, random_subdivided_k4
+from conftest import random_multigraph, random_sp_graph, random_subdivided_k4
+
+
+def _decomposes(g, i, t):
+    try:
+        sp_decompose(g, i, t)
+    except NotSPError:
+        return False
+    return True
 
 
 def k4(length=1.0):
@@ -133,6 +143,29 @@ class TestIsPartialTwoTree:
         for _ in range(20):
             assert not is_partial_two_tree(random_subdivided_k4(rng))
 
+    def test_first_pair_decides_every_block(self, rng):
+        # a block decomposes with its first adjacent pair as terminals exactly
+        # when it decomposes with every adjacent pair, so one reduction per
+        # block decides recognition
+        graphs = ([random_sp_graph(rng)[0] for _ in range(100)]
+                  + [random_subdivided_k4(rng) for _ in range(40)]
+                  + [random_multigraph(rng) for _ in range(160)])
+        seen = set()
+        for g in graphs:
+            verdicts = []
+            for block in biconnected_blocks(g):
+                if len(block) == 1:
+                    continue
+                vs = sorted({v for k in block for v in g.edges[k][:2]})
+                sub = LinkageGraph(tuple(vs), tuple(g.edges[k] for k in block))
+                pairs = sorted({tuple(sorted(e[:2])) for e in sub.edges})
+                ok = [_decomposes(sub, u, v) for u, v in pairs]
+                assert all(ok) or not any(ok), (sub, ok)
+                verdicts.append(ok[0])
+            assert is_partial_two_tree(g) == all(verdicts)
+            seen.update(verdicts)
+        assert seen == {True, False}
+
 
 class TestRelativeDecomposition:
     def test_three_chain(self):
@@ -160,6 +193,17 @@ class TestRelativeDecomposition:
         covered = [k for c in rel.components for k in c.edge_indices]
         assert sorted(covered) == sorted(set(range(len(g.edges))) - cyc)
         assert len(covered) == len(set(covered))
+
+    def test_pendant_bar_stays_in_its_component(self):
+        # a bar hanging off the chain's joint: the component is no chain, so
+        # the symbolic class rejects it, but it is still one attached piece
+        g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
+        g = LinkageGraph(g.vertices + ("P",), g.edges + (("Z1", "P", 0.5),))
+        (comp,) = relative_decomposition(g, gamma).components
+        assert comp.attachments == ("I", "T")
+        assert comp.vertices == ("I", "P", "T", "Z1")
+        assert is_partial_two_tree(g)
+        assert detect_polygon_with_chains(g, gamma) is None
 
     def test_triple_attachment_rejected(self):
         g, gamma = make_polygon([1, 1, 1, 1, 1, 1], prefix="w")

@@ -50,6 +50,15 @@ class TestCyclicIndex:
         p = solve_cyclic([2, 1.5, 1], [-1, 1, 1], 0)
         assert cyclic_index(p) == 0
 
+    def test_diameter_edge(self):
+        # the hypotenuse of [3, 4, 5] is a diameter: its half-angle is pi/2,
+        # and its infinite tan term takes both signs over the four solutions
+        sols = enumerate_cyclic([3, 4, 5])
+        assert len(sols) == 4
+        assert all(abs(p.alphas[2] - 0.5 * math.pi) < 1e-9 for p in sols)
+        assert {p.eps[2] for p in sols} == {-1, 1}
+        assert [cyclic_index(p) for p in sols] == [0, 0, 0, 0]
+
     def test_guard_band_raises(self):
         # mixed signs: |sum| is strictly below the term scale, so a huge
         # guard band must refuse to pick a branch
