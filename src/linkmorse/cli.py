@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 parse/usage error (malformed linkage or records
 file, invalid flag value), 3 not a partial two-tree, 4 wall hit under
---strict, 5 verification disagreement.
+--strict, 5 verification disagreement.  ``main`` returns each of them (a
+refusal is raised as a ``LinkmorseError``); only argparse's flag errors exit.
 """
 
 from __future__ import annotations
@@ -12,19 +13,18 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from typing import NoReturn
 
 from .config import DEFAULT_TOLS, RunConfig, Tolerances
 from .enumeration import enumerate_critical_structure, match_record
-from .errors import LinkmorseError, NonGenericError, NotCriticalError, NotSPError
+from .errors import LinkmorseError, NonGenericError, NotCriticalError, NotPTTError, NotSPError
 from .geometry import Configuration, wall_check
 from .graphs import (
     LinkageGraph,
     detect_polygon_with_chains,
-    is_partial_two_tree,
     load_linkage,
     relative_decomposition,
     sp_decompose,
+    sp_decompose_blocks,
     sp_tree_to_json,
 )
 from .oracle import area_oracle, continue_family
@@ -36,15 +36,10 @@ EXIT_WALL = 4
 EXIT_DIFF = 5
 
 
-def _parse_error(message: str) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_PARSE)
-
-
 @contextmanager
 def _output(path: str | None):
     """The file at ``path`` opened for writing, or stdout without a path.
-    A failed open or write exits 2 with one error line."""
+    A failed open or write is refused (exit 2)."""
     if not path:
         yield sys.stdout
         return
@@ -52,7 +47,7 @@ def _output(path: str | None):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
-        _parse_error(f"cannot write {path!r}: {exc}")
+        raise LinkmorseError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _dump_json(obj, path: str | None) -> None:
@@ -66,7 +61,15 @@ def _load(path: str):
     try:
         return load_linkage(path)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        _parse_error(f"cannot parse linkage file {path!r}: {exc}")
+        raise LinkmorseError(f"cannot parse linkage file {path!r}: {exc}") from exc
+
+
+def _load_cycle(args):
+    """The linkage and its distinguished cycle; refused without one."""
+    g, gamma, _ = _load(args.file)
+    if gamma is None:
+        raise LinkmorseError(f"{args.command} needs a distinguished cycle (gamma)")
+    return g, gamma
 
 
 def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
@@ -80,23 +83,23 @@ def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        _parse_error(f"cannot read records file: {exc}")
+        raise LinkmorseError(f"cannot read records file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("mode") != "symbolic":
-        _parse_error("verify expects symbolic records")
+        raise LinkmorseError("verify expects symbolic records")
     try:
         claims = [(rec.get("key", f"record{k}"),
                    Configuration.from_json_dict(rec["representative"]),
                    rec["index"]["index"], rec["index"]["manifold_dim"])
                   for k, rec in enumerate(payload.get("records", []))]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        _parse_error(f"malformed records file: {exc!r}")
+        raise LinkmorseError(f"malformed records file: {exc!r}") from exc
     for k, (_, c, _, _) in enumerate(claims):
         if set(c.coords) != set(g.vertices):
-            _parse_error(f"malformed records file: record {k}'s representative "
-                         "does not place exactly the linkage's vertices")
+            raise LinkmorseError(f"malformed records file: record {k}'s representative "
+                                 "does not place exactly the linkage's vertices")
         if not all(math.isfinite(x) for xy in c.coords.values() for x in xy):
-            _parse_error(f"malformed records file: record {k}'s representative "
-                         "has a non-finite coordinate")
+            raise LinkmorseError(f"malformed records file: record {k}'s representative "
+                                 "has a non-finite coordinate")
     return claims
 
 
@@ -111,23 +114,24 @@ def _config_from_args(args) -> RunConfig:
         )
         return RunConfig(tols=tols, seed=args.seed, n_seeds=args.n_seeds)
     except ValueError as exc:
-        _parse_error(f"invalid flag value: {exc}")
+        raise LinkmorseError(f"invalid flag value: {exc}") from exc
 
 
 def cmd_recognize(args) -> int:
     g, gamma, terminals = _load(args.file)
-    report: dict = {"ptt": is_partial_two_tree(g)}
-    pairs = [terminals] if terminals else \
-        sorted({tuple(sorted((u, v))) for u, v, _ in g.edges})
-    tree = None
-    for i, t in pairs:
+    report: dict = {"ptt": True}
+    try:
+        report["blocks"] = [{"edges": list(block), "sp_tree": sp_tree_to_json(tree)}
+                            for block, tree in sp_decompose_blocks(g)]
+    except NotPTTError as exc:
+        report.update(ptt=False, kernel=exc.__cause__.kernel)  # the failed block's
+    if terminals:
+        i, t = terminals
         try:
-            tree = sp_decompose(g, i, t)
+            report["sp_tree"] = sp_tree_to_json(sp_decompose(g, i, t))
             report["terminals"] = {"I": i, "T": t}
-            break
         except NotSPError as exc:
-            report["kernel"] = exc.kernel
-    report["sp_tree"] = sp_tree_to_json(tree) if tree else None
+            report.update(sp_tree=None, kernel=exc.kernel)
     if gamma is not None and report["ptt"]:
         rel = relative_decomposition(g, gamma)
         report["relative_decomposition"] = [
@@ -138,34 +142,28 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    g, gamma, _ = _load(args.file)
-    if gamma is None:
-        print("error: the critical command needs a distinguished cycle (gamma)",
-              file=sys.stderr)
-        return EXIT_PARSE
+    g, gamma = _load_cycle(args)
     cfg = _config_from_args(args)
     try:
         walls = wall_check(g, tols=cfg.tols)
-    except LinkmorseError:
+    except NotPTTError:
         walls = None  # wall analysis needs a partial two-tree
     if walls is not None and not walls.clean and args.strict:
         print("error: wall proximity detected and --strict set", file=sys.stderr)
         _dump_json({"wall_check": walls.to_json_dict()}, args.out)
         return EXIT_WALL
     out: dict = {"wall_check": walls.to_json_dict() if walls else None}
+    # a cycle with non-crossing chains has no K4 minor, so walls is set
     struct = detect_polygon_with_chains(g, gamma)
-    if struct is not None and walls is not None and walls.clean:
+    if struct is not None and walls.clean:
         records = enumerate_critical_structure(struct, cfg.tols)
         out["mode"] = "symbolic"
         out["records"] = [r.to_json_dict() for r in records]
     else:
-        if struct is None:
-            out["warning"] = ("linkage outside the symbolic class; "
-                              "falling back to numeric search")
-            print("warning: numeric-only fallback", file=sys.stderr)
-        else:
-            out["warning"] = "wall proximity; numeric-only fallback"
-            print("warning: wall proximity; numeric-only fallback", file=sys.stderr)
+        out["warning"] = ("linkage outside the symbolic class; falling back to "
+                          "numeric search" if struct is None else
+                          "wall proximity; numeric-only fallback")
+        print(f"warning: {out['warning']}", file=sys.stderr)
         oracle = area_oracle(g, gamma, cfg.tols)
         found = oracle.find_critical(cfg.n_seeds, cfg.seed)
         out["mode"] = "numeric"
@@ -179,17 +177,13 @@ def cmd_critical(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, gamma, _ = _load(args.file)
-    if gamma is None:
-        print("error: verify needs a distinguished cycle (gamma)", file=sys.stderr)
-        return EXIT_PARSE
+    g, gamma = _load_cycle(args)
     cfg = _config_from_args(args)
     claims = _load_records(args.records, g)
 
     struct = detect_polygon_with_chains(g, gamma)
     if struct is None:
-        print("error: linkage outside the symbolic class", file=sys.stderr)
-        return EXIT_PARSE
+        raise LinkmorseError("linkage outside the symbolic class")
     records = enumerate_critical_structure(struct, cfg.tols)
     by_key = {r.key(): r for r in records}
 
@@ -236,17 +230,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_continue(args) -> int:
-    g, gamma, _ = _load(args.file)
-    if gamma is None:
-        print("error: continue needs a distinguished cycle (gamma)", file=sys.stderr)
-        return EXIT_PARSE
+    g, gamma = _load_cycle(args)
     cfg = _config_from_args(args)
     if args.edge < 0 or args.edge >= len(g.edges):
-        print(f"error: edge index {args.edge} out of range", file=sys.stderr)
-        return EXIT_PARSE
+        raise LinkmorseError(f"edge index {args.edge} out of range")
     if not (0 < args.start < math.inf and 0 < args.stop < math.inf) or args.steps < 0:
-        print("error: bad parameter range", file=sys.stderr)
-        return EXIT_PARSE
+        raise LinkmorseError("bad parameter range")
     diagram = continue_family(g, args.edge, args.start, args.stop, args.steps,
                               gamma, cfg)
     # --out writes both files; without it --format picks one for stdout

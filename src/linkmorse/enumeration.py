@@ -392,11 +392,8 @@ def _reach_screen(en: _Enumeration, cells, verts, free) -> list[tuple[int, list]
     screen = []
     for k in free:
         ch = en.struct.chains[k]
-        for c, cell in enumerate(cells):
-            if ch.i_pos in cell.positions and ch.t_pos in cell.positions:
-                break
-        else:
-            break  # not screened: this chain and the later ones take the full path
+        c = next(c for c, cell in enumerate(cells)
+                 if ch.i_pos in cell.positions and ch.t_pos in cell.positions)
         ji, jt = cells[c].positions.index(ch.i_pos), cells[c].positions.index(ch.t_pos)
         reach, verdicts = en.reach[k], []
         for d in np.hypot(*(verts[c][:, jt] - verts[c][:, ji]).T).tolist():

@@ -1,13 +1,29 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import linkmorse.cli
+import linkmorse.graphs
 from linkmorse.cli import _dump_json, main
 from linkmorse.graphs import LinkageGraph, make_polygon, make_three_chain
-from linkmorse.instances import max16_three_chain, non_ptt_example, pitchfork_family
+from linkmorse.instances import (
+    max16_three_chain,
+    non_ptt_example,
+    pitchfork_family,
+    worked_example,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+K4 = LinkageGraph(("a", "b", "c", "d"), tuple(
+    (u, v, 1.0) for u, v in [("a", "b"), ("a", "c"), ("a", "d"),
+                             ("b", "c"), ("b", "d"), ("c", "d")]))
 
 
 def write_linkage(path, g, gamma=None, terminals=None):
@@ -22,37 +38,100 @@ def three_chain_file(tmp_path):
     return write_linkage(tmp_path / "tc.json", g, gamma)
 
 
+def pendant_three_chain():
+    g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
+    return LinkageGraph(g.vertices + ("P",), g.edges + (("Z1", "P", 0.5),)), gamma
+
+
 class TestRecognize:
     def test_three_chain_ok(self, three_chain_file, capsys):
         assert main(["recognize", three_chain_file]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ptt"] is True
-        assert report["sp_tree"] is not None
+        (block,) = report["blocks"]
+        assert block["edges"] == list(range(6))
+        assert block["sp_tree"]["op"] == "P"
+        assert "sp_tree" not in report and "kernel" not in report
         assert len(report["relative_decomposition"]) == 1
 
     def test_k4_exit_3(self, tmp_path, capsys):
-        pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
-        g = LinkageGraph(("a", "b", "c", "d"), tuple((u, v, 1.0) for u, v in pairs))
-        path = write_linkage(tmp_path / "k4.json", g)
+        path = write_linkage(tmp_path / "k4.json", K4)
         assert main(["recognize", path]) == 3
-        assert json.loads(capsys.readouterr().out)["ptt"] is False
+        report = json.loads(capsys.readouterr().out)
+        assert report["ptt"] is False
+        assert "blocks" not in report
+        assert report["kernel"] == [[u, v] for u, v, _ in K4.edges]
+
+    def test_pendant_bar_one_block_tree(self, tmp_path, capsys):
+        # the pendant bar is a bridge: the one block tree is the three-chain's
+        path = write_linkage(tmp_path / "pendant.json", *pendant_three_chain())
+        assert main(["recognize", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ptt"] is True
+        (block,) = report["blocks"]
+        assert block["edges"] == list(range(6)) and block["sp_tree"]
+        assert "kernel" not in report and "sp_tree" not in report
+
+    @pytest.mark.parametrize("instance, n_blocks", [
+        (lambda: make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75]), 1),
+        (pendant_three_chain, 1),
+        (lambda: worked_example()[:2], 1),
+        (lambda: (LinkageGraph(("a", "b", "c", "d", "e"), tuple(
+            (u, v, 1.0) for u, v in [("a", "b"), ("b", "c"), ("a", "c"),
+                                     ("c", "d"), ("d", "e"), ("c", "e")])), None), 2),
+        (non_ptt_example, 1),
+        (lambda: (K4, None), 1),
+    ], ids=["three_chain", "pendant", "worked_example", "bowtie", "non_ptt", "k4"])
+    def test_one_reduction_per_block(self, tmp_path, capsys, monkeypatch, instance,
+                                     n_blocks):
+        calls = []
+        reduce = linkmorse.graphs.sp_decompose
+
+        def counted(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(linkmorse.graphs, "sp_decompose", counted)
+        monkeypatch.setattr(linkmorse.cli, "sp_decompose", counted)
+        path = write_linkage(tmp_path / "g.json", *instance())
+        main(["recognize", path])
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == n_blocks
+        if report["ptt"]:
+            assert len(report["blocks"]) == n_blocks
+
+    def test_terminals_whole_graph_tree(self, tmp_path, capsys):
+        g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
+        path = write_linkage(tmp_path / "tc.json", g, gamma, terminals=("I", "T"))
+        assert main(["recognize", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["terminals"] == {"I": "I", "T": "T"}
+        assert report["sp_tree"]["op"] == "P" and "kernel" not in report
+
+        path = write_linkage(tmp_path / "pendant.json", *pendant_three_chain(),
+                             terminals=("I", "T"))
+        assert main(["recognize", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ptt"] is True and len(report["blocks"]) == 1
+        assert report["sp_tree"] is None and "terminals" not in report
+        assert report["kernel"]
 
     def test_pendant_bar_lists_component(self, tmp_path, capsys):
-        g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
-        g = LinkageGraph(g.vertices + ("P",), g.edges + (("Z1", "P", 0.5),))
-        path = write_linkage(tmp_path / "pendant.json", g, gamma)
+        path = write_linkage(tmp_path / "pendant.json", *pendant_three_chain())
         assert main(["recognize", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ptt"] is True
         (comp,) = report["relative_decomposition"]
         assert comp["attachments"] == ["I", "T"]
 
-    def test_malformed_json_exit_2(self, tmp_path):
+    def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            main(["recognize", str(path)])
-        assert exc.value.code == 2
+        assert main(["recognize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot parse linkage file")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestCritical:
@@ -108,7 +187,9 @@ class TestCritical:
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert payload["mode"] == "numeric"
-        assert "fallback" in captured.err
+        assert payload["warning"] == ("linkage outside the symbolic class; "
+                                      "falling back to numeric search")
+        assert captured.err == f"warning: {payload['warning']}\n"
         assert payload["records"]
 
     @pytest.mark.parametrize("command", ["critical", "continue"])
@@ -214,6 +295,16 @@ class TestContinue:
         assert csv_text.splitlines()[0] == "param,branch,area,neg,zero,pos"
         assert len(csv_text.splitlines()) > 5
 
+    def test_lost_branches_warn(self, tmp_path, capsys):
+        g, gamma = make_polygon([1.0, 1.1, 1.2, 2.9])
+        path = write_linkage(tmp_path / "quad.json", g, gamma)
+        assert main(["--seed", "3", "--n-seeds", "60", "continue", path, "--edge", "3",
+                     "--from", "2.9", "--to", "3.5", "--steps", "4"]) == 0
+        captured = capsys.readouterr()
+        assert [b["lost_at"] for b in json.loads(captured.out)["branches"]] == [3.35, 3.35]
+        assert captured.err == ("warning: branch 0 lost at parameter 3.35\n"
+                                "warning: branch 1 lost at parameter 3.35\n")
+
     def test_bad_edge_exit_2(self, three_chain_file):
         assert main(["continue", three_chain_file, "--edge", "99",
                      "--from", "0.5", "--to", "0.6"]) == 2
@@ -223,12 +314,30 @@ class TestContinue:
                      "--from", "-1.0", "--to", "0.6"]) == 2
 
 
-def exit_code(argv):
-    """main's return value, or the code of the SystemExit it raised."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
+def test_process_exit_codes(tmp_path, three_chain_file):
+    """The exit code a shell sees is the one ``main`` returns."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    wall = write_linkage(tmp_path / "wall.json", *make_polygon([1.0, 1.0, 1.0, 3.0]))
+    m16 = write_linkage(tmp_path / "m16.json", *max16_three_chain())
+    records = tmp_path / "records.json"
+    assert main(["--out", str(records), "critical", m16]) == 0
+    payload = json.loads(records.read_text())
+    payload["records"][3]["key"] += "x"
+    records.write_text(json.dumps(payload))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    for argv, code in [
+        (["recognize", three_chain_file], 0),
+        (["recognize", str(bad)], 2),
+        (["recognize", write_linkage(tmp_path / "k4.json", K4)], 3),
+        (["--strict", "critical", wall], 4),
+        (["--n-seeds", "50", "verify", m16, str(records)], 5),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "linkmorse.cli", *argv],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 class TestInputErrors:
@@ -243,7 +352,7 @@ class TestInputErrors:
     ], ids=["n_seeds_0", "tol_gradient_0", "tol_gradient_negative", "tol_gradient_nan",
             "seed_negative"])
     def test_invalid_flag_value(self, three_chain_file, capsys, flags):
-        assert exit_code(flags + ["critical", three_chain_file]) == 2
+        assert main(flags + ["critical", three_chain_file]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: invalid flag value")
@@ -256,7 +365,7 @@ class TestInputErrors:
         records.write_text(json.dumps({"mode": "symbolic", "records": []}))
         rest = {"critical": [], "verify": [str(records)],
                 "continue": ["--edge", "0", "--from", "0.5", "--to", "0.6"]}[command]
-        assert exit_code([command, path] + rest) == 2
+        assert main([command, path] + rest) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "(gamma)" in captured.err
@@ -264,8 +373,8 @@ class TestInputErrors:
     @pytest.mark.parametrize("bounds", [("0.5", "inf"), ("inf", "0.6")],
                              ids=["to_inf", "from_inf"])
     def test_infinite_parameter(self, three_chain_file, capsys, bounds):
-        assert exit_code(["continue", three_chain_file, "--edge", "0",
-                          "--from", bounds[0], "--to", bounds[1]]) == 2
+        assert main(["continue", three_chain_file, "--edge", "0",
+                     "--from", bounds[0], "--to", bounds[1]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: bad parameter range\n"
@@ -277,7 +386,7 @@ class TestInputErrors:
         d = g.to_json_dict(gamma=gamma) | {"terminals": terminals}
         path = tmp_path / "terms.json"
         path.write_text(json.dumps(d))
-        assert exit_code(["recognize", str(path)]) == 2
+        assert main(["recognize", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cannot parse linkage file")
@@ -293,7 +402,7 @@ class TestInputErrors:
         g, gamma = max16_three_chain()
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(change(g.to_json_dict(gamma=gamma))))
-        assert exit_code(["critical", str(path)]) == 2
+        assert main(["critical", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot parse linkage file")
 
     @pytest.mark.parametrize("payload", [
@@ -311,7 +420,7 @@ class TestInputErrors:
         monkeypatch.setattr("linkmorse.cli.enumerate_critical_structure", no_enumeration)
         records = tmp_path / "records.json"
         records.write_text(json.dumps(payload))
-        assert exit_code(["verify", three_chain_file, str(records)]) == 2
+        assert main(["verify", three_chain_file, str(records)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -334,7 +443,7 @@ class TestInputErrors:
             raise AssertionError("records file must be checked before enumeration")
 
         monkeypatch.setattr("linkmorse.cli.enumerate_critical_structure", no_enumeration)
-        assert exit_code(["verify", three_chain_file, str(records)]) == 2
+        assert main(["verify", three_chain_file, str(records)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: malformed records file: record 1")
@@ -377,7 +486,7 @@ class TestOutput:
     @pytest.mark.parametrize("command", ["critical", "continue"])
     def test_unwritable_out_exit_2(self, tmp_path, capsys, argvs, command):
         out = tmp_path / "missing" / "x"
-        assert exit_code(["--out", str(out)] + argvs[command]) == 2
+        assert main(["--out", str(out)] + argvs[command]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write '{out}")

@@ -127,6 +127,21 @@ class TestRescuePath:
             assert sum(w.startswith(f"branch {b.id} ") for w in diag.warnings) == 1
 
 
+class TestLostBranch:
+    def test_branches_end_lost_past_closure_bound(self):
+        # the quadrilateral closes only while edge 3 is at most
+        # 1.0 + 1.1 + 1.2 = 3.3: at 3.35 neither correction nor the
+        # substepped rescue can continue a branch, so both end "lost"
+        g, gamma = make_polygon([1.0, 1.1, 1.2, 2.9])
+        diag = continue_family(g, 3, 2.9, 3.5, 4, gamma, RunConfig(n_seeds=60, seed=3))
+        assert diag.params == [2.9, 3.05, 3.2, 3.35, 3.5]
+        assert [b.lost_at for b in diag.branches] == [3.35, 3.35]
+        assert all(p.param < 3.3 for b in diag.branches for p in b.points)
+        assert diag.warnings == ["branch 0 lost at parameter 3.35",
+                                 "branch 1 lost at parameter 3.35"]
+        assert diag.events == []
+
+
 class TestGeneralizedPitchfork223:
     def test_aligned_max_becomes_min_plus_circle(self):
         # [2,2;3] with the stretched alignment: on one side an isolated
