@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .config import DEFAULT_TOLS, RunConfig, Tolerances
 from .enumeration import enumerate_critical_structure, match_record
@@ -51,10 +52,93 @@ def _output(path: str | None):
 
 
 def _dump_json(obj, path: str | None) -> None:
-    """Write ``obj`` as it is encoded, so the whole text never exists at once."""
+    """Write ``obj`` as ``json.dump(obj, fh, indent=2, sort_keys=True)`` would,
+    plus a newline, so the whole text never exists at once."""
     with _output(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        _write_json(obj, fh, 0)
         fh.write("\n")
+
+
+# containers shallower than this are written one item at a time (a record
+# list goes out a record at a time); deeper ones are built as one string each
+_STREAM_DEPTH = 2
+
+
+def _write_json(o, fh, depth: int) -> None:
+    """Write ``o``, which sits ``depth`` containers deep."""
+    nl = "\n" + "  " * depth
+    if depth >= _STREAM_DEPTH or not isinstance(o, (list, tuple, dict)) or not o:
+        fh.write(_encode_json(o, nl))
+        return
+    if isinstance(o, dict):
+        opener, closer = "{", "}"
+        items = ((_encode_str(k) + ": ", v) for k, v in sorted(o.items()))
+    else:
+        opener, closer = "[", "]"
+        items = (("", v) for v in o)
+    for prefix, v in items:
+        fh.write(opener + nl + "  " + prefix)
+        _write_json(v, fh, depth + 1)
+        opener = ","
+    fh.write(nl + closer)
+
+
+def _encode_json(o, nl: str) -> str:
+    """The text ``json.dumps(indent=2, sort_keys=True)`` gives ``o`` on a line
+    whose indentation follows the newline ``nl``; tuples are lists, and dict
+    keys must be str."""
+    scalar = _SCALARS.get(type(o))
+    if scalar is not None:
+        return scalar(o)
+    if isinstance(o, (list, tuple)):
+        return _encode_list(o, nl)
+    if isinstance(o, dict):
+        return _encode_dict(o, nl)
+    for base, scalar in _SCALARS.items():  # subclasses, in json's order
+        if isinstance(o, base):
+            return scalar(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _encode_list(o, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if type(o[0]) is float:
+        try:  # finite floats in one pass; the text of nan and inf holds an "n"
+            body = sep.join(map(float.__repr__, o))
+            if "n" not in body:
+                return "[" + inner + body + nl + "]"
+        except TypeError:
+            pass
+    return "[" + inner + sep.join([s(v) if (s := _SCALARS.get(type(v)))
+                                   else _encode_json(v, inner) for v in o]) + nl + "]"
+
+
+def _encode_dict(o, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    return "{" + inner + ("," + inner).join(
+        [_encode_str(k) + ": " + (s(v) if (s := _SCALARS.get(type(v)))
+                                  else _encode_json(v, inner))
+         for k, v in sorted(o.items())]) + nl + "}"
+
+
+def _encode_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALARS = {str: _encode_str, int: int.__repr__, float: _encode_float,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
 
 
 def _load(path: str):

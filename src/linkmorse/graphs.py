@@ -210,7 +210,8 @@ def _parallel(nodes: Iterable[SPTree]) -> SPTree:
 
 def sp_tree_to_json(node: SPTree) -> dict:
     if isinstance(node, SPEdge):
-        return {"op": "E", "u": node.u, "v": node.v, "len": node.length}
+        return {"op": "E", "u": node.u, "v": node.v, "len": node.length,
+                "edge": node.index}
     op = "S" if isinstance(node, SPSeries) else "P"
     return {"op": op, "i": node.i, "t": node.t,
             "children": [sp_tree_to_json(c) for c in node.children]}
@@ -218,7 +219,7 @@ def sp_tree_to_json(node: SPTree) -> dict:
 
 def sp_tree_from_json(d: dict) -> SPTree:
     if d["op"] == "E":
-        return SPEdge(d["u"], d["v"], d["len"])
+        return SPEdge(d["u"], d["v"], d["len"], d["edge"])
     children = tuple(sp_tree_from_json(c) for c in d["children"])
     return SPSeries(children) if d["op"] == "S" else SPParallel(children)
 

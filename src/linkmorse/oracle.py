@@ -130,7 +130,7 @@ class AngleChart:
         """Gauss-Newton projection of each row of ``x0`` (reduced angles)
         onto the closure set; returns the iterates and a mask of the rows
         that converged."""
-        return gauss_newton(self.closure, x0, 1e-12 * self.graph.total_length(),
+        return gauss_newton(self.closure, x0, PROJECT_TOL * self.graph.total_length(),
                             PROJECT_MAX_ITER)
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -303,7 +303,14 @@ class InertiaTriple:
 # ---------------------------------------------------------------------------
 
 PROJECT_MAX_ITER = 100  # Gauss-Newton steps before a projection gives up
+PROJECT_TOL = 1e-12     # a projection converges at |G| <= PROJECT_TOL * total length
 NEWTON_MAX_ITER = 80    # KKT Newton steps before a seed counts as failed
+NEWTON_FEAS_TOL = 1e-11  # a Newton row converges only at |G| <= NEWTON_FEAS_TOL * scale
+# inertia refuses a point with |rho| > CRITICAL_GRAD_TOL * max(1, scale**2)
+# or |G| > CRITICAL_FEAS_TOL * scale
+CRITICAL_GRAD_TOL = 1e-6
+CRITICAL_FEAS_TOL = 1e-8
+RANK_CUT = 1e-10  # singular values of J up to RANK_CUT * max(s_max, 1) count as zero
 # seeds per stacked block in find_critical; bounds the sweep's peak memory
 SWEEP_BLOCK = 250
 
@@ -418,7 +425,7 @@ class ChartOracle:
         NEWTON_BUDGET (NEWTON_MAX_ITER steps without converging).
         """
         grad_tol = self.tols.gradient * max(1.0, self.scale ** 2)
-        feas_tol = 1e-11 * self.scale
+        feas_tol = NEWTON_FEAS_TOL * self.scale
         n, m = self.chart.n_vars, self.chart.n_constraints
         x = np.array(x0, dtype=float)
         lam = np.zeros((len(x), m))
@@ -463,7 +470,8 @@ class ChartOracle:
         lam, rho, G, J = self.multipliers(x)
         if check_critical:
             rho_norm, G_norm = float(np.linalg.norm(rho)), float(np.linalg.norm(G))
-            if rho_norm > 1e-6 * max(1.0, self.scale ** 2) or G_norm > 1e-8 * self.scale:
+            if rho_norm > CRITICAL_GRAD_TOL * max(1.0, self.scale ** 2) \
+                    or G_norm > CRITICAL_FEAS_TOL * self.scale:
                 raise NotCriticalError(
                     f"not critical: |rho| = {rho_norm!r}, |G| = {G_norm!r}")
         HL = self.lagrangian_hess(x, lam)
@@ -471,7 +479,7 @@ class ChartOracle:
             N = np.eye(J.shape[1])
         else:
             _, sv, vt = np.linalg.svd(J)
-            rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
+            rank = int(np.sum(sv > RANK_CUT * max(sv[0], 1.0)))
             N = vt[rank:].T
         if N.shape[1] == 0:
             return InertiaTriple(0, 0, 0)

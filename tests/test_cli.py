@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linkmorse.cli
 import linkmorse.graphs
@@ -24,6 +28,18 @@ ROOT = Path(__file__).resolve().parents[1]
 K4 = LinkageGraph(("a", "b", "c", "d"), tuple(
     (u, v, 1.0) for u, v in [("a", "b"), ("a", "c"), ("a", "d"),
                              ("b", "c"), ("b", "d"), ("c", "d")]))
+
+
+# what the CLI writer must encode as json.dumps does: NaN, infinities and
+# -0.0, float subclasses, big ints, non-ASCII text, tuples, and empty
+# containers at every depth; lists of floats take the writer's joined path
+JSON_LEAVES = (st.floats() | st.floats().map(np.float64) | st.lists(st.floats())
+               | st.integers() | st.booleans() | st.none() | st.text())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=40)
 
 
 def write_linkage(path, g, gamma=None, terminals=None):
@@ -61,6 +77,19 @@ class TestRecognize:
         assert report["ptt"] is False
         assert "blocks" not in report
         assert report["kernel"] == [[u, v] for u, v, _ in K4.edges]
+
+    def test_parallel_equal_bars_told_apart(self, tmp_path, capsys):
+        g = LinkageGraph(("a", "b", "c"), (("a", "b", 1.0), ("b", "c", 1.0),
+                                           ("c", "a", 1.0), ("a", "b", 1.0)))
+        assert main(["recognize", write_linkage(tmp_path / "tri.json", g)]) == 0
+        (block,) = json.loads(capsys.readouterr().out)["blocks"]
+
+        def leaf_edges(node):
+            if node["op"] == "E":
+                return [node["edge"]]
+            return [e for c in node["children"] for e in leaf_edges(c)]
+
+        assert sorted(leaf_edges(block["sp_tree"])) == block["edges"] == [0, 1, 2, 3]
 
     def test_pendant_bar_one_block_tree(self, tmp_path, capsys):
         # the pendant bar is a bridge: the one block tree is the three-chain's
@@ -460,25 +489,35 @@ class TestOutput:
         assert main(["--out", str(records), "critical", three_chain_file]) == 0
         g, gamma, edge, _ = pitchfork_family()
         family = write_linkage(tmp_path / "fam.json", g, gamma)
+        non_ptt = write_linkage(tmp_path / "non_ptt.json", *non_ptt_example())
         return {
             "recognize": ["recognize", three_chain_file],
+            "recognize_k4": ["recognize", write_linkage(tmp_path / "k4.json", K4)],
             "critical": ["critical", three_chain_file],
+            "critical_numeric": ["--n-seeds", "200", "critical", non_ptt],
             "verify": ["--n-seeds", "400", "verify", three_chain_file, str(records)],
             "continue": ["--n-seeds", "150", "continue", family, "--edge", str(edge),
                          "--from", "0.62", "--to", "0.70", "--steps", "4"],
         }
 
-    @pytest.mark.parametrize("command", ["recognize", "critical", "verify", "continue"])
+    # recognize_k4 exits 3 with a kernel of tuples; critical_numeric takes the
+    # numeric fallback, whose records carry inertia
+    @pytest.mark.parametrize("command", ["recognize", "critical", "verify", "continue",
+                                         "recognize_k4", "critical_numeric"])
     def test_out_equals_stdout_equals_dumps(self, tmp_path, capsysbinary, argvs, command):
         out = tmp_path / "out"
-        assert main(argvs[command]) == 0
+        code = 3 if command == "recognize_k4" else 0
+        assert main(argvs[command]) == code
         stdout = capsysbinary.readouterr().out
-        assert main(["--out", str(out)] + argvs[command]) == 0
+        assert main(["--out", str(out)] + argvs[command]) == code
         assert capsysbinary.readouterr().out == b""
         written = (tmp_path / "out.json" if command == "continue" else out).read_bytes()
         assert written == stdout
         text = stdout.decode("utf-8")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        if command == "critical_numeric":
+            records = json.loads(text)["records"]
+            assert records and all("inertia" in r for r in records)
         if command == "continue":
             assert main(["--format", "csv"] + argvs[command]) == 0
             assert (tmp_path / "out.csv").read_bytes() == capsysbinary.readouterr().out
@@ -491,6 +530,13 @@ class TestOutput:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write '{out}")
         assert len(captured.err.splitlines()) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=JSON_VALUES)
+    def test_writer_equals_dumps(self, obj):
+        fh = io.StringIO()
+        linkmorse.cli._write_json(obj, fh, 0)
+        assert fh.getvalue() == json.dumps(obj, indent=2, sort_keys=True)
 
     def test_dump_streams(self, tmp_path):
         records = [{"key": f"record{k}", "area": k / 7.0,

@@ -547,3 +547,62 @@ class TestRandomInstances:
             rec = match_record(struct, recs, cfg)
             assert rec is not None
             assert tri.negative == rec.index.index
+
+
+def _random_222(seed):
+    g, gamma, _ = sample_three_chain_with_records(np.random.default_rng(seed),
+                                                  enumerate_critical_three_chain)
+    return g, gamma
+
+
+INVARIANCE_INSTANCES = {
+    "max16": max16_three_chain,
+    "bm223": bott_morse_three_chain,
+    "random222_1": lambda: _random_222(1),
+    "random222_2": lambda: _random_222(2),
+    "random222_3": lambda: _random_222(3),
+}
+
+
+def _same_multiset(got, want, tol):
+    """Whether the (area, index, manifold_dim) triples pair off one to one,
+    areas within ``tol`` and the two counts equal."""
+    want = list(want)
+    for area, index, dim in got:
+        match = next((k for k, (a, i, d) in enumerate(want)
+                      if (i, d) == (index, dim) and abs(a - area) <= tol), None)
+        if match is None:
+            return False
+        want.pop(match)
+    return not want
+
+
+class TestInvariances:
+    """Properties the theory guarantees for any generic instance."""
+
+    @pytest.mark.parametrize("c", [0.5, 2.5, 1000.0])
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_INSTANCES))
+    def test_scaling(self, name, c):
+        # scaling every bar by c keeps each index and dimension and scales
+        # each area by c^2 (keys carry the radius, so compare multisets)
+        g, gamma = INVARIANCE_INSTANCES[name]()
+        scaled = LinkageGraph(g.vertices, tuple((u, v, c * length)
+                                                for u, v, length in g.edges))
+        want = [(c * c * r.area, r.index.index, r.manifold_dim)
+                for r in enumerate_critical_pnd(g, gamma)]
+        got = [(r.area, r.index.index, r.manifold_dim)
+               for r in enumerate_critical_pnd(scaled, gamma)]
+        assert want and _same_multiset(got, want, 1e-9 * c * c * g.total_length() ** 2)
+
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_INSTANCES))
+    def test_mirroring(self, name):
+        # reversing gamma negates the area, so a critical manifold of
+        # dimension k and index mu in a d-dimensional space gets index d - k - mu
+        g, gamma = INVARIANCE_INSTANCES[name]()
+        reverse = DistinguishedCycle(gamma.vertices[:1] + gamma.vertices[:0:-1])
+        d = 2 * len(g.vertices) - len(g.edges) - 3
+        want = [(-r.area, d - r.manifold_dim - r.index.index, r.manifold_dim)
+                for r in enumerate_critical_pnd(g, gamma)]
+        got = [(r.area, r.index.index, r.manifold_dim)
+               for r in enumerate_critical_pnd(g, reverse)]
+        assert want and _same_multiset(got, want, 1e-9 * g.total_length() ** 2)

@@ -42,6 +42,12 @@ def k4(length=1.0):
                         tuple((u, v, length) for u, v in pairs))
 
 
+def sp_leaves(node):
+    if isinstance(node, SPEdge):
+        return [node]
+    return [leaf for c in node.children for leaf in sp_leaves(c)]
+
+
 class TestLinkageGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -99,27 +105,24 @@ class TestSPDecompose:
             assert (tree.i, tree.t) == (i, t)
 
     def test_leaves_carry_edge_index(self, rng):
-        def leaves(node):
-            if isinstance(node, SPEdge):
-                return [node]
-            return [leaf for c in node.children for leaf in leaves(c)]
-
         for _ in range(40):
             g, i, t = random_sp_graph(rng)
-            found = leaves(sp_decompose(g, i, t))
+            found = sp_leaves(sp_decompose(g, i, t))
             assert sorted(e.index for e in found) == list(range(len(g.edges)))
             for e in found:
                 u, v, length = g.edges[e.index]
                 assert {e.u, e.v} == {u, v} and e.length == length
-        # the index is not part of equality or of the JSON form
+        # the index is not part of equality, but the JSON form carries it
         assert SPEdge("I", "T", 2.0, 0) == SPEdge("I", "T", 2.0)
         assert sp_tree_to_json(SPEdge("I", "T", 2.0, 0)) == \
-            {"op": "E", "u": "I", "v": "T", "len": 2.0}
+            {"op": "E", "u": "I", "v": "T", "len": 2.0, "edge": 0}
 
     def test_json_round_trip(self, rng):
         g, i, t = random_sp_graph(rng)
         tree = sp_decompose(g, i, t)
-        assert sp_tree_from_json(sp_tree_to_json(tree)) == tree
+        back = sp_tree_from_json(sp_tree_to_json(tree))
+        assert back == tree
+        assert [e.index for e in sp_leaves(back)] == [e.index for e in sp_leaves(tree)]
 
 
 class TestIsPartialTwoTree:
