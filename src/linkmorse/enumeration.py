@@ -62,6 +62,14 @@ from .indices import (
 
 logger = logging.getLogger(__name__)
 
+# a glued cell's shared vertex counts as mismatched beyond GLUE_TOL * scale
+GLUE_TOL = 1e-6
+# _place_free_chain: seeded starts per chain, Gauss-Newton tolerance (times
+# scale) and step budget per start
+FREE_CHAIN_TRIES = 25
+FREE_CHAIN_TOL = 1e-12
+FREE_CHAIN_MAX_ITER = 120
+
 
 @dataclass(frozen=True)
 class ChainStatus:
@@ -430,7 +438,7 @@ class _Gluing:
 
     def __init__(self, struct: PolygonWithChains, aligned_list, cells, sides, sols,
                  scale: float):
-        self.sols, self.tol, self.n = sols, 1e-6 * scale, len(struct.gamma)
+        self.sols, self.tol, self.n = sols, GLUE_TOL * scale, len(struct.gamma)
         self.verts = [np.array([poly.vertices for poly in s], dtype=float) for s in sols]
         self.centers = [np.array([poly.center for poly in s], dtype=float) for s in sols]
         # per cell: the diagonal it is glued along, as (position, vertex index)
@@ -599,9 +607,9 @@ def _place_free_chain(ch: AttachedChain, targets: np.ndarray, scale: float):
     ends, one per end-to-end vector in ``targets`` (rows, 2).
 
     Returns the joint angles (rows, r) and a mask of the rows placed.  Every
-    row tries the same 25 seeded starts in the same order, the k-th try of
-    all rows not yet placed running as one stack, so each row gets what a
-    stack of one would.
+    row tries the same FREE_CHAIN_TRIES seeded starts in the same order, the
+    k-th try of all rows not yet placed running as one stack, so each row
+    gets what a stack of one would.
     """
     lens = np.asarray(ch.lengths)
     key = hashlib.sha256(
@@ -617,13 +625,14 @@ def _place_free_chain(ch: AttachedChain, targets: np.ndarray, scale: float):
 
     phis = np.zeros((len(targets), len(lens)))
     placed = np.zeros(len(targets), dtype=bool)
-    for _ in range(25):
+    for _ in range(FREE_CHAIN_TRIES):
         rows = np.flatnonzero(~placed)
         if rows.size == 0:
             break
         phi = rng.uniform(-math.pi, math.pi, len(lens))
         x, converged = gauss_newton(ends, np.tile(phi, (rows.size, 1)),
-                                    1e-12 * scale, 120, targets[rows])
+                                    FREE_CHAIN_TOL * scale, FREE_CHAIN_MAX_ITER,
+                                    targets[rows])
         phis[rows[converged]] = x[converged]
         placed[rows[converged]] = True
     return phis, placed

@@ -40,6 +40,14 @@ logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
+# a cyclic polygon's vertices lie within ON_CIRCLE_TOL * radius of its circle
+ON_CIRCLE_TOL = 1e-8
+# ... its signed half-angles sum to pi * omega within WINDING_TOL (radians)
+WINDING_TOL = 1e-7
+# ... and its last edge closes within CLOSURE_TOL * total length
+CLOSURE_TOL = 1e-9
+# cyclic_data_from_points reads a winding within WINDING_ROUND_TOL of an integer
+WINDING_ROUND_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +252,19 @@ class CyclicPolygon:
         pts = self.vertex_array()
         o = np.asarray(self.center)
         scale = sum(self.lengths)
-        if np.max(np.abs(np.hypot(*(pts - o).T) - self.radius)) > 1e-8 * self.radius:
+        if np.max(np.abs(np.hypot(*(pts - o).T) - self.radius)) \
+                > ON_CIRCLE_TOL * self.radius:
             raise ValueError("vertices not on the circle")
         for k in range(self.n):
             if abs(self.lengths[k] - 2 * self.radius * math.sin(self.alphas[k])) \
                     > tols.rel_length * scale:
                 raise ValueError("length/half-angle mismatch")
         if abs(sum(e * a for e, a in zip(self.eps, self.alphas)) - math.pi * self.omega) \
-                > 1e-7:
+                > WINDING_TOL:
             raise ValueError("winding mismatch")
         closure = pts[0] - pts[-1]
         edge = np.hypot(*closure)
-        if abs(edge - self.lengths[-1]) > 1e-9 * scale:
+        if abs(edge - self.lengths[-1]) > CLOSURE_TOL * scale:
             raise ValueError("closure edge off tolerance")
 
     def to_json_dict(self) -> dict:
@@ -297,7 +306,7 @@ def _build_cyclic(lengths, eps, omega, radius) -> CyclicPolygon:
                          tuple(int(s) for s in eps), alphas, int(omega), frozenset(flags))
     # closure residual must sit well inside the stated budget
     end = np.array([radius * math.cos(phi), radius * math.sin(phi)])
-    if np.hypot(*(end - np.asarray(verts[0]))) > 1e-9 * total:
+    if np.hypot(*(end - np.asarray(verts[0]))) > CLOSURE_TOL * total:
         raise NonGenericError("cyclic solution failed closure residual check")
     return poly
 
@@ -594,7 +603,7 @@ def cyclic_data_from_points(pts: np.ndarray,
         alphas.append(math.asin(min(1.0, ln / (2.0 * radius))))
     w = sum(e * a for e, a in zip(eps, alphas)) / math.pi
     omega = round(w)
-    if abs(w - omega) > 1e-6:
+    if abs(w - omega) > WINDING_ROUND_TOL:
         raise NotConcyclicError(f"winding {w!r} is not an integer", max_deviation=max_dev)
     flags = {"omega_zero"} if omega == 0 else set()
     return CyclicPolygon(tuple(lengths), (float(center[0]), float(center[1])),

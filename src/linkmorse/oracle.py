@@ -306,6 +306,12 @@ PROJECT_MAX_ITER = 100  # Gauss-Newton steps before a projection gives up
 PROJECT_TOL = 1e-12     # a projection converges at |G| <= PROJECT_TOL * total length
 NEWTON_MAX_ITER = 80    # KKT Newton steps before a seed counts as failed
 NEWTON_FEAS_TOL = 1e-11  # a Newton row converges only at |G| <= NEWTON_FEAS_TOL * scale
+# with the stall exit on, a row still at |G| > NEWTON_STALL_FEAS * scale after
+# NEWTON_STALL_ITER steps stops.  Converging cold-start rows sat at least 3x
+# below it on every instance measured; warm-started corrector runs reached
+# 0.065 * scale and converged, so continuation keeps the full budget
+NEWTON_STALL_ITER = 20
+NEWTON_STALL_FEAS = 0.03
 # inertia refuses a point with |rho| > CRITICAL_GRAD_TOL * max(1, scale**2)
 # or |G| > CRITICAL_FEAS_TOL * scale
 CRITICAL_GRAD_TOL = 1e-6
@@ -315,7 +321,7 @@ RANK_CUT = 1e-10  # singular values of J up to RANK_CUT * max(s_max, 1) count as
 SWEEP_BLOCK = 250
 
 # per-row outcome of ChartOracle.newton_stack
-NEWTON_CONVERGED, NEWTON_NONFINITE, NEWTON_BUDGET = 0, 1, 2
+NEWTON_CONVERGED, NEWTON_NONFINITE, NEWTON_BUDGET, NEWTON_STALLED = 0, 1, 2, 3
 
 
 def _dist(p: np.ndarray, q: np.ndarray) -> float:
@@ -416,13 +422,16 @@ class ChartOracle:
         """Gauss-Newton projection onto the closure constraint set."""
         return self.chart.project(x)
 
-    def newton_stack(self, x0: np.ndarray):
+    def newton_stack(self, x0: np.ndarray, drop_stalled: bool = False):
         """Newton iteration on the KKT system for each row of ``x0``.
 
         Returns the final iterates, their multipliers, the stationarity
         residual |rho| at convergence (nan elsewhere) and a status per row:
-        NEWTON_CONVERGED, NEWTON_NONFINITE (a step was not finite) or
-        NEWTON_BUDGET (NEWTON_MAX_ITER steps without converging).
+        NEWTON_CONVERGED, NEWTON_NONFINITE (a step was not finite),
+        NEWTON_BUDGET (NEWTON_MAX_ITER steps without converging) or, with
+        ``drop_stalled``, NEWTON_STALLED (still infeasible after
+        NEWTON_STALL_ITER steps).  Rows are independent: leaving the stack
+        early does not change any other row's arithmetic.
         """
         grad_tol = self.tols.gradient * max(1.0, self.scale ** 2)
         feas_tol = NEWTON_FEAS_TOL * self.scale
@@ -435,12 +444,17 @@ class ChartOracle:
         xa = x.copy()
         for it in range(NEWTON_MAX_ITER + 1):
             lam_a, rho, G, J = self.multipliers(xa)
-            rn = np.linalg.norm(rho, axis=1)
-            hit = (rn <= grad_tol) & (np.linalg.norm(G, axis=1) <= feas_tol)
+            rn, gn = np.linalg.norm(rho, axis=1), np.linalg.norm(G, axis=1)
+            hit = (rn <= grad_tol) & (gn <= feas_tol)
+            done = rows[hit]
+            x[done], lam[done], rho_norm[done] = xa[hit], lam_a[hit], rn[hit]
+            status[done] = NEWTON_CONVERGED
+            if drop_stalled and it == NEWTON_STALL_ITER:
+                stalled = gn > NEWTON_STALL_FEAS * self.scale  # never a hit row
+                x[rows[stalled]] = xa[stalled]
+                status[rows[stalled]] = NEWTON_STALLED
+                hit |= stalled
             if hit.any():
-                done = rows[hit]
-                x[done], lam[done], rho_norm[done] = xa[hit], lam_a[hit], rn[hit]
-                status[done] = NEWTON_CONVERGED
                 keep = ~hit
                 rows, xa, lam_a, rho, G, J = (rows[keep], xa[keep], lam_a[keep],
                                               rho[keep], G[keep], J[keep])
@@ -502,20 +516,22 @@ class ChartOracle:
         """Clustered critical points from random feasible seeds.
 
         The seeds run through projection and Newton-KKT as stacked arrays,
-        SWEEP_BLOCK at a time.  Returns a list of (x, InertiaTriple,
+        SWEEP_BLOCK at a time; Newton rows that stall are dropped at
+        NEWTON_STALL_ITER.  Returns a list of (x, InertiaTriple,
         Configuration) sorted by area value then chart coordinates.
         """
         rng = np.random.default_rng(seed)
         starts = rng.uniform(-math.pi, math.pi, (n_seeds, self.chart.n_vars))
         xs = [np.zeros((0, self.chart.n_vars))]
         rhos = [np.zeros(0)]
-        project_failed = nonfinite = budget = 0
+        project_failed = nonfinite = budget = stalled = 0
         for b in range(0, n_seeds, SWEEP_BLOCK):
             x, projected = self.chart.project_stack(starts[b:b + SWEEP_BLOCK])
             project_failed += int(np.sum(~projected))
-            x, _, rho_norm, status = self.newton_stack(x[projected])
+            x, _, rho_norm, status = self.newton_stack(x[projected], drop_stalled=True)
             nonfinite += int(np.sum(status == NEWTON_NONFINITE))
             budget += int(np.sum(status == NEWTON_BUDGET))
+            stalled += int(np.sum(status == NEWTON_STALLED))
             converged = status == NEWTON_CONVERGED
             xs.append(x[converged])
             rhos.append(rho_norm[converged])
@@ -528,10 +544,11 @@ class ChartOracle:
         logger.debug(
             "find_critical: %(seeds)d seeds, %(project_failed)d projection failures, "
             "%(newton_nonfinite)d Newton non-finite steps, %(newton_budget)d Newton "
-            "budgets exhausted, %(converged)d converged, %(clusters)d clusters",
+            "budgets exhausted, %(newton_stalled)d Newton stalled, %(converged)d "
+            "converged, %(clusters)d clusters",
             {"seeds": n_seeds, "project_failed": project_failed,
              "newton_nonfinite": nonfinite, "newton_budget": budget,
-             "converged": len(x), "clusters": len(reps)})
+             "newton_stalled": stalled, "converged": len(x), "clusters": len(reps)})
         out = [(x[i], self.inertia(x[i]),
                 self.chart.configuration(self.chart.full_theta(x[i]))) for i in reps]
         out.sort(key=lambda t: (round(self.f(t[0]), 9), tuple(np.round(t[0], 7))))

@@ -606,3 +606,18 @@ class TestInvariances:
         got = [(r.area, r.index.index, r.manifold_dim)
                for r in enumerate_critical_pnd(g, reverse)]
         assert want and _same_multiset(got, want, 1e-9 * g.total_length() ** 2)
+
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_INSTANCES))
+    def test_rotating_gamma(self, name):
+        # the same cycle read from another start vertex encloses the same
+        # signed area, so records keep their area, index and dimension
+        g, gamma = INVARIANCE_INSTANCES[name]()
+        want = [(r.area, r.index.index, r.manifold_dim)
+                for r in enumerate_critical_pnd(g, gamma)]
+        assert want
+        vs = gamma.vertices
+        for k in range(1, len(vs)):
+            rotated = DistinguishedCycle(vs[k:] + vs[:k])
+            got = [(r.area, r.index.index, r.manifold_dim)
+                   for r in enumerate_critical_pnd(g, rotated)]
+            assert _same_multiset(got, want, 1e-9 * g.total_length() ** 2), k

@@ -11,9 +11,12 @@ from linkmorse.errors import CheckFailedError, NoConvergenceError, NotCriticalEr
 from linkmorse.geometry import gauss_newton
 from linkmorse.graphs import LinkageGraph, make_polygon, make_three_chain
 from linkmorse.indices import OpenChainCritical, open_chain_index
+from linkmorse.instances import bott_morse_three_chain, non_ptt_example
 from linkmorse.oracle import (
+    NEWTON_BUDGET,
     NEWTON_CONVERGED,
     NEWTON_NONFINITE,
+    NEWTON_STALLED,
     PROJECT_MAX_ITER,
     ChartOracle,
     _kkt_solve,
@@ -223,7 +226,8 @@ class TestStackedSweep:
         assert project_failed if k == 2 else newton_failed
         found, counts = sweep_record(caplog, o, n_seeds, 77)
         assert counts["project_failed"] == project_failed
-        assert counts["newton_nonfinite"] + counts["newton_budget"] == newton_failed
+        assert (counts["newton_nonfinite"] + counts["newton_budget"]
+                + counts["newton_stalled"]) == newton_failed
         thr = o.tols.match * o.scale
         assert len(found) == len(ref)
         for x, tri, _ in found:
@@ -234,15 +238,40 @@ class TestStackedSweep:
 
     @pytest.mark.parametrize("k, counts", [
         (0, {"seeds": 1000, "project_failed": 0, "newton_nonfinite": 0,
-             "newton_budget": 737, "converged": 263, "clusters": 4}),
+             "newton_budget": 0, "newton_stalled": 737, "converged": 263,
+             "clusters": 4}),
         (2, {"seeds": 1000, "project_failed": 114, "newton_nonfinite": 0,
-             "newton_budget": 0, "converged": 886, "clusters": 8}),
+             "newton_budget": 0, "newton_stalled": 0, "converged": 886,
+             "clusters": 8}),
     ])
     def test_sweep_counts_logged(self, caplog, k, counts):
         o = area_oracle(*criterion_02_instance(k))
         found, logged = sweep_record(caplog, o, 1000, 77)
         assert logged == counts
         assert len(found) == counts["clusters"]
+
+    @pytest.mark.parametrize("name, n_seeds, seed", [
+        ("criterion_02_0", 1000, 77), ("k4_fallback", 300, 13), ("bm223", 1000, 77)])
+    def test_stall_exit_keeps_every_outcome(self, name, n_seeds, seed):
+        # the same projected rows with and without the stall exit: the K4
+        # fallback's slowest converging rows sit 3x below NEWTON_STALL_FEAS
+        instance = {"criterion_02_0": lambda: criterion_02_instance(0),
+                    "k4_fallback": non_ptt_example, "bm223": bott_morse_three_chain}
+        o = area_oracle(*instance[name]())
+        starts = np.random.default_rng(seed).uniform(-math.pi, math.pi,
+                                                     (n_seeds, o.chart.n_vars))
+        x0, projected = o.chart.project_stack(starts)
+        x, lam, rho, status = o.newton_stack(x0[projected])
+        xd, lamd, rhod, statusd = o.newton_stack(x0[projected], drop_stalled=True)
+        conv = status == NEWTON_CONVERGED
+        assert np.array_equal(statusd == NEWTON_CONVERGED, conv)
+        assert np.array_equal(xd[conv], x[conv])
+        assert np.array_equal(lamd[conv], lam[conv])
+        assert np.array_equal(rhod[conv], rho[conv])
+        assert NEWTON_STALLED not in status
+        if name == "criterion_02_0":
+            assert np.sum(status == NEWTON_BUDGET) == 737
+            assert np.array_equal(statusd == NEWTON_STALLED, status == NEWTON_BUDGET)
 
     def test_nonfinite_row_leaves_other_rows_alone(self):
         # a NaN start makes a non-finite KKT step in its own row only; the
