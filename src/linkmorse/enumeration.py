@@ -261,12 +261,11 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
     """Records of one choice of aligned chains and patterns.
 
     A pick is one cyclic solution per cell, taken in ``itertools.product``
-    order.  Picks whose free chains are clearly out of reach in their own
-    cells are dropped first; the others are glued together as arrays.  Then
-    each pick runs the checks that can raise ``NonGenericError``, in pick
-    order, so the first non-generic pick raises as if the picks were
-    assembled one at a time.  The representatives, which cannot raise, are
-    placed last, for all surviving picks at once.
+    order; all of a branch's picks are glued together as arrays.  Then each
+    pick runs the checks that can raise ``NonGenericError``, in pick order,
+    so the first non-generic pick raises as if the picks were assembled one
+    at a time.  The representatives, which cannot raise, are placed last,
+    for all surviving picks at once.
     """
     struct, tols, scale, counts = en.struct, en.tols, en.scale, en.counts
     counts["branches"] += 1
@@ -298,29 +297,15 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
     glue = _Gluing(struct, aligned_list, cells, sides,
                    [sols for sols, _ in cell_sols], scale)
     free = [k for k in range(len(struct.chains)) if k not in aligned_list]
-    screen = _reach_screen(en, cells, glue.verts, free)
     factors = _free_factors(struct, aligned_list)
     base: list[ChainStatus | None] = [None] * len(struct.chains)
     for k, (sigma, w, f) in zip(aligned_list, combo):
         base[k] = ChainStatus("aligned", w, tuple(sigma), f)
 
-    picks = []
-    for pick in itertools.product(*(range(len(sols)) for sols, _ in cell_sols)):
-        counts["picks"] += 1
-        if _outside_reach_early(screen, pick):
-            counts["outside_reach"] += 1
-        else:
-            picks.append(pick)
-    if not picks:
-        return []
-    pick_rows = np.array(picks, dtype=np.intp).reshape(len(picks), -1)
+    picks = list(itertools.product(*(range(len(sols)) for sols, _ in cell_sols)))
+    counts["picks"] += len(picks)
+    pick_rows = np.array(picks, dtype=np.intp)
     pts, placed, mismatch = glue(pick_rows)
-    # an aligned chain's index term is fixed by the placements of the two
-    # cells beside its diagonal: one term per group of picks, on first use
-    terms = []
-    for a, b in sides:
-        _, which = glue.group(pick_rows, sorted({*glue.deps[a], *glue.deps[b]}))
-        terms.append((which.tolist(), {}))
 
     kept = []  # (row, placed cells, statuses, index report)
     for row, pick in enumerate(picks):
@@ -338,13 +323,11 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
             cell_mu.append(mus[s])
         cells_here = tuple(pcs[which[row]] for pcs, which in placed)
         chain_nus = []
-        for k, (a, b), (which, memo) in zip(aligned_list, sides, terms):
-            if which[row] not in memo:
-                ch = struct.chains[k]
-                memo[which[row]] = _chain_term(
-                    ch, statuses[k].f, pts[row, ch.t_pos] - pts[row, ch.i_pos],
-                    cells_here[a].center, cells_here[b].center, tols, scale)
-            chain_nus.append(memo[which[row]])
+        for k, (a, b) in zip(aligned_list, sides):
+            ch = struct.chains[k]
+            chain_nus.append(_chain_term(
+                ch, statuses[k].f, pts[row, ch.t_pos] - pts[row, ch.i_pos],
+                cells_here[a].center, cells_here[b].center, tols, scale))
         report = _index_report(aligned_list, cell_mu, chain_nus, factors)
         kept.append((row, cells_here, statuses, report))
 
@@ -383,45 +366,6 @@ def _free_statuses(en: _Enumeration, base, free, pts) -> list[ChainStatus] | Non
                     "configuration is simultaneously circular and aligned")
         statuses[k] = ChainStatus("free", d)
     return statuses
-
-
-def _reach_screen(en: _Enumeration, cells, verts, free) -> list[tuple[int, list]]:
-    """Per free chain, in order: the cell that holds both its ends and, per
-    solution of that cell (vertices ``verts[cell]``), whether the chain's
-    end-to-end distance there is clearly inside its reach (True), clearly
-    outside (False), or within two guard bands of a reach bound or an
-    alignment length (None).
-
-    Chains do not cross, so both ends of a free chain lie in one cell, and
-    the distance read from that cell's own vertices differs from the glued
-    one by rounding only.
-    """
-    band = 2 * en.tols.reach_boundary * en.scale
-    screen = []
-    for k in free:
-        ch = en.struct.chains[k]
-        c = next(c for c, cell in enumerate(cells)
-                 if ch.i_pos in cell.positions and ch.t_pos in cell.positions)
-        ji, jt = cells[c].positions.index(ch.i_pos), cells[c].positions.index(ch.t_pos)
-        reach, verdicts = en.reach[k], []
-        for d in np.hypot(*(verts[c][:, jt] - verts[c][:, ji]).T).tolist():
-            if reach.near_boundary(d, band) or any(abs(d - w) <= band
-                                                   for w in en.aligned_ws[k]):
-                verdicts.append(None)
-            else:
-                verdicts.append(reach.contains_strictly(d))
-        screen.append((c, verdicts))
-    return screen
-
-
-def _outside_reach_early(screen, pick) -> bool:
-    """True when the first free chain not clearly inside its reach is clearly
-    outside it, so the full checks would drop the pick as "outside_reach"."""
-    for c, verdicts in screen:
-        verdict = verdicts[pick[c]]
-        if verdict is not True:
-            return verdict is False
-    return False
 
 
 class _Gluing:
@@ -479,13 +423,6 @@ class _Gluing:
             self.shared[c] = tuple(np.array(x, dtype=np.intp) for x in shared)
             self.deps[c] = sorted(deps)
 
-    def group(self, picks: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
-        """The picks grouped by their solutions of ``cells``: the first pick
-        of each group and the group of each pick."""
-        key = np.ravel_multi_index(picks[:, cells].T, [len(self.sols[c]) for c in cells])
-        _, first, which = np.unique(key, return_index=True, return_inverse=True)
-        return first, which
-
     def __call__(self, picks: np.ndarray):
         """Glue the picks ``picks`` (rows of one solution index per cell).
 
@@ -497,7 +434,11 @@ class _Gluing:
         placed = [None] * len(self.order)
         mismatch = np.zeros(len(picks), dtype=bool)
         for c in self.order:
-            rows, which = self.group(picks, self.deps[c])
+            # the picks grouped by their solutions of the cells c depends on:
+            # the first pick of each group and the group of each pick
+            deps = self.deps[c]
+            key = np.ravel_multi_index(picks[:, deps].T, [len(self.sols[d]) for d in deps])
+            _, rows, which = np.unique(key, return_index=True, return_inverse=True)
             s = picks[rows, c]
             q = self.verts[c][s]
             if self.via[c] is None:

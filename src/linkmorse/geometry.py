@@ -48,6 +48,26 @@ WINDING_TOL = 1e-7
 CLOSURE_TOL = 1e-9
 # cyclic_data_from_points reads a winding within WINDING_ROUND_TOL of an integer
 WINDING_ROUND_TOL = 1e-6
+# an edge within DIAMETER_TOL * total length of the diameter is flagged
+DIAMETER_TOL = 1e-12
+# |sum(eps * lengths)| is floored at TAIL_WALL_GUARD * total length, so the
+# winding-0 grid top stays finite for a sign vector on a wall
+TAIL_WALL_GUARD = 1e-9
+# bisection stops at a bracket of BISECT_REL_TOL * radius, near rounding
+BISECT_REL_TOL = 1e-15
+# closure values within FLAT_CLOSURE_TOL of pi * omega over the whole grid are
+# a degenerate (identically closed) sign vector, not a root
+FLAT_CLOSURE_TOL = 1e-12
+# a closure value within FIRST_GRID_ROOT_TOL of pi * omega at the smallest
+# radius is a root there, which no sign change would bracket
+FIRST_GRID_ROOT_TOL = 1e-13
+# roots of one winding within DUPLICATE_ROOT_TOL * radius are one root
+DUPLICATE_ROOT_TOL = 1e-11
+# a longest edge within a relative DEGENERATE_TOL of half the perimeter leaves
+# only flat polygons, which are not cyclic solutions
+DEGENERATE_TOL = 1e-12
+# two solutions with vertices within COINCIDENT_TOL * total length coincide
+COINCIDENT_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +314,7 @@ def _build_cyclic(lengths, eps, omega, radius) -> CyclicPolygon:
     flags = set()
     if omega == 0:
         flags.add("omega_zero")
-    if any(abs(l - 2 * radius) <= 1e-12 * total for l in lengths):
+    if any(abs(l - 2 * radius) <= DIAMETER_TOL * total for l in lengths):
         flags.add("diameter_edge")
     alphas = tuple(math.asin(min(1.0, length / (2.0 * radius))) for length in lengths)
     phi = 0.0
@@ -333,7 +353,7 @@ def _radius_tops(lengths: np.ndarray, eps: np.ndarray) -> tuple[float, np.ndarra
     r_crit = lmax / (2.0 * math.sin(math.pi / (4.0 * n * n)))
     # for winding 0 the root tail is bounded via sum(eps*l); guard the wall case
     d = np.abs([float(np.dot(e, lengths)) for e in eps])
-    d = np.maximum(d, 1e-9 * total)
+    d = np.maximum(d, TAIL_WALL_GUARD * total)
     r_tail = 0.75 * lmax * np.sqrt(total / d)
     return r_min, np.maximum(np.maximum(r_crit, r_tail), 4.0 * r_min)
 
@@ -379,7 +399,7 @@ def _bisect_stack(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
     """Roots of F - target bracketed by [lo, hi], one per row, bisected together.
 
     A row stops when F(mid) hits the target exactly (returning mid) or when
-    its bracket shrinks to 1e-15 relative (returning the bracket midpoint).
+    its bracket shrinks to BISECT_REL_TOL relative (returning the bracket midpoint).
     """
     out = np.empty(len(lo))
     rows = np.arange(len(lo))  # rows still bisecting
@@ -390,7 +410,7 @@ def _bisect_stack(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
         left = (flo < 0) == (fm < 0)
         lo, flo, hi = np.where(left, mid, lo), np.where(left, fm, flo), np.where(left, hi, mid)
         exact = fm == 0.0
-        done = exact | (hi - lo <= 1e-15 * hi)
+        done = exact | (hi - lo <= BISECT_REL_TOL * hi)
         out[rows[done]] = np.where(exact, mid, 0.5 * (lo + hi))[done]
         keep = ~done
         rows, lo, hi, flo, eps, target = (rows[keep], lo[keep], hi[keep], flo[keep],
@@ -451,10 +471,11 @@ def _scan_grid(lengths: np.ndarray, grid: np.ndarray, masks: np.ndarray,
         vmin = P.min(axis=1)[local, None]
         vmax = P.max(axis=1)[local, None]
         # max |v - t| sits at a row extreme: rounding v - t is monotone in v
-        flat = np.maximum(np.abs(vmax - targets), np.abs(vmin - targets)) < 1e-12
+        flat = np.maximum(np.abs(vmax - targets), np.abs(vmin - targets)) < FLAT_CLOSURE_TOL
         for _ in range(np.count_nonzero(flat)):
             logger.warning("degenerate closure: F is identically pi*omega; skipping cell")
-        for i, w in zip(*np.nonzero((np.abs(P[local, :1] - targets) < 1e-13) & ~flat)):
+        first = np.abs(P[local, :1] - targets) < FIRST_GRID_ROOT_TOL
+        for i, w in zip(*np.nonzero(first & ~flat)):
             roots[block[i]].append((int(omegas[w]), float(grid[0])))
         # a sign change needs values on both sides (a zero counts as +)
         span = (vmin < targets) & (targets <= vmax) & ~flat
@@ -470,7 +491,7 @@ def _collapse(roots: list[tuple[int, float]]) -> list[tuple[int, float]]:
     """Sorted roots with numerically identical roots of one winding merged."""
     out: list[tuple[int, float]] = []
     for omega, r in sorted(roots):
-        if not any(o == omega and abs(r - r0) <= 1e-11 * r for o, r0 in out):
+        if not any(o == omega and abs(r - r0) <= DUPLICATE_ROOT_TOL * r for o, r0 in out):
             out.append((omega, r))
     return out
 
@@ -521,7 +542,7 @@ def enumerate_cyclic(lengths: Sequence[float],
     if n < 3:
         raise ValueError("need at least 3 edges")
     total = sum(lengths)
-    if 2 * max(lengths) >= total * (1 - 1e-12):
+    if 2 * max(lengths) >= total * (1 - DEGENERATE_TOL):
         return []
     masks = range(2 ** (n - 1))
     sols: list[CyclicPolygon] = []
@@ -542,12 +563,12 @@ def _cyclic_sort_key(p: CyclicPolygon):
 
 
 def _flag_coincident(sols: list[CyclicPolygon], scale: float) -> None:
-    """Flag both solutions of every pair whose vertices agree within 1e-7 * scale.
+    """Flag both solutions of every pair whose vertices agree within COINCIDENT_TOL * scale.
 
     Only pairs whose radii agree that closely are compared: in radius order,
     the solutions that follow each one until the gap exceeds the tolerance.
     """
-    tol = 1e-7 * scale
+    tol = COINCIDENT_TOL * scale
     order = sorted(range(len(sols)), key=lambda i: sols[i].radius)
     radii = [sols[i].radius for i in order]
     verts = [sols[i].vertex_array() for i in order]

@@ -1,5 +1,6 @@
 """Symbolic critical-point enumeration, classification, and Euler sums."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -148,10 +149,19 @@ class TestBottMorse223:
 
 class TestClassification:
     def test_round_trip_on_records(self):
-        # classifying a record's representative rebuilds the same record
-        for g, gamma in (max16_three_chain(), bott_morse_three_chain()):
+        # classifying a record's representative rebuilds the same record; on
+        # the worked example (every 53rd record, most with both chains
+        # aligned) this checks the chain terms of two diagonals
+        g, gamma, _ = worked_example()
+        worked = enumerate_critical_pnd(g, gamma)[::53]
+        assert len(worked) == 101
+        assert sum(all(s.kind == "aligned" for s in r.chain_status) for r in worked) == 81
+        cases = [(g, gamma, worked)] + [
+            (g, gamma, enumerate_critical_three_chain(g, gamma))
+            for g, gamma in (max16_three_chain(), bott_morse_three_chain())]
+        for g, gamma, recs in cases:
             scale = g.total_length()
-            for r in enumerate_critical_three_chain(g, gamma):
+            for r in recs:
                 cls = classify_configuration(g, gamma, r.representative)
                 assert cls.critical
                 back = cls.record
@@ -325,21 +335,39 @@ def glue_one_pick(struct, aligned_list, cells, polys, scale):
         [centers[ci] for ci in range(len(cells))]
 
 
+def two_chain_hexagon():
+    """A hexagon whose chains v0-v2 and v2-v4 share v2, so three cells can
+    meet there."""
+    g, gamma = make_polygon([1.9, 0.81, 1.45, 0.95, 1.61, 1.58])
+    g = LinkageGraph(g.vertices + ("c1", "d1", "d2"), g.edges + (
+        ("v0", "c1", 0.83), ("c1", "v2", 1.74),
+        ("v2", "d1", 1.49), ("d1", "d2", 1.52), ("d2", "v4", 1.73)))
+    return g, gamma
+
+
+GLUING_INSTANCES = {
+    "worked": lambda: worked_example()[:2],
+    "max16": max16_three_chain,
+    "bm223": bott_morse_three_chain,
+    "two_chain_hexagon": two_chain_hexagon,
+}
+
+
+def enumerate_with_counts(caplog, g, gamma):
+    """The records of an enumeration and its DEBUG record's counts."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="linkmorse.enumeration"):
+        recs = enumerate_critical_pnd(g, gamma)
+    (rec,) = [r for r in caplog.records if r.name == "linkmorse.enumeration"]
+    return recs, rec.args
+
+
 class TestStackedGluing:
     @pytest.mark.parametrize("instance", ["worked", "bm223", "two_chain_hexagon"])
     def test_records_equal_one_pick_at_a_time(self, instance):
         # every record's cycle positions and glued centers are those of its
         # pick glued on its own, bit for bit
-        if instance == "worked":
-            g, gamma, _ = worked_example()
-        elif instance == "bm223":
-            g, gamma = bott_morse_three_chain()
-        else:
-            # chains v0-v2 and v2-v4 share v2, so three cells can meet there
-            g, gamma = make_polygon([1.9, 0.81, 1.45, 0.95, 1.61, 1.58])
-            g = LinkageGraph(g.vertices + ("c1", "d1", "d2"), g.edges + (
-                ("v0", "c1", 0.83), ("c1", "v2", 1.74),
-                ("v2", "d1", 1.49), ("d1", "d2", 1.52), ("d2", "v4", 1.73)))
+        g, gamma = GLUING_INSTANCES[instance]()
         struct = detect_polygon_with_chains(g, gamma)
         scale = g.total_length()
         recs = enumerate_critical_pnd(g, gamma)
@@ -356,31 +384,45 @@ class TestStackedGluing:
             assert rec.representative.points(gamma.vertices).tolist() == pos
             assert [pc.center for pc in rec.cells] == centers
 
-    @pytest.mark.parametrize("instance", ["worked", "bm223"])
-    def test_reach_screen_changes_nothing(self, caplog, monkeypatch, instance):
-        # the picks the screen drops before gluing are exactly picks the
-        # glued checks drop as out of reach: without the screen the records
-        # and every count are the same
-        g, gamma = (worked_example()[:2] if instance == "worked"
-                    else bott_morse_three_chain())
+    @pytest.mark.parametrize("instance", sorted(GLUING_INSTANCES))
+    def test_every_pick_counted_once(self, caplog, instance):
+        # each pick ends as exactly one of: glue mismatch, free chain out of
+        # reach, no representative, record
+        recs, counts = enumerate_with_counts(caplog, *GLUING_INSTANCES[instance]())
+        assert counts["records"] == len(recs)
+        assert counts["picks"] == (counts["glue_mismatch"] + counts["outside_reach"]
+                                   + counts["no_representative"] + counts["records"])
 
-        def run():
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="linkmorse.enumeration"):
-                recs = enumerate_critical_pnd(g, gamma)
-            (rec,) = [r for r in caplog.records if r.name == "linkmorse.enumeration"]
-            return [r.to_json_dict() for r in recs], rec.args
+    def test_glue_mismatch_drops_picks(self, caplog, monkeypatch):
+        # the solutions of one triangle cell are moved 1e-3 of their radius
+        # outward, so their diagonal no longer fits the neighbouring cell's:
+        # every pick using them is a glue mismatch and yields no record
+        g, gamma = max16_three_chain()
+        base, base_counts = enumerate_with_counts(caplog, g, gamma)
+        assert base_counts["glue_mismatch"] == 0
+        moved = []
 
-        screened = run()
-        monkeypatch.setattr(enumeration, "_outside_reach_early", lambda screen, pick: False)
-        assert run() == screened
+        def shifted(lens, tols):
+            sols = enumerate_cyclic(lens, tols)
+            if len(lens) == 3 and not moved:
+                moved.append(tuple(lens))
+                sols = [dataclasses.replace(p, vertices=tuple(
+                    (1.001 * x, 1.001 * y) for x, y in p.vertices)) for p in sols]
+            return sols
+
+        monkeypatch.setattr(enumeration, "enumerate_cyclic", shifted)
+        recs, counts = enumerate_with_counts(caplog, g, gamma)
+        assert moved and counts["glue_mismatch"] > 0
+        assert len(recs) == len(base) - counts["glue_mismatch"]
+        assert {r.key() for r in recs} < {r.key() for r in base}
+        assert counts["picks"] == (counts["glue_mismatch"] + counts["outside_reach"]
+                                   + counts["no_representative"] + counts["records"])
 
     @pytest.mark.parametrize("short", [1e-9, -1e-9, 0.9e-7, -0.9e-7])
     def test_pick_near_reach_bound_still_raises(self, short):
         # a free chain whose reach ends just short of (or just past) its end
         # distance in one cyclic solution of the quadrilateral, by a fraction
-        # of the 1e-7 guard band: the screen must leave that pick to the
-        # glued checks, which refuse it
+        # of the 1e-7 guard band: the glued checks refuse that pick
         lens = [1.0, 1.3, 0.8, 1.4]
         q = enumerate_cyclic(lens)[0].vertex_array()
         d = float(np.hypot(*(q[2] - q[0])))
@@ -396,8 +438,8 @@ class TestStackedGluing:
     def test_pick_near_alignment_still_raises(self, short):
         # in the first cyclic solution of the pentagon, chain a (v0-v2) can
         # just about align (0.6 - 0.3 + 0.7 of its end distance d) while
-        # chain b (v2-v4) is far out of reach: the pick must still reach the
-        # glued checks, which refuse chain a before they look at chain b
+        # chain b (v2-v4) is far out of reach: the glued checks refuse
+        # chain a before they look at chain b
         lens = [1.0, 1.3, 0.8, 1.4, 1.1]
         q = enumerate_cyclic(lens)[0].vertex_array()
         d = float(np.hypot(*(q[2] - q[0])))
@@ -451,8 +493,8 @@ class TestWorkedExample:
         assert digest == "97e990efdd1ac21b60ed578d795743ccf51a2cd26e968b1b44012455b80cccb9"
 
     def test_cells_placed_and_indexed_once(self, monkeypatch):
-        # 5,316 glued picks of two or three cells: a cell other than cell 0
-        # is moved once per placement of the cells it hangs on (7,476 moves
+        # 8,158 glued picks of up to three cells: a cell other than cell 0
+        # is moved once per placement of the cells it hangs on (9,680 moves
         # in 17 stacks, one per such cell and branch, against one move per
         # cell and pick when every pick was glued afresh), and each cyclic
         # solution used by a record is indexed once
@@ -470,7 +512,7 @@ class TestWorkedExample:
         monkeypatch.setattr(enumeration, "cyclic_index", index)
         g, gamma, _ = worked_example()
         recs = enumerate_critical_pnd(g, gamma)
-        assert (len(moves), sum(moves)) == (17, 7476)
+        assert (len(moves), sum(moves)) == (17, 9680)
         assert len(indexed) == len(set(indexed)) == 934
         assert set(indexed) == {id(pc.poly) for r in recs for pc in r.cells}
 
