@@ -69,6 +69,9 @@ GLUE_TOL = 1e-6
 FREE_CHAIN_TRIES = 25
 FREE_CHAIN_TOL = 1e-12
 FREE_CHAIN_MAX_ITER = 120
+# classify_structure floors a chain's extent at EXTENT_FLOOR, so a chain with
+# all joints on one point keeps a positive collinearity threshold
+EXTENT_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -623,7 +626,7 @@ def classify_structure(struct: PolygonWithChains, c: Configuration,
         vt = struct.gamma.vertices[ch.t_pos]
         path = [vi, *ch.joints, vt]
         pts = c.points(path)
-        extent = max(float(np.max(np.ptp(pts, axis=0))), 1e-30)
+        extent = max(float(np.max(np.ptp(pts, axis=0))), EXTENT_FLOOR)
         w_vec = pts[-1] - pts[0]
         w = float(np.hypot(*w_vec))
         if ch.r == 1 or aligned_residual(pts) <= tols.collinearity * extent:

@@ -68,6 +68,9 @@ DUPLICATE_ROOT_TOL = 1e-11
 DEGENERATE_TOL = 1e-12
 # two solutions with vertices within COINCIDENT_TOL * total length coincide
 COINCIDENT_TOL = 1e-7
+# lstsq_stack solves a row through its Gram matrix G when |G|_F |G^-1|_F is at
+# most GRAM_COND_CUT (so cond <= 1e3), and by SVD otherwise
+GRAM_COND_CUT = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +186,49 @@ def transform_mapping_segment(p_from: np.ndarray, q_from: np.ndarray,
 def lstsq_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solutions of A[i] x = b[i] over a stack.
 
-    Singular values at or below eps * max(rows, cols) times the largest
-    count as zero, the cut of ``np.linalg.lstsq(rcond=None)``.
+    ``A`` is (..., m, n) and ``b`` (..., m); a 2-D ``A`` is one system.
+    Each row is solved through the Gram matrix G of its shorter side, with
+    one batched inverse for the stack: x = A^T G^-1 b with G = A A^T when
+    m <= n, and x = G^-1 A^T b with G = A^T A otherwise.  A row takes the
+    SVD formula of ``_lstsq_svd`` instead when its bound |G|_F |G^-1|_F,
+    which is at least cond(G) = cond(A)^2, exceeds GRAM_COND_CUT, when G
+    has no LU inverse, or when its solution is not finite.
+
+    The SVD formula treats singular values at or below eps * max(m, n)
+    times the largest as zero, which takes cond(A) above about 1e15.  A row
+    that passes the Gram cut has cond(A) <= 1e3, so there the SVD would cut
+    nothing and both formulas solve the same full-rank problem; rows near
+    or at the rcond cut always take the SVD.  Each row's result depends on
+    that row alone.
     """
+    m, n = A.shape[-2:]
+    lead = A.shape[:-2]
+    # matmul on stacks is several times slower on transposed views
+    A, b = np.ascontiguousarray(A.reshape(-1, m, n)), b.reshape(-1, m, 1)
+    At = np.ascontiguousarray(np.swapaxes(A, 1, 2))
+    G = A @ At if m <= n else At @ A
+    try:
+        Ginv = np.linalg.inv(G)
+        ok = True
+    except np.linalg.LinAlgError:
+        # an exactly zero LU pivot in some row: those rows take the SVD
+        det = np.linalg.det(G)
+        ok = np.isfinite(det) & (det != 0.0)
+        G[~ok] = np.eye(G.shape[1])
+        Ginv = np.linalg.inv(G)
+    x = (At @ (Ginv @ b) if m <= n else Ginv @ (At @ b))[:, :, 0]
+    # a NaN bound (a non-finite G) fails the cut too
+    ok &= (np.einsum("sij,sij->s", G, G) * np.einsum("sij,sij->s", Ginv, Ginv)
+           <= GRAM_COND_CUT ** 2) & np.isfinite(x).all(axis=1)
+    if not ok.all():
+        x[~ok] = _lstsq_svd(A[~ok], b[~ok, :, 0])
+    return x.reshape(lead + (n,))
+
+
+def _lstsq_svd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``lstsq_stack`` by SVD: singular values at or below eps * max(m, n)
+    times the largest count as zero, the cut of
+    ``np.linalg.lstsq(rcond=None)``."""
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     # a cut singular value acts as infinite, so its component vanishes
     s[s <= s[..., :1] * (max(A.shape[-2:]) * _EPS)] = np.inf

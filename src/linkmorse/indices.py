@@ -20,6 +20,9 @@ from .geometry import CyclicPolygon
 
 logger = logging.getLogger(__name__)
 
+# a half-angle within RIGHT_ANGLE_TOL (radians) of pi/2 has an infinite tangent
+RIGHT_ANGLE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OpenChainCritical:
@@ -78,7 +81,7 @@ def _tan_sum_positive(p: CyclicPolygon, tols: Tolerances) -> bool:
     terms = []
     inf_signs = []
     for e, a in zip(p.eps, p.alphas):
-        if abs(a - 0.5 * math.pi) < 1e-9:
+        if abs(a - 0.5 * math.pi) < RIGHT_ANGLE_TOL:
             inf_signs.append(e)
         else:
             terms.append(e * math.tan(a))

@@ -317,6 +317,14 @@ NEWTON_STALL_FEAS = 0.03
 CRITICAL_GRAD_TOL = 1e-6
 CRITICAL_FEAS_TOL = 1e-8
 RANK_CUT = 1e-10  # singular values of J up to RANK_CUT * max(s_max, 1) count as zero
+# inertia's zero band scales with max(|eig|), floored at EIG_SCALE_FLOOR
+EIG_SCALE_FLOOR = 1e-300
+# fd_check: central-difference steps for the gradient and the Hessian, and the
+# largest entry errors it accepts, relative to max(1, largest analytic entry)
+FD_GRAD_STEP = 1e-6
+FD_HESS_STEP = 1e-4
+FD_GRAD_TOL = 1e-6
+FD_HESS_TOL = 1e-4
 # seeds per stacked block in find_critical; bounds the sweep's peak memory
 SWEEP_BLOCK = 250
 
@@ -500,7 +508,7 @@ class ChartOracle:
         Mred = N.T @ HL @ N
         Mred = 0.5 * (Mred + Mred.T)
         eig = np.linalg.eigvalsh(Mred)
-        band = self.tols.eigen_zero_band * max(float(np.max(np.abs(eig))), 1e-300)
+        band = self.tols.eigen_zero_band * max(float(np.max(np.abs(eig))), EIG_SCALE_FLOOR)
         neg = int(np.sum(eig < -band))
         zero = int(np.sum(np.abs(eig) <= band))
         pos = int(np.sum(eig > band))
@@ -564,7 +572,7 @@ class ChartOracle:
         """Central-difference audit of the analytic gradient and Hessian of
         the objective at a feasible point.  Raises CheckFailedError with the
         offending entries."""
-        h = 1e-6
+        h = FD_GRAD_STEP
         n = self.chart.n_vars
         f = self.f
         ga = (grad_fn or self.g)(x)
@@ -575,10 +583,10 @@ class ChartOracle:
             gn[i] = (f(x + e) - f(x - e)) / (2 * h)
         gscale = max(1.0, float(np.max(np.abs(ga))))
         bad = [("grad", (i,), float(ga[i]), float(gn[i]))
-               for i in range(n) if abs(ga[i] - gn[i]) > 1e-6 * gscale]
+               for i in range(n) if abs(ga[i] - gn[i]) > FD_GRAD_TOL * gscale]
 
         # second differences need a larger step: roundoff scales as 1/h^2
-        hh = 1e-4
+        hh = FD_HESS_STEP
         Ha = self.h(x)
         Hn = np.empty((n, n))
         f0 = f(x)
@@ -595,7 +603,7 @@ class ChartOracle:
         hscale = max(1.0, float(np.max(np.abs(Ha))))
         bad += [("hess", (i, j), float(Ha[i, j]), float(Hn[i, j]))
                 for i in range(n) for j in range(i, n)
-                if abs(Ha[i, j] - Hn[i, j]) > 1e-4 * hscale]
+                if abs(Ha[i, j] - Hn[i, j]) > FD_HESS_TOL * hscale]
         report = {
             "grad_err": float(np.max(np.abs(ga - gn)) / gscale),
             "hess_err": float(np.max(np.abs(Ha - Hn)) / hscale),
@@ -647,6 +655,7 @@ def constrained_inertia(g: LinkageGraph, gamma: DistinguishedCycle, c: Configura
 
 SUBSTEP_MAX_HALVINGS = 10  # a rescue tries at most 2**10 substeps per step
 BISECT_ITERS = 48          # eigen-zero bisection steps; 2**-48 of the step
+BISECT_STOP = 1e-12        # ... or fewer, once the bracket is BISECT_STOP * max(1, |t|)
 
 
 @dataclass
@@ -937,7 +946,7 @@ def _bisect_eigen_zero(oracle_at, a: BranchPoint, b: BranchPoint) -> float:
             lo, flo, xlo = mid, fm, xm
         else:
             hi = mid
-        if hi - lo < 1e-12 * max(1.0, abs(hi)):
+        if hi - lo < BISECT_STOP * max(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi)
 

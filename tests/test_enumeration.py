@@ -9,12 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from linkmorse import enumeration
+from linkmorse import enumeration, geometry
 from linkmorse.cli import main
 from linkmorse.enumeration import (
     _place_free_chain,
     classify_configuration,
     enumerate_critical_pnd,
+    enumerate_critical_structure,
     enumerate_critical_three_chain,
     euler_sum,
     match_record,
@@ -294,6 +295,25 @@ class TestStackedPlacement:
                     q = q + ln * np.array([math.cos(phi), math.sin(phi)])
                     joints.append([float(q[0]), float(q[1])])
                 assert rec.representative.points(ch.joints).tolist() == joints[:-1]
+
+    @pytest.mark.parametrize("instance", ["max16", "two_chain_hexagon"])
+    def test_gram_kernel_keeps_every_record(self, monkeypatch, instance):
+        # free chains placed by gauss_newton through lstsq_stack's Gram path
+        # and through the SVD formula alone: the same records, with joints
+        # that move only in their last bits
+        g, gamma = GLUING_INSTANCES[instance]()
+        struct = detect_polygon_with_chains(g, gamma)
+        recs = enumerate_critical_structure(struct)
+        monkeypatch.setattr(geometry, "lstsq_stack", geometry._lstsq_svd)
+        ref = enumerate_critical_structure(struct)
+        assert any(s.kind == "free" for r in ref for s in r.chain_status)
+        assert [r.key() for r in recs] == [r.key() for r in ref]
+        assert [(r.index, r.manifold_dim, r.area) for r in recs] == \
+            [(r.index, r.manifold_dim, r.area) for r in ref]
+        tol = 1e-12 * g.total_length()
+        for r, r0 in zip(recs, ref):
+            assert np.max(np.abs(r.representative.points(g.vertices)
+                                 - r0.representative.points(g.vertices))) <= tol
 
 
 def glue_one_pick(struct, aligned_list, cells, polys, scale):

@@ -21,6 +21,7 @@ from linkmorse.geometry import (
     _cyclic_roots,
     _fill_block,
     _flag_coincident,
+    _lstsq_svd,
     aligned_distance,
     area_derivative_wrt_side,
     chain_reach,
@@ -28,6 +29,7 @@ from linkmorse.geometry import (
     cyclic_data_from_points,
     enumerate_cyclic,
     is_aligned,
+    lstsq_stack,
     oriented_area,
     shoelace,
     simple_cycles_via_sp,
@@ -548,3 +550,64 @@ def test_aligned_distance_detects_rigid_match(rng):
     assert aligned_distance(pts, moved) < 1e-12
     reflected = pts * np.array([1.0, -1.0])
     assert aligned_distance(reflected, moved) > 0.1
+
+
+def conditioned_stack(rng, shape, conds):
+    """One (m, n) matrix per condition number, with singular values spaced
+    geometrically from 1 to it between random orthogonal factors."""
+    m, n = shape
+    k = min(m, n)
+    out = []
+    for c in conds:
+        u, _ = np.linalg.qr(rng.normal(size=(m, k)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, k)))
+        out.append((u * np.geomspace(1.0, 1.0 / c, k)) @ v.T)
+    return np.array(out)
+
+
+class TestLstsqStack:
+    SHAPES = [(4, 5), (5, 4), (4, 4), (2, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_lstsq_on_well_conditioned_rows(self, rng, shape):
+        # these rows take the Gram path; the tall ones have a residual
+        A = conditioned_stack(rng, shape, np.geomspace(1.0, 1e2, 200))
+        A *= rng.uniform(0.1, 10.0, (len(A), 1, 1))
+        b = rng.normal(size=(len(A), shape[0]))
+        x = lstsq_stack(A, b)
+        for Ai, bi, xi in zip(A, b, x):
+            ref = np.linalg.lstsq(Ai, bi, rcond=None)[0]
+            assert np.linalg.norm(xi - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape", SHAPES[:3])
+    def test_ill_conditioned_rows_take_the_svd(self, rng, shape):
+        # rows of cond 1e3 and above, singular rows and a NaN right-hand
+        # side, mixed among well-conditioned rows, return the SVD formula's
+        # values bit for bit; every row's value is its own
+        conds = [1.0, 1e3, 3.0, 1e5, 1e10, 30.0, 1e3, 1e2]
+        A = conditioned_stack(rng, shape, conds + [1.0, 1.0, 1.0, 2.0])
+        A[8] = 0.0                   # G exactly singular
+        if shape[0] <= shape[1]:     # two equal rows or columns on the short side
+            A[9, 1] = A[9, 0]
+        else:
+            A[9, :, 1] = A[9, :, 0]
+        A[10] = np.outer(A[10, :, 0], A[10, 0])  # rank one
+        b = rng.normal(size=(len(A), shape[0]))
+        b[11, 0] = np.nan
+        ill = np.array([c >= 1e3 for c in conds] + [True] * 4)
+        x = lstsq_stack(A, b)
+        assert np.array_equal(x[ill], _lstsq_svd(A, b)[ill], equal_nan=True)
+        assert not np.array_equal(x[~ill], _lstsq_svd(A, b)[~ill])
+        for i in range(len(A)):
+            assert np.array_equal(lstsq_stack(A[i:i + 1], b[i:i + 1])[0], x[i],
+                                  equal_nan=True)
+
+    def test_empty_stack_and_single_system(self, rng):
+        assert lstsq_stack(np.zeros((0, 4, 5)), np.zeros((0, 4))).shape == (0, 5)
+        A = conditioned_stack(rng, (5, 4), [2.0, 1e6])
+        b = rng.normal(size=(2, 5))
+        x = lstsq_stack(A, b)
+        for i in range(2):
+            xi = lstsq_stack(A[i], b[i])
+            assert xi.shape == (4,)
+            assert np.array_equal(xi, x[i])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from linkmorse import geometry, oracle
 from linkmorse.enumeration import enumerate_critical_three_chain
 from linkmorse.errors import CheckFailedError, NoConvergenceError, NotCriticalError
 from linkmorse.geometry import gauss_newton
@@ -272,6 +273,42 @@ class TestStackedSweep:
         if name == "criterion_02_0":
             assert np.sum(status == NEWTON_BUDGET) == 737
             assert np.array_equal(statusd == NEWTON_STALLED, status == NEWTON_BUDGET)
+
+    @pytest.mark.parametrize("name, n_seeds, seed", [
+        ("criterion_02_0", 1000, 77), ("k4_fallback", 300, 13), ("bm223", 1000, 77)])
+    def test_gram_kernel_keeps_every_outcome(self, caplog, monkeypatch, name, n_seeds, seed):
+        # lstsq_stack's Gram path against the SVD formula alone: the same
+        # DEBUG counts and clusters, paired one to one modulo 2 pi. bm223's
+        # clusters lie on critical circles (one zero eigenvalue), where
+        # Newton's end point slides along the circle on rounding (rescaling
+        # J and g by 3 under the SVD alone moves it by 1e-4), so there only
+        # the cycle's vertices are compared
+        g, gamma = {"criterion_02_0": lambda: criterion_02_instance(0),
+                    "k4_fallback": non_ptt_example, "bm223": bott_morse_three_chain}[name]()
+        o = area_oracle(g, gamma)
+        found, counts = sweep_record(caplog, o, n_seeds, seed)
+        caplog.clear()
+        monkeypatch.setattr(geometry, "lstsq_stack", geometry._lstsq_svd)
+        monkeypatch.setattr(oracle, "lstsq_stack", geometry._lstsq_svd)
+        ref, ref_counts = sweep_record(caplog, o, n_seeds, seed)
+        assert counts == ref_counts
+        assert len(found) == len(ref)
+        xs = np.array([x for x, _, _ in found])
+        on_gamma = [g.vertices.index(v) for v in gamma.vertices]
+        paired = set()
+        for x, tri, _ in ref:
+            dx = np.max(np.abs(np.remainder(xs - x + math.pi, 2 * math.pi) - math.pi), axis=1)
+            j = int(np.argmin(dx))
+            paired.add(j)
+            assert found[j][1].as_tuple() == tri.as_tuple()
+            if tri.zero == 0:
+                assert dx[j] <= 1e-10
+            else:
+                pts = o.chart.points(o.chart.full_theta(np.array([x, xs[j]])))
+                assert np.max(np.abs(pts[0, on_gamma] - pts[1, on_gamma])) <= 1e-10
+        assert len(paired) == len(ref)
+        if name != "bm223":
+            assert all(tri.zero == 0 for _, tri, _ in ref)
 
     def test_nonfinite_row_leaves_other_rows_alone(self):
         # a NaN start makes a non-finite KKT step in its own row only; the
