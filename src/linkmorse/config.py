@@ -29,6 +29,9 @@ class Tolerances:
         for f in fields(self):
             if not 0 < getattr(self, f.name) < math.inf:
                 raise ValueError(f"tolerance {f.name} must be positive and finite")
+        # one grid point brackets nothing, and geomspace takes only an int count
+        if not isinstance(self.grid_points, int) or self.grid_points < 2:
+            raise ValueError("grid_points must be an integer >= 2")
 
 
 DEFAULT_TOLS = Tolerances()

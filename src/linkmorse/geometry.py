@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -53,8 +53,10 @@ DIAMETER_TOL = 1e-12
 # |sum(eps * lengths)| is floored at TAIL_WALL_GUARD * total length, so the
 # winding-0 grid top stays finite for a sign vector on a wall
 TAIL_WALL_GUARD = 1e-9
-# bisection stops at a bracket of BISECT_REL_TOL * radius, near rounding
+# bisection stops at a bracket of BISECT_REL_TOL * radius, near rounding, or
+# after BISECT_MAX_ITER halvings
 BISECT_REL_TOL = 1e-15
+BISECT_MAX_ITER = 200
 # closure values within FLAT_CLOSURE_TOL of pi * omega over the whole grid are
 # a degenerate (identically closed) sign vector, not a root
 FLAT_CLOSURE_TOL = 1e-12
@@ -374,10 +376,11 @@ def _build_cyclic(lengths, eps, omega, radius) -> CyclicPolygon:
     return poly
 
 
-# sign vectors whose closure values (one float per grid point each) are held
-# at once by _scan_grid; a power of two.  Four rows keep the peak memory of a
-# quadrilateral cell near that of one sign vector at a time; eight rows took
-# 45% more there and ran no faster.
+# sign vectors whose closure values (one float per grid point each) _scan_grid
+# forms at once, as one product with the arcsin table.  On the 90 root calls of
+# perfbench's symbolic_records instances (5,400 sign vectors, 2-core VM, medians
+# of 7 in two rounds) 16 rows took 0.56 and 0.47 s against 0.53 and 0.45 s for
+# 4, so the smaller block stays.
 ROOT_BLOCK = 4
 
 
@@ -407,27 +410,6 @@ def _sign_rows(n: int, masks: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((len(masks), 1)), 1.0 - 2.0 * bits])
 
 
-def _fill_block(P: np.ndarray, A: np.ndarray, high: int) -> None:
-    """Fill P (2**b rows) with sum_k eps_k * A[k] for the sign vectors with
-    masks high * 2**b + j.
-
-    The low bits are spread by prefix doubling, P <- [P + A[k]; P - A[k]],
-    and the high bits added after them, so every row sums A[0], A[1], ...
-    in order like ``(A * eps[:, None]).sum(axis=0)``.
-    """
-    b = len(P).bit_length() - 1
-    P[0] = A[0]
-    for k in range(1, b + 1):
-        h = 2 ** (k - 1)
-        np.subtract(P[:h], A[k], out=P[h:2 * h])
-        P[:h] += A[k]
-    for k in range(b + 1, len(A)):
-        if (high >> (k - 1 - b)) & 1:
-            P -= A[k]
-        else:
-            P += A[k]
-
-
 def _closure(lengths: np.ndarray, eps: np.ndarray, r: np.ndarray) -> np.ndarray:
     """F(r[i]) for the sign vectors eps[i], summed column by column as np.dot does."""
     v = np.arcsin(np.minimum(1.0, lengths / (2.0 * r[:, None])))
@@ -438,7 +420,7 @@ def _closure(lengths: np.ndarray, eps: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _bisect_stack(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray, target: np.ndarray, iters: int = 200) -> np.ndarray:
+                  hi: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Roots of F - target bracketed by [lo, hi], one per row, bisected together.
 
     A row stops when F(mid) hits the target exactly (returning mid) or when
@@ -447,7 +429,7 @@ def _bisect_stack(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
     out = np.empty(len(lo))
     rows = np.arange(len(lo))  # rows still bisecting
     flo = _closure(lengths, eps, lo) - target
-    for _ in range(iters):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = _closure(lengths, eps, mid) - target
         left = (flo < 0) == (fm < 0)
@@ -464,24 +446,21 @@ def _bisect_stack(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
     return out
 
 
-def _cyclic_roots(lengths: np.ndarray, masks: Sequence[int],
+def _cyclic_roots(lengths: np.ndarray, eps: np.ndarray,
                   tols: Tolerances) -> list[list[tuple[int, float]]]:
     """(omega, R) roots of the closure condition for a stack of sign vectors.
 
-    masks[i] names the sign vector of _sign_rows; the result lists the roots
-    of each in (omega, R) order, numerically identical roots of one winding
-    collapsed.  Sign vectors with the same grid top share one radius grid;
-    all brackets are bisected together.
+    Each row of eps is a +1/-1 sign vector with first entry +1; the result
+    lists the roots of each in (omega, R) order, numerically identical roots
+    of one winding collapsed.  Sign vectors with the same grid top share one
+    radius grid; all brackets are bisected together.
     """
-    n = len(lengths)
-    masks = np.asarray(masks, dtype=np.int64)
-    eps = _sign_rows(n, masks)
     r_min, tops = _radius_tops(lengths, eps)
-    roots: list[list[tuple[int, float]]] = [[] for _ in masks]
+    roots: list[list[tuple[int, float]]] = [[] for _ in eps]
     brackets = []  # (row, omega, lo, hi) arrays
     for top in sorted(set(tops.tolist())):
         grid = np.geomspace(r_min, top, tols.grid_points)
-        brackets += _scan_grid(lengths, grid, masks, np.nonzero(tops == top)[0], roots)
+        brackets += _scan_grid(lengths, grid, eps, np.nonzero(tops == top)[0], roots)
     if brackets:
         rows, omegas, lo, hi = (np.concatenate(parts) for parts in zip(*brackets))
         radii = _bisect_stack(lengths, eps[rows], lo, hi, math.pi * omegas)
@@ -490,12 +469,13 @@ def _cyclic_roots(lengths: np.ndarray, masks: Sequence[int],
     return [_collapse(rs) for rs in roots]
 
 
-def _scan_grid(lengths: np.ndarray, grid: np.ndarray, masks: np.ndarray,
+def _scan_grid(lengths: np.ndarray, grid: np.ndarray, eps: np.ndarray,
                rows: np.ndarray, roots: list) -> list:
-    """Sign-change brackets of the sign vectors masks[rows] on one grid.
+    """Sign-change brackets of the sign vectors eps[rows] on one grid.
 
-    Closure values are formed ROOT_BLOCK rows at a time from one arcsin
-    table, and only rows whose value range spans pi * omega are scanned.
+    Closure values are formed ROOT_BLOCK rows at a time as one product with
+    an arcsin table, and only rows whose value range spans pi * omega are
+    scanned.  They only choose brackets: the roots are bisected on _closure.
     Roots at the first grid point go straight into roots[row].
     """
     n = len(lengths)
@@ -504,26 +484,23 @@ def _scan_grid(lengths: np.ndarray, grid: np.ndarray, masks: np.ndarray,
     # in place: the table and the block are the largest arrays held
     A = lengths[:, None] / (2.0 * grid[None, :])
     np.arcsin(np.minimum(A, 1.0, out=A), out=A)
-    b = min(ROOT_BLOCK, 2 ** (n - 1)).bit_length() - 1
-    P = np.empty((2 ** b, len(grid)))
     brackets = []
-    for high in sorted(set((masks[rows] >> b).tolist())):
-        block = rows[masks[rows] >> b == high]
-        _fill_block(P, A, high)
-        local = masks[block] & ((1 << b) - 1)  # rows of P
-        vmin = P.min(axis=1)[local, None]
-        vmax = P.max(axis=1)[local, None]
+    for start in range(0, len(rows), ROOT_BLOCK):
+        block = rows[start:start + ROOT_BLOCK]
+        P = eps[block] @ A
+        vmin = P.min(axis=1, keepdims=True)
+        vmax = P.max(axis=1, keepdims=True)
         # max |v - t| sits at a row extreme: rounding v - t is monotone in v
         flat = np.maximum(np.abs(vmax - targets), np.abs(vmin - targets)) < FLAT_CLOSURE_TOL
         for _ in range(np.count_nonzero(flat)):
             logger.warning("degenerate closure: F is identically pi*omega; skipping cell")
-        first = np.abs(P[local, :1] - targets) < FIRST_GRID_ROOT_TOL
+        first = np.abs(P[:, :1] - targets) < FIRST_GRID_ROOT_TOL
         for i, w in zip(*np.nonzero(first & ~flat)):
             roots[block[i]].append((int(omegas[w]), float(grid[0])))
         # a sign change needs values on both sides (a zero counts as +)
         span = (vmin < targets) & (targets <= vmax) & ~flat
         for w in np.nonzero(span.any(axis=0))[0]:
-            side = (P >= targets[w])[local[span[:, w]]]
+            side = P[span[:, w]] >= targets[w]
             q, idx = np.nonzero(side[:, :-1] != side[:, 1:])
             brackets.append((block[span[:, w]][q], np.full(len(q), omegas[w]),
                              grid[idx], grid[idx + 1]))
@@ -566,8 +543,8 @@ def solve_cyclic_all(lengths: Sequence[float], eps: Sequence[int], omega: int,
     # F is odd in eps, so a sign vector starting with -1 has the roots of its
     # negation at -omega
     s0 = eps[0]
-    mask = sum(1 << (k - 1) for k in range(1, n) if eps[k] != s0)
-    (roots,) = _cyclic_roots(np.asarray(lengths), [mask], tols)
+    row = np.array([[s0 * s for s in eps]], dtype=float)
+    (roots,) = _cyclic_roots(np.asarray(lengths), row, tols)
     return [_build_cyclic(lengths, eps, omega, r) for om, r in roots if s0 * om == omega]
 
 
@@ -578,7 +555,9 @@ def enumerate_cyclic(lengths: Sequence[float],
     Scans every sign vector with first entry +1 and derives the mirror
     solutions (eps -> -eps, omega -> -omega, equal radius), so both
     orientations are kept.  Results are sorted by (omega, sign bitmask,
-    radius) and deduplicated up to rotation about the center.
+    radius).  Solutions whose vertices coincide within tolerance are all
+    kept and flagged "coincident": a diameter edge fits both signs, so each
+    solution of the 3-4-5 triangle comes twice.
     """
     lengths = [float(x) for x in lengths]
     n = len(lengths)
@@ -587,10 +566,9 @@ def enumerate_cyclic(lengths: Sequence[float],
     total = sum(lengths)
     if 2 * max(lengths) >= total * (1 - DEGENERATE_TOL):
         return []
-    masks = range(2 ** (n - 1))
+    table = _sign_rows(n, np.arange(2 ** (n - 1)))
     sols: list[CyclicPolygon] = []
-    for mask, roots in zip(masks, _cyclic_roots(np.asarray(lengths), masks, tols)):
-        eps = [1] + [1 if (mask >> k) & 1 == 0 else -1 for k in range(n - 1)]
+    for eps, roots in zip(table.tolist(), _cyclic_roots(np.asarray(lengths), table, tols)):
         for omega, r in roots:
             sols.append(_build_cyclic(lengths, eps, omega, r))
             sols.append(_build_cyclic(lengths, [-s for s in eps], -omega, r))
@@ -624,12 +602,7 @@ def _flag_coincident(sols: list[CyclicPolygon], scale: float) -> None:
                 logger.warning("two cyclic solutions coincide within tolerance")
                 flagged.update((order[a], order[b]))
     for i in flagged:
-        sols[i] = _with_flag(sols[i], "coincident")
-
-
-def _with_flag(p: CyclicPolygon, flag: str) -> CyclicPolygon:
-    return CyclicPolygon(p.lengths, p.center, p.radius, p.vertices, p.eps,
-                         p.alphas, p.omega, p.flags | {flag})
+        sols[i] = replace(sols[i], flags=sols[i].flags | {"coincident"})
 
 
 def circle_data(c: Configuration, cycle: DistinguishedCycle,

@@ -19,7 +19,6 @@ from linkmorse import geometry
 from linkmorse.geometry import (
     Configuration,
     _cyclic_roots,
-    _fill_block,
     _flag_coincident,
     _lstsq_svd,
     aligned_distance,
@@ -165,6 +164,13 @@ class TestEnumerateCyclic:
                 continue
             assert len(enumerate_cyclic(lens)) == _dense_scan_count(lens)
 
+    @pytest.mark.parametrize("grid_points", [1, 2.5])
+    def test_grid_points_must_be_an_int_of_two_or_more(self, grid_points):
+        # one grid point brackets no root: [1.0, 1.3, 0.8, 1.4, 1.1] would
+        # silently lose all 10 solutions; 2.5 would fail inside np.geomspace
+        with pytest.raises(ValueError, match="grid_points"):
+            Tolerances(grid_points=grid_points)
+
 
 def _dense_scan_count(lengths, grid=200_000):
     """Solution count via brute-force sign changes of the closure function."""
@@ -249,6 +255,10 @@ def _mask_eps(n, mask):
     return np.array([1.0] + [1.0 if (mask >> k) & 1 == 0 else -1.0 for k in range(n - 1)])
 
 
+def _eps_table(n, masks):
+    return np.array([_mask_eps(n, m) for m in masks])
+
+
 def _random_lengths(rng, n):
     while True:
         lens = rng.uniform(0.3, 2.0, n)
@@ -260,43 +270,53 @@ class TestStackedRoots:
     @pytest.mark.parametrize("n", range(3, 12))
     def test_stack_equals_rows(self, n):
         lens = _random_lengths(np.random.default_rng(1000 + n), n)
-        masks = range(2 ** (n - 1))
-        stacked = _cyclic_roots(lens, masks, Tolerances())
-        assert stacked == [_reference_roots(lens, _mask_eps(n, m))[0] for m in masks]
+        table = _eps_table(n, range(2 ** (n - 1)))
+        stacked = _cyclic_roots(lens, table, Tolerances())
+        assert stacked == [_reference_roots(lens, eps)[0] for eps in table]
         assert sum(map(len, stacked)) > 0
         # enumerate_cyclic keeps every root and adds its mirror
         radii = sorted(p.radius for p in enumerate_cyclic(list(lens)))
         assert radii == sorted(2 * [r for roots in stacked for _, r in roots])
 
-    @pytest.mark.parametrize("n", [3, 5, 8, 11])
-    def test_block_values_sum_in_row_order(self, n):
-        # bit for bit the row sums of the scalar code, block by block
-        lens = _random_lengths(np.random.default_rng(2000 + n), n)
-        grid = np.geomspace(lens.max() / 2, 40 * lens.sum(), 500)
-        A = np.arcsin(np.minimum(1.0, lens[:, None] / (2.0 * grid[None, :])))
-        b = min(geometry.ROOT_BLOCK, 2 ** (n - 1)).bit_length() - 1
-        P = np.empty((2 ** b, len(grid)))
-        for high in range(2 ** (n - 1 - b)):
-            eps = [_mask_eps(n, (high << b) + j) for j in range(2 ** b)]
-            _fill_block(P, A, high)
-            assert np.array_equal(P, [(A * e[:, None]).sum(axis=0) for e in eps])
+    @pytest.mark.parametrize("n", [7, 9])
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_shuffled_rows_in_blocks(self, n, block, monkeypatch):
+        # half the sign vectors in random order: the rows sharing a grid top
+        # are not adjacent, and blocks of 3 and 16 leave a partial last block.
+        # Near-wall lengths (ones and a two, perturbed) give the sign vectors
+        # close to a wall winding-0 tails above r_crit, so grid tops differ
+        rng = np.random.default_rng(4000 + n)
+        lens = np.r_[np.ones(n - 1), 2.0] + rng.uniform(-1e-3, 1e-3, n)
+        masks = rng.permutation(2 ** (n - 1))[:2 ** (n - 2)]
+        table = _eps_table(n, masks)
+        _, tops = geometry._radius_tops(lens, table)
+        assert len(set(tops.tolist())) > 1
+        monkeypatch.setattr(geometry, "ROOT_BLOCK", block)
+        stacked = _cyclic_roots(lens, table, Tolerances())
+        assert stacked == [_reference_roots(lens, eps)[0] for eps in table]
+        assert sum(map(len, stacked)) > 0
 
-    def test_degenerate_closure_warned_per_cell(self, caplog):
+    def test_degenerate_closure_warned_per_cell(self, caplog, monkeypatch):
         # (+,+,-,-), (+,-,+,-) and (+,-,-,+) sum to exactly 0 at every radius
         lens = np.ones(4)
-        ref = [_reference_roots(lens, _mask_eps(4, m)) for m in range(8)]
+        table = _eps_table(4, range(8))
+        ref = [_reference_roots(lens, eps) for eps in table]
         assert sum(flat for _, flat in ref) == 3
-        with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
-            stacked = _cyclic_roots(lens, range(8), Tolerances())
-        assert stacked == [roots for roots, _ in ref]
-        assert [r.getMessage() for r in caplog.records].count(
-            "degenerate closure: F is identically pi*omega; skipping cell") == 3
+        for block in (1, 3, geometry.ROOT_BLOCK):
+            monkeypatch.setattr(geometry, "ROOT_BLOCK", block)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
+                stacked = _cyclic_roots(lens, table, Tolerances())
+            assert stacked == [roots for roots, _ in ref]
+            assert [r.getMessage() for r in caplog.records].count(
+                "degenerate closure: F is identically pi*omega; skipping cell") == 3
 
     def test_triangle_with_diameter_edge(self):
         # 3-4-5: the hypotenuse is a diameter, a root at the first grid point
         lens = np.array([3.0, 4.0, 5.0])
-        stacked = _cyclic_roots(lens, range(4), Tolerances())
-        assert stacked == [_reference_roots(lens, _mask_eps(3, m))[0] for m in range(4)]
+        table = _eps_table(3, range(4))
+        stacked = _cyclic_roots(lens, table, Tolerances())
+        assert stacked == [_reference_roots(lens, eps)[0] for eps in table]
         assert (0, 2.5) in stacked[2] and (1, 2.5) in stacked[0]
         sols = enumerate_cyclic([3, 4, 5])
         assert all({"diameter_edge", "coincident"} <= p.flags for p in sols)
@@ -315,10 +335,11 @@ class TestStackedRoots:
 
     def test_block_size_does_not_change_roots(self, monkeypatch):
         lens = _random_lengths(np.random.default_rng(3), 7)
-        before = _cyclic_roots(lens, range(64), Tolerances())
+        table = _eps_table(7, range(64))
+        before = _cyclic_roots(lens, table, Tolerances())
         for block in (8, 64):
             monkeypatch.setattr(geometry, "ROOT_BLOCK", block)
-            assert _cyclic_roots(lens, range(64), Tolerances()) == before
+            assert _cyclic_roots(lens, table, Tolerances()) == before
 
 
 def _reference_flag_coincident(sols, scale):
