@@ -35,6 +35,7 @@ EXIT_PARSE = 2
 EXIT_NOT_PTT = 3
 EXIT_WALL = 4
 EXIT_DIFF = 5
+RECORDS_FORMAT = 2  # symbolic critical output with a shared cell table
 
 
 @contextmanager
@@ -157,8 +158,8 @@ def _load_cycle(args):
 
 
 def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
-    """(key, representative, index, manifold_dim) of every record of a
-    symbolic ``critical`` output file for the linkage ``g``.
+    """(key, representative, index, manifold_dim) of every record of a symbolic
+    ``critical`` output file for the linkage ``g``, in format 2 or without one.
 
     Each representative must place exactly the linkage's vertices at finite
     coordinates; whether it closes up is for verification to judge.
@@ -170,6 +171,8 @@ def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
         raise LinkmorseError(f"cannot read records file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("mode") != "symbolic":
         raise LinkmorseError("verify expects symbolic records")
+    if payload.get("format", RECORDS_FORMAT) != RECORDS_FORMAT:
+        raise LinkmorseError(f"malformed records file: unknown format {payload['format']!r}")
     try:
         claims = [(rec.get("key", f"record{k}"),
                    Configuration.from_json_dict(rec["representative"]),
@@ -241,8 +244,10 @@ def cmd_critical(args) -> int:
     struct = detect_polygon_with_chains(g, gamma)
     if struct is not None and walls.clean:
         records = enumerate_critical_structure(struct, cfg.tols)
-        out["mode"] = "symbolic"
-        out["records"] = [r.to_json_dict() for r in records]
+        out.update(mode="symbolic", format=RECORDS_FORMAT)
+        cell_ids: dict = {}  # each polygon once, in order of first use
+        out["records"] = [r.to_json_dict(cell_ids) for r in records]
+        out["cells"] = [poly.to_json_dict() for poly in cell_ids]
     else:
         out["warning"] = ("linkage outside the symbolic class; falling back to "
                           "numeric search" if struct is None else

@@ -147,15 +147,16 @@ class CriticalRecord:
         """Number of critical points represented, for zero-dimensional records."""
         return self.chi if self.manifold_dim == 0 else None
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, cell_ids: dict[CyclicPolygon, int]) -> dict:
+        """The record; each cell names its polygon's index in ``cell_ids``, grown as needed."""
         return {
             "key": self.key(),
             "index": self.index.to_json_dict(),
             "manifold_dim": self.manifold_dim,
             "area": self.area,
             "chains": [s.to_json_dict() for s in self.chain_status],
-            "cells": [pc.poly.to_json_dict() | {"center_glued": list(pc.center)}
-                      for pc in self.cells],
+            "cells": [{"cell": cell_ids.setdefault(pc.poly, len(cell_ids)),
+                       "center_glued": list(pc.center)} for pc in self.cells],
             "factors": [f.to_json_dict() for f in self.factors],
             "representative": self.representative.to_json_dict(),
         }

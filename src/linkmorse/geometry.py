@@ -333,12 +333,6 @@ class CyclicPolygon:
             raise ValueError("closure edge off tolerance")
 
     def to_json_dict(self) -> dict:
-        return dict(self._json)
-
-    @cached_property
-    def _json(self) -> dict:
-        # built once per polygon; the records that share the polygon share
-        # its lists, which nothing mutates
         return {
             "lengths": list(self.lengths),
             "center": list(self.center),

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 import linkmorse.cli
 import linkmorse.graphs
 from linkmorse.cli import _dump_json, main
-from linkmorse.graphs import LinkageGraph, make_polygon, make_three_chain
+from linkmorse.enumeration import enumerate_critical_structure
+from linkmorse.graphs import (
+    LinkageGraph,
+    detect_polygon_with_chains,
+    make_polygon,
+    make_three_chain,
+)
 from linkmorse.instances import (
     max16_three_chain,
     non_ptt_example,
@@ -241,12 +247,66 @@ class TestCritical:
         assert outputs[0] and outputs[0] == outputs[1]
 
 
+def _freeze(v):
+    """A hashable value equal to another's exactly when the JSON values are."""
+    if isinstance(v, dict):
+        return tuple(sorted((k, _freeze(x)) for k, x in v.items()))
+    return tuple(map(_freeze, v)) if isinstance(v, list) else v
+
+
+class TestCellTable:
+    """Symbolic ``critical`` writes each cyclic polygon once, in a top-level
+    table that the records' cells index."""
+
+    @pytest.mark.parametrize("instance", [
+        lambda: make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75]),
+        max16_three_chain,
+        lambda: worked_example()[:2],
+    ], ids=["three_chain", "max16", "worked"])
+    def test_round_trip(self, tmp_path, instance):
+        g, gamma = instance()
+        out = tmp_path / "records.json"
+        assert main(["--out", str(out), "critical",
+                     write_linkage(tmp_path / "in.json", g, gamma)]) == 0
+        payload = json.loads(out.read_text())
+        table = payload["cells"]
+        assert payload["format"] == 2
+        records = enumerate_critical_structure(detect_polygon_with_chains(g, gamma))
+        assert len(payload["records"]) == len(records)
+        for rec, r in zip(payload["records"], records):
+            assert rec["key"] == r.key()
+            assert [table[c["cell"]] | {"center_glued": c["center_glued"]}
+                    for c in rec["cells"]] == \
+                [pc.poly.to_json_dict() | {"center_glued": list(pc.center)}
+                 for pc in r.cells]
+        assert len(set(map(_freeze, table))) == len(table)
+        used = [c["cell"] for rec in payload["records"] for c in rec["cells"]]
+        assert list(dict.fromkeys(used)) == list(range(len(table)))
+
+
 class TestVerify:
     def test_round_trip_agreement(self, tmp_path, three_chain_file):
         records = tmp_path / "records.json"
         assert main(["--out", str(records), "critical", three_chain_file]) == 0
         assert main(["--n-seeds", "400", "verify", three_chain_file,
                      str(records)]) == 0
+
+    def test_file_without_cell_table(self, tmp_path, three_chain_file, capsys):
+        # a file written before the cell table: no "format", full cells
+        records = tmp_path / "records.json"
+        assert main(["--out", str(records), "critical", three_chain_file]) == 0
+        payload = json.loads(records.read_text())
+        argv = ["--n-seeds", "400", "verify", three_chain_file, str(records)]
+        assert main(argv) == 0
+        verdict = capsys.readouterr().out
+        table = payload.pop("cells")
+        del payload["format"]
+        for rec in payload["records"]:
+            rec["cells"] = [table[c["cell"]] | {"center_glued": c["center_glued"]}
+                            for c in rec["cells"]]
+        records.write_text(json.dumps(payload))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == verdict
 
     def test_corrupted_index_exit_5(self, tmp_path, three_chain_file, capsys):
         records = tmp_path / "records.json"
@@ -440,7 +500,10 @@ class TestInputErrors:
         {"mode": "symbolic", "records": [{"key": "k", "index": {"index": 0,
                                                                  "manifold_dim": 0}}]},
         {"mode": "symbolic", "records": [{"key": "k", "representative": {"coords": {}}}]},
-    ], ids=["top_level_list", "records_not_a_list", "no_representative", "no_index"])
+        {"mode": "symbolic", "format": 1, "records": []},
+        {"mode": "symbolic", "format": 3, "records": []},
+    ], ids=["top_level_list", "records_not_a_list", "no_representative", "no_index",
+            "format_1", "format_3"])
     def test_malformed_records_file(self, tmp_path, three_chain_file, capsys,
                                     monkeypatch, payload):
         def no_enumeration(*args, **kw):
@@ -452,8 +515,10 @@ class TestInputErrors:
         assert main(["verify", three_chain_file, str(records)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
-
+        assert captured.err.startswith("error: verify expects symbolic records"
+                                       if isinstance(payload, list)
+                                       else "error: malformed records file")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("spoil", [
         lambda coords: coords.pop("A1"),
@@ -538,18 +603,32 @@ class TestOutput:
         linkmorse.cli._write_json(obj, fh, 0)
         assert fh.getvalue() == json.dumps(obj, indent=2, sort_keys=True)
 
+    @staticmethod
+    def _traced_dump(payload, path):
+        """The written file's size and the traced peak while writing it."""
+        tracemalloc.start()
+        try:
+            _dump_json(payload, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return path.stat().st_size, peak
+
     def test_dump_streams(self, tmp_path):
         records = [{"key": f"record{k}", "area": k / 7.0,
                     "index": {"index": k % 9, "manifold_dim": k % 2},
                     "center_glued": [k / 3.0, -k / 11.0],
                     "chains": [{"kind": "free", "w": k / 13.0}]} for k in range(20000)]
-        path = tmp_path / "records.json"
-        tracemalloc.start()
-        try:
-            _dump_json({"records": records}, str(path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        size = path.stat().st_size
+        size, peak = self._traced_dump({"records": records}, tmp_path / "records.json")
+        assert size > 5_000_000
+        assert peak < size / 10
+
+    def test_dump_streams_top_level_table(self, tmp_path):
+        # a shared table one container deep also goes out an entry at a time
+        cells = [{"lengths": [k / 3.0, k / 7.0, k / 9.0], "radius": k / 5.0,
+                  "vertices": [[k / 11.0, -k / 13.0], [k / 17.0, k / 19.0]],
+                  "flags": []} for k in range(20000)]
+        size, peak = self._traced_dump({"cells": cells, "format": 2, "records": []},
+                                       tmp_path / "records.json")
         assert size > 5_000_000
         assert peak < size / 10

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -597,6 +598,46 @@ class TestEulerSum:
         rep = euler_sum(recs)
         assert not rep.known and rep.value is None
         assert rep.unknown_keys
+
+
+def _farber_schutz_betti(lengths) -> list[int]:
+    """Betti numbers b_0 .. b_{n-3} of the planar polygon space of a generic
+    length vector (Farber and Schütz, "Homology of planar polygon spaces",
+    Geom. Dedicata 125, 2007): b_k = a_k + a_{n-3-k}, where a_k counts the
+    subsets of k+1 sides that hold a longest side and sum to less than half
+    the perimeter."""
+    n = len(lengths)
+    j = max(range(n), key=lengths.__getitem__)
+    others = lengths[:j] + lengths[j + 1:]
+    half = sum(lengths) / 2
+    a = [sum(1 for rest in itertools.combinations(others, k)
+             if lengths[j] + sum(rest) < half) for k in range(n - 2)]
+    return [a[k] + a[n - 3 - k] for k in range(n - 2)]
+
+
+class TestEulerAgainstBetti:
+    """The symbolic records' Morse count against a topology they do not
+    compute: sum of (-1)^index equals chi of the polygon space."""
+
+    def test_formula_on_equilateral_pentagon(self):
+        # a genus-4 surface
+        assert _farber_schutz_betti([1.0] * 5) == [1, 8, 1]
+
+    def test_index_sum_is_chi(self):
+        rng = np.random.default_rng(2007)
+        checked = 0
+        while checked < 20:
+            n = 4 + checked % 6
+            lens = [float(x) for x in rng.uniform(0.5, 2.0, n)]
+            if 2 * max(lens) >= sum(lens):
+                continue
+            g, gamma = make_polygon(lens)
+            if not wall_check(g).clean:
+                continue
+            chi = sum((-1) ** k * b for k, b in enumerate(_farber_schutz_betti(lens)))
+            recs = enumerate_critical_pnd(g, gamma)
+            assert sum((-1) ** r.index.index for r in recs) == chi, lens
+            checked += 1
 
 
 class TestRandomInstances:

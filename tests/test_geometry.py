@@ -138,17 +138,17 @@ class TestEnumerateCyclic:
         assert ((1, 1, 1, 1), 1) in keys
         assert ((-1, -1, -1, -1), -1) in keys
 
-    def test_json_built_once_and_copied(self):
-        # the dict is built once per polygon; each call hands out a fresh
-        # top-level dict with the values of a fresh build
+    def test_json_equals_fresh_build(self):
         p = enumerate_cyclic([1.0, 1.3, 0.8, 1.4])[0]
         d = p.to_json_dict()
-        assert d is not p.to_json_dict()
-        assert d["vertices"] is p.to_json_dict()["vertices"]
+        assert d == {
+            "lengths": list(p.lengths), "center": list(p.center), "radius": p.radius,
+            "vertices": [list(v) for v in p.vertices], "eps": list(p.eps),
+            "alphas": list(p.alphas), "omega": p.omega, "e": p.e,
+            "area": shoelace(p.vertex_array()), "flags": sorted(p.flags)}
         d["area"] = None
-        fresh = dataclasses.replace(p)
-        assert p.to_json_dict() == fresh.to_json_dict()
-        assert fresh.to_json_dict()["area"] == fresh.area == shoelace(fresh.vertex_array())
+        assert p.to_json_dict() == dataclasses.replace(p).to_json_dict()
+        assert p.to_json_dict()["area"] == shoelace(p.vertex_array())
 
     def test_equilateral_pentagon_golden_count(self):
         # golden value 14, re-verified by a dense independent scan of the
