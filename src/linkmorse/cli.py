@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 from contextlib import contextmanager
@@ -37,6 +38,8 @@ EXIT_WALL = 4
 EXIT_DIFF = 5
 RECORDS_FORMAT = 2  # symbolic critical output with a shared cell table
 
+logger = logging.getLogger(__name__)
+
 
 @contextmanager
 def _output(path: str | None):
@@ -52,12 +55,14 @@ def _output(path: str | None):
         raise LinkmorseError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _dump_json(obj, path: str | None) -> None:
+def _dump_json(obj, path: str | None) -> int:
     """Write ``obj`` as ``json.dump(obj, fh, indent=2, sort_keys=True)`` would,
-    plus a newline, so the whole text never exists at once."""
+    plus a newline, so the whole text never exists at once; returns the number
+    of characters written, which is that of bytes since the text is ASCII."""
     with _output(path) as fh:
-        _write_json(obj, fh, 0)
+        n = _write_json(obj, fh, 0)
         fh.write("\n")
+    return n + 1
 
 
 # containers shallower than this are written one item at a time (a record
@@ -65,23 +70,30 @@ def _dump_json(obj, path: str | None) -> None:
 _STREAM_DEPTH = 2
 
 
-def _write_json(o, fh, depth: int) -> None:
-    """Write ``o``, which sits ``depth`` containers deep."""
+def _write_json(o, fh, depth: int) -> int:
+    """Write ``o``, which sits ``depth`` containers deep; returns the number of
+    characters written."""
     nl = "\n" + "  " * depth
+    if isinstance(o, _TemplatedRecords):
+        return o.write(fh, nl)
     if depth >= _STREAM_DEPTH or not isinstance(o, (list, tuple, dict)) or not o:
-        fh.write(_encode_json(o, nl))
-        return
+        text = _encode_json(o, nl)
+        fh.write(text)
+        return len(text)
     if isinstance(o, dict):
         opener, closer = "{", "}"
         items = ((_encode_str(k) + ": ", v) for k, v in sorted(o.items()))
     else:
         opener, closer = "[", "]"
         items = (("", v) for v in o)
+    n = 0
     for prefix, v in items:
-        fh.write(opener + nl + "  " + prefix)
-        _write_json(v, fh, depth + 1)
+        head = opener + nl + "  " + prefix
+        fh.write(head)
+        n += len(head) + _write_json(v, fh, depth + 1)
         opener = ","
     fh.write(nl + closer)
+    return n + len(nl) + 1
 
 
 def _encode_json(o, nl: str) -> str:
@@ -137,9 +149,78 @@ def _encode_float(x: float) -> str:
     return float.__repr__(x)
 
 
+class _Slot:
+    """A leaf's place in a record template; encoded as a NUL character, which
+    no other encoded text holds (strings go out ASCII-escaped)."""
+
+
 _SCALARS = {str: _encode_str, int: int.__repr__, float: _encode_float,
             bool: {True: "true", False: "false"}.__getitem__,
-            type(None): lambda _: "null"}
+            type(None): lambda _: "null", _Slot: lambda _: "\0"}
+
+
+def _slotted(o):
+    """``o`` with every leaf replaced by a ``_Slot``."""
+    if isinstance(o, dict):
+        return {k: _slotted(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_slotted(v) for v in o]
+    return _Slot()
+
+
+class _TemplatedRecords:
+    """Symbolic records, written one at a time as the text template of the
+    record's shape filled with the texts of its leaves
+    (``CriticalRecord.json_leaves``), so no record dict is built or walked.
+
+    A shape's template is the generic encoding of its first record's
+    ``to_json_dict`` with every leaf slotted; that record's filled template
+    must equal the record's generic encoding.  Templates live as long as the
+    object, which serves one ``critical`` call."""
+
+    def __init__(self, records):
+        self.records = records
+        # each polygon once, in order of first use, known before any record
+        # goes out since the cell table sorts first
+        self.cell_ids: dict = {}
+        for r in records:
+            for pc in r.cells:
+                self.cell_ids.setdefault(pc.poly, len(self.cell_ids))
+        self.templates: dict = {}
+
+    def write(self, fh, nl: str) -> int:
+        """Write the record list on a line whose indentation follows the
+        newline ``nl``; returns the number of characters written."""
+        if not self.records:
+            fh.write("[]")
+            return 2
+        inner = nl + "  "
+        opener, n = "[", 0
+        for r in self.records:
+            text = opener + inner + self.encode(r, inner)
+            fh.write(text)
+            n += len(text)
+            opener = ","
+        fh.write(nl + "]")
+        return n + len(nl) + 1
+
+    def encode(self, r, nl: str) -> str:
+        """The text ``_encode_json(r.to_json_dict(self.cell_ids), nl)`` gives."""
+        shape, leaves = r.json_leaves(self.cell_ids)
+        texts = tuple([s(v) if (s := _SCALARS.get(type(v))) else _encode_json(v, nl)
+                       for v in leaves])
+        template = self.templates.get((nl, shape))
+        if template is None:
+            d = r.to_json_dict(self.cell_ids)
+            # the fixed text's own "%" are doubled, so each leaf text is
+            # substituted once and never read as a format
+            parts = _encode_json(_slotted(d), nl).replace("%", "%%").split("\0")
+            template = "%s".join(parts)
+            if len(parts) != len(texts) + 1 or template % texts != _encode_json(d, nl):
+                raise RuntimeError(f"record {r.key()}: its leaves do not fill the "
+                                   f"template of its shape {shape!r}")
+            self.templates[nl, shape] = template
+        return template % texts
 
 
 def _load(path: str):
@@ -243,24 +324,27 @@ def cmd_critical(args) -> int:
     # a cycle with non-crossing chains has no K4 minor, so walls is set
     struct = detect_polygon_with_chains(g, gamma)
     if struct is not None and walls.clean:
-        records = enumerate_critical_structure(struct, cfg.tols)
-        out.update(mode="symbolic", format=RECORDS_FORMAT)
-        cell_ids: dict = {}  # each polygon once, in order of first use
-        out["records"] = [r.to_json_dict(cell_ids) for r in records]
-        out["cells"] = [poly.to_json_dict() for poly in cell_ids]
-    else:
-        out["warning"] = ("linkage outside the symbolic class; falling back to "
-                          "numeric search" if struct is None else
-                          "wall proximity; numeric-only fallback")
-        print(f"warning: {out['warning']}", file=sys.stderr)
-        oracle = area_oracle(g, gamma, cfg.tols)
-        found = oracle.find_critical(cfg.n_seeds, cfg.seed)
-        out["mode"] = "numeric"
-        out["records"] = [{
-            "area": oracle.f(x),
-            "inertia": tri.to_json_dict(),
-            "representative": c.to_json_dict(),
-        } for x, tri, c in found]
+        records = _TemplatedRecords(enumerate_critical_structure(struct, cfg.tols))
+        out.update(mode="symbolic", format=RECORDS_FORMAT, records=records,
+                   cells=[poly.to_json_dict() for poly in records.cell_ids])
+        written = _dump_json(out, args.out)
+        logger.debug("critical: %(records)d records, %(cells)d cell-table entries, "
+                     "%(shapes)d record templates, %(bytes)d bytes written",
+                     {"records": len(records.records), "cells": len(records.cell_ids),
+                      "shapes": len(records.templates), "bytes": written})
+        return EXIT_OK
+    out["warning"] = ("linkage outside the symbolic class; falling back to "
+                      "numeric search" if struct is None else
+                      "wall proximity; numeric-only fallback")
+    print(f"warning: {out['warning']}", file=sys.stderr)
+    oracle = area_oracle(g, gamma, cfg.tols)
+    found = oracle.find_critical(cfg.n_seeds, cfg.seed)
+    out["mode"] = "numeric"
+    out["records"] = [{
+        "area": oracle.f(x),
+        "inertia": tri.to_json_dict(),
+        "representative": c.to_json_dict(),
+    } for x, tri, c in found]
     _dump_json(out, args.out)
     return EXIT_OK
 

@@ -161,6 +161,29 @@ class CriticalRecord:
             "representative": self.representative.to_json_dict(),
         }
 
+    def json_leaves(self, cell_ids: dict[CyclicPolygon, int]) -> tuple[tuple, list]:
+        """The shape of ``to_json_dict(cell_ids)`` and its leaves (the values
+        that are not containers), in the order ``json.dumps(sort_keys=True)``
+        writes them.  Two records of one shape differ in their leaves alone."""
+        coords = sorted(self.representative.coords.items())
+        shape = (len(self.cells),
+                 tuple((s.kind, len(s.sigma)) if s.kind == "aligned" else s.kind
+                       for s in self.chain_status),
+                 len(self.factors), len(self.index.breakdown), tuple(v for v, _ in coords))
+        leaves = [self.area]
+        for pc in self.cells:
+            leaves += (cell_ids.setdefault(pc.poly, len(cell_ids)), *pc.center)
+        for s in self.chain_status:
+            leaves += (s.f, s.kind, *s.sigma, s.w) if s.kind == "aligned" else (s.kind, s.w)
+        for f in self.factors:
+            leaves += (f.chain, f.chi, f.dim, f.edges)
+        for label, v in self.index.breakdown:
+            leaves += (label, v)
+        leaves += (self.index.index, self.index.manifold_dim, self.key(), self.manifold_dim)
+        for _, xy in coords:
+            leaves += xy
+        return shape, leaves
+
 
 def _factor_chi(r: int) -> int | None:
     # reduced configuration space of an (r+1)-gon: two points for a triangle,

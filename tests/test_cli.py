@@ -2,6 +2,8 @@
 
 import io
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -15,15 +17,24 @@ from hypothesis import strategies as st
 
 import linkmorse.cli
 import linkmorse.graphs
-from linkmorse.cli import _dump_json, main
-from linkmorse.enumeration import enumerate_critical_structure
+from linkmorse.cli import _dump_json, _encode_json, _TemplatedRecords, main
+from linkmorse.enumeration import (
+    ChainStatus,
+    CriticalRecord,
+    ManifoldFactor,
+    PlacedCell,
+    enumerate_critical_structure,
+)
+from linkmorse.geometry import Configuration, enumerate_cyclic
 from linkmorse.graphs import (
     LinkageGraph,
     detect_polygon_with_chains,
     make_polygon,
     make_three_chain,
 )
+from linkmorse.indices import IndexReport
 from linkmorse.instances import (
+    bott_morse_three_chain,
     max16_three_chain,
     non_ptt_example,
     pitchfork_family,
@@ -46,6 +57,20 @@ JSON_VALUES = st.recursive(
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(st.text(), inner, max_size=4)),
     max_leaves=40)
+
+
+# a three-chain whose free 4-edge chain gives records with "chi": null
+def free_four_chain():
+    return make_three_chain([1.0, 1.2], [0.8, 1.1], [0.53, 0.56, 0.61, 0.67])
+
+
+def symbolic_records(g, gamma):
+    return enumerate_critical_structure(detect_polygon_with_chains(g, gamma))
+
+
+@pytest.fixture(scope="module")
+def worked_records():
+    return symbolic_records(*worked_example()[:2])
 
 
 def write_linkage(path, g, gamma=None, terminals=None):
@@ -282,6 +307,86 @@ class TestCellTable:
         assert len(set(map(_freeze, table))) == len(table)
         used = [c["cell"] for rec in payload["records"] for c in rec["cells"]]
         assert list(dict.fromkeys(used)) == list(range(len(table)))
+
+
+def hand_built_record(area, center):
+    poly = enumerate_cyclic([1.0, 1.1, 1.2])[0]
+    return CriticalRecord(
+        chain_status=(ChainStatus("aligned", 2.0, (1, -1), 1), ChainStatus("free", 0.5)),
+        cells=(PlacedCell(poly, center),),
+        representative=Configuration({"b": (1.0, -0.5), "a": (0.0, 0.25)}),
+        index=IndexReport(1, 0, (("cell0", 0), ("chain0", 1))),
+        factors=(ManifoldFactor(1, 2, 0, 2),),
+        area=area)
+
+
+class TestRecordTemplates:
+    """Symbolic records go out through one text template per record shape,
+    filled with the record's leaf texts; every record's text equals the
+    generic encoding of its ``to_json_dict``."""
+
+    NL = "\n    "  # a record's indentation in the output file
+
+    @pytest.mark.parametrize("instance", [
+        max16_three_chain, bott_morse_three_chain, free_four_chain, None,
+    ], ids=["max16", "bm223", "free_four_chain", "worked"])
+    def test_every_record_equals_generic(self, instance, request):
+        records = (request.getfixturevalue("worked_records") if instance is None
+                   else symbolic_records(*instance()))
+        templated = _TemplatedRecords(records)
+        texts = [templated.encode(r, self.NL) for r in records]
+        assert texts == [_encode_json(r.to_json_dict(templated.cell_ids), self.NL)
+                         for r in records]
+        assert len(templated.templates) < len(records)
+        if instance is free_four_chain:
+            assert any('"chi": null' in t for t in texts)
+
+    def test_non_finite_leaves(self):
+        odd = hand_built_record(math.nan, (math.inf, -0.0))
+        plain = hand_built_record(1.5, (0.5, 0.25))
+        # the odd record fills a template made from the plain one, then makes its own
+        for order in ([plain, odd], [odd]):
+            templated = _TemplatedRecords(order)
+            for r in order:
+                text = templated.encode(r, "\n")
+                assert text == json.dumps(r.to_json_dict(templated.cell_ids), indent=2,
+                                          sort_keys=True)
+            assert '"area": NaN' in text and "Infinity" in text
+
+    def test_vertex_names_escaped(self, tmp_path, capsysbinary):
+        g, gamma = free_four_chain()
+        names = dict(zip(g.vertices, ["v%d", 'q"x', "é", "a\\b", "[c]", "{}", "%s%%"]))
+        g = LinkageGraph(tuple(names[v] for v in g.vertices),
+                         tuple((names[u], names[v], x) for u, v, x in g.edges))
+        path = str(tmp_path / "names.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(g.to_json_dict() | {"gamma": [names[v] for v in gamma.vertices]}, fh)
+        assert main(["critical", path]) == 0
+        stdout = capsysbinary.readouterr().out
+        text = stdout.decode("ascii")
+        payload = json.loads(text)
+        assert payload["mode"] == "symbolic" and payload["records"]
+        assert set(payload["records"][0]["representative"]["coords"]) == set(names.values())
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = tmp_path / "out.json"
+        assert main(["--out", str(out), "critical", path]) == 0
+        assert out.read_bytes() == stdout
+
+    def test_debug_record(self, tmp_path, caplog):
+        path = write_linkage(tmp_path / "worked.json", *worked_example()[:2])
+        out = tmp_path / "records.json"
+        caplog.set_level(logging.DEBUG, logger="linkmorse.cli")
+        runs = []
+        for _ in range(2):  # a second call in the process builds its templates again
+            caplog.clear()
+            assert main(["--out", str(out), "critical", path]) == 0
+            (record,) = [r for r in caplog.records if r.name == "linkmorse.cli"]
+            assert record.levelno == logging.DEBUG
+            runs.append(record.args)
+        assert runs[0] == runs[1]
+        assert runs[0]["records"] == 5316 and runs[0]["cells"] == 934
+        assert runs[0]["bytes"] == out.stat().st_size == 16_031_583
+        assert 0 < runs[0]["shapes"] < 10
 
 
 class TestVerify:
@@ -622,6 +727,22 @@ class TestOutput:
         size, peak = self._traced_dump({"records": records}, tmp_path / "records.json")
         assert size > 5_000_000
         assert peak < size / 10
+
+    def test_symbolic_records_stream(self, tmp_path, monkeypatch, worked_records):
+        # the worked example's records, enumerated beforehand, go out one at a
+        # time: holding every record's text (about 14 MB) or dict at once fails
+        monkeypatch.setattr(linkmorse.cli, "enumerate_critical_structure",
+                            lambda *args: worked_records)
+        path = write_linkage(tmp_path / "worked.json", *worked_example()[:2])
+        out = tmp_path / "records.json"
+        tracemalloc.start()
+        try:
+            assert main(["--out", str(out), "critical", path]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == 16_031_583
+        assert peak < 4_000_000, peak
 
     def test_dump_streams_top_level_table(self, tmp_path):
         # a shared table one container deep also goes out an entry at a time
