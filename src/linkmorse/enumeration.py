@@ -12,17 +12,14 @@ term per aligned chain.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
-    CoincidingCentersError,
     NonGenericError,
     NotConcyclicError,
     NotPTTError,
@@ -37,7 +34,7 @@ from .geometry import (
     chain_reach,
     cyclic_data_from_points,
     enumerate_cyclic,
-    gauss_newton,
+    place_chain,
     shoelace,
     transform_mapping_segment,
     wall_check,
@@ -53,9 +50,9 @@ from .graphs import (
     elementary_cycles,
 )
 from .indices import (
+    COINCIDING_CENTERS,
     IndexReport,
-    OpenChainCritical,
-    aligned_nu,
+    aligned_nus,
     cyclic_index,
     ptt_index,
 )
@@ -64,11 +61,9 @@ logger = logging.getLogger(__name__)
 
 # a glued cell's shared vertex counts as mismatched beyond GLUE_TOL * scale
 GLUE_TOL = 1e-6
-# _place_free_chain: seeded starts per chain, Gauss-Newton tolerance (times
-# scale) and step budget per start
-FREE_CHAIN_TRIES = 25
-FREE_CHAIN_TOL = 1e-12
-FREE_CHAIN_MAX_ITER = 120
+# a pick's fate in record assembly: kept for a record, dropped, or refused
+# as non-generic (every fate from AT_REACH_BOUND on)
+KEPT, GLUE_MISMATCH, OUTSIDE_REACH, AT_REACH_BOUND, AT_ALIGNMENT = range(5)
 # classify_structure floors a chain's extent at EXTENT_FLOOR, so a chain with
 # all joints on one point keeps a positive collinearity threshold
 EXTENT_FLOOR = 1e-30
@@ -259,7 +254,7 @@ def enumerate_critical_structure(struct: PolygonWithChains,
         cyclic={}, counts=dict.fromkeys(
             ("branches", "empty_branches", "two_edge_cell", "no_cyclic_root",
              "cyclic_lookups", "cyclic_solved", "picks", "glue_mismatch",
-             "outside_reach", "no_representative", "records"), 0))
+             "outside_reach", "records"), 0))
     records: list[CriticalRecord] = []
     for d_mask in range(2 ** len(flexible)):
         aligned_set = set(rigid) | {flexible[i] for i in range(len(flexible))
@@ -279,8 +274,8 @@ def enumerate_critical_structure(struct: PolygonWithChains,
         "%(two_edge_cell)d with a two-edge cell, %(no_cyclic_root)d with a cell "
         "without cyclic root, %(cyclic_lookups)d cyclic lookups on "
         "%(cyclic_solved)d length vectors, %(picks)d picks, %(glue_mismatch)d glue "
-        "mismatches, %(outside_reach)d free chains outside reach, "
-        "%(no_representative)d without representative, %(records)d records", counts)
+        "mismatches, %(outside_reach)d free chains outside reach, %(records)d records",
+        counts)
     return records
 
 
@@ -288,11 +283,10 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
     """Records of one choice of aligned chains and patterns.
 
     A pick is one cyclic solution per cell, taken in ``itertools.product``
-    order; all of a branch's picks are glued together as arrays.  Then each
-    pick runs the checks that can raise ``NonGenericError``, in pick order,
-    so the first non-generic pick raises as if the picks were assembled one
-    at a time.  The representatives, which cannot raise, are placed last,
-    for all surviving picks at once.
+    order.  All of a branch's picks are glued, checked, indexed and placed
+    together as arrays; per record only its own objects are built.  When
+    checks fail, the first failing pick raises the ``NonGenericError`` it
+    would raise if the picks were assembled one at a time.
     """
     struct, tols, scale, counts = en.struct, en.tols, en.scale, en.counts
     counts["branches"] += 1
@@ -324,75 +318,100 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
     glue = _Gluing(struct, aligned_list, cells, sides,
                    [sols for sols, _ in cell_sols], scale)
     free = [k for k in range(len(struct.chains)) if k not in aligned_list]
+    picks = np.array(list(itertools.product(*(range(len(sols)) for sols, _ in cell_sols))),
+                     dtype=np.intp)
+    counts["picks"] += len(picks)
+    pts, placed, centers, mismatch = glue(picks)
+
+    # the checks of every pick, in the order one pick runs them
+    fate, d = _free_chain_fates(en, free, pts, mismatch)
+    kept = fate == KEPT
+    mu = _cell_indices(cell_sols, picks, kept, tols)
+    nu = np.zeros((len(picks), len(aligned_list)), dtype=int)
+    coincide = np.zeros(nu.shape, dtype=bool)
+    for di, (k, (a, b), (_, _, f)) in enumerate(zip(aligned_list, sides, combo)):
+        ch = struct.chains[k]
+        nu[:, di], coincide[:, di] = _chain_terms(
+            ch, f, pts[:, ch.t_pos] - pts[:, ch.i_pos], centers[a], centers[b], tols, scale)
+    refused = (fate >= AT_REACH_BOUND) | (kept & ((mu < 0).any(axis=1) | coincide.any(axis=1)))
+    if refused.any():
+        row = int(np.argmax(refused))
+        if fate[row] == AT_REACH_BOUND:  # at the first free chain near its reach bound
+            dk = next(x for k, x in zip(free, d[row].tolist())
+                      if en.reach[k].near_boundary(x, tols.reach_boundary * scale))
+            raise NonGenericError(f"free-chain endpoint distance {dk!r} hits the reach boundary")
+        if fate[row] == AT_ALIGNMENT:
+            raise NonGenericError("configuration is simultaneously circular and aligned")
+        for (sols, _), s in zip(cell_sols, picks[row].tolist()):
+            cyclic_index(sols[s], tols)
+        raise NonGenericError(COINCIDING_CENTERS)
+    counts["glue_mismatch"] += int(np.count_nonzero(fate == GLUE_MISMATCH))
+    counts["outside_reach"] += int(np.count_nonzero(fate == OUTSIDE_REACH))
+
+    rows = np.flatnonzero(kept)
+    if rows.size == 0:
+        return []
+    # one IndexReport per distinct tuple of cell indices and chain terms
     factors = _free_factors(struct, aligned_list)
+    terms, report_of = np.unique(np.concatenate((mu, nu), axis=1)[rows], axis=0,
+                                 return_inverse=True)
+    reports = [_index_report(aligned_list, t[:len(cells)], t[len(cells):], factors)
+               for t in terms.tolist()]
     base: list[ChainStatus | None] = [None] * len(struct.chains)
     for k, (sigma, w, f) in zip(aligned_list, combo):
         base[k] = ChainStatus("aligned", w, tuple(sigma), f)
-
-    picks = list(itertools.product(*(range(len(sols)) for sols, _ in cell_sols)))
-    counts["picks"] += len(picks)
-    pick_rows = np.array(picks, dtype=np.intp)
-    pts, placed, mismatch = glue(pick_rows)
-
-    kept = []  # (row, placed cells, statuses, index report)
-    for row, pick in enumerate(picks):
-        if mismatch[row]:
-            counts["glue_mismatch"] += 1
-            continue
-        statuses = _free_statuses(en, base, free, pts[row])
-        if statuses is None:
-            counts["outside_reach"] += 1
-            continue
-        cell_mu = []
-        for (sols, mus), s in zip(cell_sols, pick):
-            if mus[s] is None:
-                mus[s] = cyclic_index(sols[s], tols)
-            cell_mu.append(mus[s])
-        cells_here = tuple(pcs[which[row]] for pcs, which in placed)
-        chain_nus = []
-        for k, (a, b) in zip(aligned_list, sides):
-            ch = struct.chains[k]
-            chain_nus.append(_chain_term(
-                ch, statuses[k].f, pts[row, ch.t_pos] - pts[row, ch.i_pos],
-                cells_here[a].center, cells_here[b].center, tols, scale))
-        report = _index_report(aligned_list, cell_mu, chain_nus, factors)
-        kept.append((row, cells_here, statuses, report))
-
-    if not kept:
-        return []
-    pts = pts[[k[0] for k in kept]]
-    reps = _representatives(struct, aligned_list, combo, pts, scale)
+    pts = pts[rows]
+    cells_of_rows = zip(*([pcs[i] for i in which[rows].tolist()] for pcs, which in placed))
     out = []
-    for (_, cells_here, statuses, report), p, rep in zip(kept, pts, reps):
-        if rep is None:
-            counts["no_representative"] += 1
-            continue
-        out.append(CriticalRecord(tuple(statuses), cells_here, rep, report, factors,
+    for cells_here, ds, report, rep, p in zip(
+            cells_of_rows, d[rows].tolist(), report_of.tolist(),
+            _representatives(struct, aligned_list, combo, pts), pts):
+        statuses = list(base)
+        for k, dk in zip(free, ds):
+            statuses[k] = ChainStatus("free", dk)
+        out.append(CriticalRecord(tuple(statuses), cells_here, rep, reports[report], factors,
                                   shoelace(p)))
     return out
 
 
-def _free_statuses(en: _Enumeration, base, free, pts) -> list[ChainStatus] | None:
-    """``base`` with the status of every free chain filled in from the glued
-    cycle positions ``pts``, or None when a free chain cannot reach its ends.
-    A chain left free must reach them generically."""
+def _free_chain_fates(en: _Enumeration, free, pts, mismatch):
+    """Check the free chains of every pick whose cells glued (not in
+    ``mismatch``), in chain order, from the glued cycle positions ``pts``
+    (picks, n, 2).
+
+    A chain left free must reach its ends generically: the first chain that
+    does not decides the pick's fate (``AT_REACH_BOUND``, ``OUTSIDE_REACH``
+    or ``AT_ALIGNMENT``, tested in that order).  Returns the fates and the
+    end distances (picks, free chains).
+    """
     guard = en.tols.reach_boundary * en.scale
-    statuses = list(base)
-    for k in free:
-        ch = en.struct.chains[k]
-        d = float(np.hypot(*(pts[ch.t_pos] - pts[ch.i_pos])))
-        reach = en.reach[k]
-        if reach.near_boundary(d, guard):
-            raise NonGenericError(
-                f"free-chain endpoint distance {d!r} hits the reach boundary")
-        if not reach.contains_strictly(d):
-            return None
-        for w_al in en.aligned_ws[k]:
-            if abs(d - w_al) <= guard:
-                raise NonGenericError(
-                    "configuration is simultaneously circular and aligned")
-        statuses[k] = ChainStatus("free", d)
-    return statuses
+    fate = np.where(mismatch, GLUE_MISMATCH, KEPT)
+    d = np.empty((len(pts), len(free)))
+    for j, k in enumerate(free):
+        ch, reach = en.struct.chains[k], en.reach[k]
+        d[:, j] = dj = np.hypot(*(pts[:, ch.t_pos] - pts[:, ch.i_pos]).T)
+        aligned = (np.abs(dj[:, None] - en.aligned_ws[k]) <= guard).any(axis=1)
+        now = np.select([reach.near_boundary(dj, guard), ~reach.contains_strictly(dj), aligned],
+                        [AT_REACH_BOUND, OUTSIDE_REACH, AT_ALIGNMENT], KEPT)
+        fate = np.where(fate == KEPT, now, fate)
+    return fate, d
+
+
+def _cell_indices(cell_sols, picks, kept, tols: Tolerances) -> np.ndarray:
+    """The cyclic index of every cell of every kept pick (picks, cells); -1
+    where the index is too close to call, and in the rows of other picks.
+    Each solution is indexed once per enumeration, in the first branch that
+    keeps a pick using it."""
+    mu = np.full(picks.shape, -1)
+    for c, (sols, mus) in enumerate(cell_sols):
+        for s in sorted(set(picks[kept, c].tolist())):  # np.unique would import numpy.ma
+            if mus[s] is None:
+                try:
+                    mus[s] = cyclic_index(sols[s], tols)
+                except NonGenericError:
+                    mus[s] = -1  # a kept pick uses it, so the enumeration raises
+        mu[kept, c] = np.array([-1 if m is None else m for m in mus])[picks[kept, c]]
+    return mu
 
 
 class _Gluing:
@@ -454,11 +473,12 @@ class _Gluing:
         """Glue the picks ``picks`` (rows of one solution index per cell).
 
         Returns the cycle positions (picks, n, 2), per cell the distinct
-        PlacedCells and, per pick, which of them it uses, and a mask of the
-        picks whose cells disagree on a shared vertex.
+        PlacedCells and, per pick, which of them it uses, per cell the glued
+        circumcenters (picks, 2), and a mask of the picks whose cells
+        disagree on a shared vertex.
         """
         pts = np.empty((len(picks), self.n, 2))
-        placed = [None] * len(self.order)
+        placed, centers = [None] * len(self.order), [None] * len(self.order)
         mismatch = np.zeros(len(picks), dtype=bool)
         for c in self.order:
             # the picks grouped by their solutions of the cells c depends on:
@@ -482,8 +502,9 @@ class _Gluing:
             ps, js = self.fresh[c]
             pts[:, ps] = verts[which][:, js]
             placed[c] = ([PlacedCell(self.sols[c][si], tuple(xy))
-                          for si, xy in zip(s.tolist(), center.tolist())], which.tolist())
-        return pts, placed, mismatch
+                          for si, xy in zip(s.tolist(), center.tolist())], which)
+            centers[c] = center[which]
+        return pts, placed, centers, mismatch
 
 
 def _free_factors(struct: PolygonWithChains, aligned_list) -> tuple[ManifoldFactor, ...]:
@@ -492,18 +513,14 @@ def _free_factors(struct: PolygonWithChains, aligned_list) -> tuple[ManifoldFact
                  for k, ch in enumerate(struct.chains) if k not in aligned_list)
 
 
-def _chain_term(ch: AttachedChain, f: int, w_vec, center_a, center_b,
-                tols: Tolerances, scale: float) -> int:
-    """Index term of an aligned chain from its forward count ``f``, its
-    endpoint vector and the circumcenters of the cells on either side of its
-    diagonal (b traverses it forward)."""
-    if ch.r == 1:
-        return 0  # single rigid edge: f-1 = r-f = 0
-    crit = OpenChainCritical(ch.r, f, (float(w_vec[0]), float(w_vec[1])))
-    try:
-        return aligned_nu(crit, center_a, center_b, tol=tols.reach_boundary * scale)
-    except CoincidingCentersError as exc:
-        raise NonGenericError(str(exc)) from exc
+def _chain_terms(ch: AttachedChain, f: int, w_vec, center_a, center_b,
+                 tols: Tolerances, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index terms of an aligned chain with forward count ``f`` at rows of
+    endpoint vectors and of the circumcenters of the cells on either side of
+    its diagonal (b traverses it forward), and a mask of the rows where the
+    two centers coincide and the term is undefined."""
+    nu, coincide = aligned_nus(ch.r, f, w_vec, center_a, center_b, tols.reach_boundary * scale)
+    return nu, coincide & (ch.r > 1)  # a single rigid edge has f-1 = r-f = 0 anyway
 
 
 def _index_report(aligned_list, cell_mu, chain_nus, factors) -> IndexReport:
@@ -530,80 +547,32 @@ def _cells_of_diagonal(cells, di):
     return cell_a, cell_b
 
 
-def _representatives(struct: PolygonWithChains, aligned_list, combo, pts,
-                     scale: float) -> list[Configuration | None]:
-    """Representatives of a branch's glued picks from their cycle positions
-    ``pts`` (picks, n, 2), or None where a free chain could not be placed.
+def _representatives(struct: PolygonWithChains, aligned_list, combo,
+                     pts) -> list[Configuration]:
+    """Representatives of a branch's kept picks from their cycle positions
+    ``pts`` (picks, n, 2).
 
-    Aligned chains lie along their diagonals; each free chain is placed for
-    all picks as one stack.  Joints are laid out for all picks at once, with
-    the arithmetic of one pick at a time.
+    Aligned chains lie along their diagonals; free chains are placed in
+    closed form by ``place_chain``.  Joints are laid out for all picks at
+    once, with the arithmetic of one pick at a time.
     """
     names = list(struct.gamma.vertices)
     blocks = [pts]  # (picks, vertices, 2) coordinates of the vertices in names
-    ok = np.ones(len(pts), dtype=bool)
     for k, ch in enumerate(struct.chains):
         pi, pt = pts[:, ch.i_pos], pts[:, ch.t_pos]
-        joints = []
-        if k in aligned_list:
+        if k not in aligned_list:
+            blocks.append(place_chain(ch.lengths, pi, pt))
+        elif ch.joints:
             sigma, w, _ = combo[aligned_list.index(k)]
             what = (pt - pi) / w
-            s = 0.0
+            s, joints = 0.0, []
             for j in range(len(ch.joints)):
                 s += sigma[j] * ch.lengths[j]
                 joints.append(pi + s * what)
-        else:
-            rows = np.flatnonzero(ok)
-            phis = np.zeros((len(pts), ch.r))
-            phis[rows], placed = _place_free_chain(ch, (pt - pi)[rows], scale)
-            ok[rows[~placed]] = False
-            q = pi
-            for j in range(len(ch.joints)):
-                step = [[math.cos(phi), math.sin(phi)] for phi in phis[:, j]]
-                q = q + ch.lengths[j] * np.array(step)
-                joints.append(q)
-        if joints:
-            names.extend(ch.joints)
             blocks.append(np.stack(joints, axis=1))
+        names.extend(ch.joints)
     coords = np.concatenate(blocks, axis=1).tolist()
-    return [Configuration(dict(zip(names, map(tuple, c)))) if good else None
-            for c, good in zip(coords, ok)]
-
-
-def _place_free_chain(ch: AttachedChain, targets: np.ndarray, scale: float):
-    """Deterministic seeded interior configurations of a chain with pinned
-    ends, one per end-to-end vector in ``targets`` (rows, 2).
-
-    Returns the joint angles (rows, r) and a mask of the rows placed.  Every
-    row tries the same FREE_CHAIN_TRIES seeded starts in the same order, the
-    k-th try of all rows not yet placed running as one stack, so each row
-    gets what a stack of one would.
-    """
-    lens = np.asarray(ch.lengths)
-    key = hashlib.sha256(
-        f"{tuple(ch.lengths)}|{ch.i_pos}|{ch.t_pos}".encode()).digest()
-    rng = np.random.default_rng(int.from_bytes(key[:8], "little"))
-
-    jac = np.array([[-1.0], [1.0]]) * lens
-
-    def ends(phi):
-        cs = np.stack([np.cos(phi), np.sin(phi)], axis=-2)
-        # the Jacobian rows are (-lens * sin, lens * cos)
-        return cs @ lens, cs[..., ::-1, :] * jac
-
-    phis = np.zeros((len(targets), len(lens)))
-    placed = np.zeros(len(targets), dtype=bool)
-    for _ in range(FREE_CHAIN_TRIES):
-        rows = np.flatnonzero(~placed)
-        if rows.size == 0:
-            break
-        phi = rng.uniform(-math.pi, math.pi, len(lens))
-        x, converged = gauss_newton(ends, np.tile(phi, (rows.size, 1)),
-                                    FREE_CHAIN_TOL * scale, FREE_CHAIN_MAX_ITER,
-                                    targets[rows])
-        phis[rows[converged]] = x[converged]
-        placed[rows[converged]] = True
-    return phis, placed
+    return [Configuration(dict(zip(names, map(tuple, c)))) for c in coords]
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +666,12 @@ def _record_from_classification(struct, c, statuses, aligned_list, cells,
     for di, k in enumerate(aligned_list):
         ch = struct.chains[k]
         a, b = _cells_of_diagonal(cells, di)
-        chain_nus.append(_chain_term(ch, statuses[k].f, pos_xy[ch.t_pos] - pos_xy[ch.i_pos],
-                                     placed[a].center, placed[b].center, tols,
-                                     struct.graph.total_length()))
+        (nu,), (coincide,) = _chain_terms(
+            ch, statuses[k].f, [pos_xy[ch.t_pos] - pos_xy[ch.i_pos]], [placed[a].center],
+            [placed[b].center], tols, struct.graph.total_length())
+        if coincide:
+            raise NonGenericError(COINCIDING_CENTERS)
+        chain_nus.append(int(nu))
     factors = _free_factors(struct, aligned_list)
     report = _index_report(aligned_list, cell_mu, chain_nus, factors)
     area = shoelace(np.array(list(pos_xy.values())))

@@ -237,29 +237,21 @@ def _lstsq_svd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (((b[..., None, :] @ u) / s[..., None, :]) @ vt)[..., 0, :]
 
 
-def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int,
-                 target: np.ndarray | None = None):
-    """Solve residual(x) = target for a stack of starts by least-squares
-    steps clamped to norm 1.
+def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int):
+    """Solve residual(x) = 0 for a stack of starts by least-squares steps
+    clamped to norm 1.
 
     ``x0`` has one start per row.  ``residual`` maps a stack of rows to the
-    values F (rows, m) and Jacobians J (rows, m, n); ``target`` is zero
-    (None) or one row of m values per start, and G = F - target.  Each row
-    stops at its first iterate with |G| <= tol.  Returns the final iterates
-    and a boolean array marking the rows that converged within ``max_iter``
-    steps.
+    values G (rows, m) and Jacobians J (rows, m, n).  Each row stops at its
+    first iterate with |G| <= tol.  Returns the final iterates and a boolean
+    array marking the rows that converged within ``max_iter`` steps.
     """
     x = np.array(x0, dtype=float)
     converged = np.zeros(len(x), dtype=bool)
     rows = np.arange(len(x))  # rows of x still iterating, held in xa
     xa = x.copy()
-
-    def misfit(xa, rows):
-        F, J = residual(xa)
-        return (F if target is None else F - target[rows]), J
-
     for _ in range(max_iter):
-        G, J = misfit(xa, rows)
+        G, J = residual(xa)
         hit = np.linalg.norm(G, axis=1) <= tol
         if hit.any():
             x[rows[hit]] = xa[hit]
@@ -269,7 +261,7 @@ def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int,
                 return x, converged
         step = lstsq_stack(J, G)  # the step is -step, clamped to norm 1
         xa = xa - step / np.maximum(np.linalg.norm(step, axis=1, keepdims=True), 1.0)
-    G, _ = misfit(xa, rows)
+    G, _ = residual(xa)
     x[rows] = xa
     converged[rows] = np.linalg.norm(G, axis=1) <= tol
     return x, converged
@@ -681,28 +673,19 @@ def triangle_area(a: float, b: float, c: float) -> float:
     return math.sqrt(val)
 
 
-def triangle_apex(a: float, b: float, w: float, up: bool = True) -> np.ndarray:
-    """Apex of the triangle with base (0,0)-(w,0), |apex| = a, |apex-(w,0)| = b."""
-    x = (w * w + a * a - b * b) / (2.0 * w)
-    y2 = a * a - x * x
-    if y2 <= 0:
-        raise DegenerateTriangleError("apex does not exist for these sides")
-    y = math.sqrt(y2)
-    return np.array([x, y if up else -y])
-
-
 @dataclass(frozen=True)
 class ReachInterval:
-    """Attainable endpoint distances of an open chain."""
+    """Attainable endpoint distances of an open chain.  Its tests take one
+    distance or an array of them."""
 
     dmin: float
     dmax: float
 
-    def contains_strictly(self, d: float) -> bool:
-        return self.dmin < d < self.dmax
+    def contains_strictly(self, d):
+        return (self.dmin < d) & (d < self.dmax)
 
-    def near_boundary(self, d: float, tol: float) -> bool:
-        return abs(d - self.dmin) <= tol or abs(d - self.dmax) <= tol
+    def near_boundary(self, d, tol: float):
+        return (abs(d - self.dmin) <= tol) | (abs(d - self.dmax) <= tol)
 
 
 def chain_reach(lengths: Sequence[float]) -> ReachInterval:
@@ -711,6 +694,33 @@ def chain_reach(lengths: Sequence[float]) -> ReachInterval:
     total = float(sum(lengths))
     dmin = max(0.0, 2.0 * float(max(lengths)) - total)
     return ReachInterval(dmin, total)
+
+
+def place_chain(lengths: Sequence[float], start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Joints of a chain of edges ``lengths`` pinned at ``start`` and ``end``
+    (rows of 2), one configuration per row: an array (rows, len(lengths) - 1, 2).
+
+    Every end distance must lie strictly inside the chain's reach.  The first
+    joint is the apex, left of the line toward ``end``, of the triangle on the
+    first edge, the end distance w and the distance w' from the joint to
+    ``end``.  w' is the midpoint of the distances both that triangle and the
+    rest of the chain can make, so the rest is placed the same way at w'.
+    """
+    lengths = [float(x) for x in lengths]
+    end = np.asarray(end, dtype=float)
+    p = np.asarray(start, dtype=float)
+    w = np.hypot(*(end - p).T)
+    joints = np.empty((len(p), len(lengths) - 1, 2))
+    for j, a in enumerate(lengths[:-1]):
+        rest = chain_reach(lengths[j + 1:])
+        b = 0.5 * (np.maximum(rest.dmin, np.abs(w - a)) + np.minimum(rest.dmax, w + a))
+        u = (end - p) / w[:, None]
+        x = (w * w + a * a - b * b) / (2.0 * w)
+        h = np.sqrt(np.maximum(a * a - x * x, 0.0))
+        p = p + x[:, None] * u + h[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=1)
+        joints[:, j] = p
+        w = b
+    return joints
 
 
 def alignment_patterns(lengths: Sequence[float],

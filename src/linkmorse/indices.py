@@ -22,6 +22,8 @@ logger = logging.getLogger(__name__)
 
 # a half-angle within RIGHT_ANGLE_TOL (radians) of pi/2 has an infinite tangent
 RIGHT_ANGLE_TOL = 1e-9
+# why an aligned chain's index term is undefined
+COINCIDING_CENTERS = "circumcenters coincide; orientation undefined"
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,23 @@ def aligned_nu(z: OpenChainCritical, oa: Sequence[float], ob: Sequence[float],
     f - 1 when (W, O_A O_B) is positively oriented, else r - f, with O_A and
     O_B the circumcenters of the two polygons meeting along the diagonal.
     """
-    oa = np.asarray(oa, dtype=float)
-    ob = np.asarray(ob, dtype=float)
-    if float(np.hypot(*(ob - oa))) < tol:
-        raise CoincidingCentersError("circumcenters coincide; orientation undefined")
-    w = np.asarray(z.direction, dtype=float)
-    cross = w[0] * (ob - oa)[1] - w[1] * (ob - oa)[0]
-    return z.f - 1 if cross > 0 else z.r - z.f
+    (nu,), (coincide,) = aligned_nus(z.r, z.f, [z.direction], [oa], [ob], tol)
+    if coincide:
+        raise CoincidingCentersError(COINCIDING_CENTERS)
+    return int(nu)
+
+
+def aligned_nus(r: int, f: int, w, oa, ob, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``aligned_nu`` for a stack of aligned points of one chain shape (r, f):
+    rows of endpoint vectors ``w`` and circumcenters ``oa``, ``ob``.
+
+    Returns the terms and a mask of the rows whose circumcenters lie within
+    ``tol`` of each other, where the term is undefined.
+    """
+    w = np.asarray(w, dtype=float)
+    d = np.asarray(ob, dtype=float) - np.asarray(oa, dtype=float)
+    cross = w[:, 0] * d[:, 1] - w[:, 1] * d[:, 0]
+    return np.where(cross > 0, f - 1, r - f), np.hypot(d[:, 0], d[:, 1]) < tol
 
 
 def three_chain_aligned_index(mu_a: int, mu_b: int, nu: int) -> int:

@@ -385,7 +385,7 @@ class TestRecordTemplates:
             runs.append(record.args)
         assert runs[0] == runs[1]
         assert runs[0]["records"] == 5316 and runs[0]["cells"] == 934
-        assert runs[0]["bytes"] == out.stat().st_size == 16_031_583
+        assert runs[0]["bytes"] == out.stat().st_size == 16_031_568
         assert 0 < runs[0]["shapes"] < 10
 
 
@@ -741,7 +741,7 @@ class TestOutput:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.stat().st_size == 16_031_583
+        assert out.stat().st_size == 16_031_568
         assert peak < 4_000_000, peak
 
     def test_dump_streams_top_level_table(self, tmp_path):

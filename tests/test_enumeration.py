@@ -13,8 +13,8 @@ import pytest
 from linkmorse import enumeration, geometry
 from linkmorse.cli import main
 from linkmorse.enumeration import (
-    _place_free_chain,
     classify_configuration,
+    determined_vertices,
     enumerate_critical_pnd,
     enumerate_critical_structure,
     enumerate_critical_three_chain,
@@ -25,13 +25,12 @@ from linkmorse.errors import NonGenericError, NotPTTError
 from linkmorse.geometry import (
     Configuration,
     enumerate_cyclic,
-    gauss_newton,
+    place_chain,
     rotation,
     transform_mapping_segment,
     wall_check,
 )
 from linkmorse.graphs import (
-    AttachedChain,
     DistinguishedCycle,
     LinkageGraph,
     detect_polygon_with_chains,
@@ -176,12 +175,6 @@ class TestClassification:
                     [(pc.poly.eps, pc.poly.omega) for pc in r.cells]
                 assert back.area == pytest.approx(r.area, rel=0, abs=1e-12 * scale ** 2)
 
-    def test_free_chain_out_of_reach(self):
-        chain = AttachedChain(("A1", "A2"), (1.0, 0.9, 1.1), 0, 3)
-        targets = np.array([[3.5, 0.0]])  # beyond the chain's total length 3.0
-        _, placed = _place_free_chain(chain, targets, 10.0)
-        assert placed.tolist() == [False]
-
     def test_random_feasible_not_critical(self, rng):
         g, gamma = make_three_chain(*THREE_CHAIN)
         o = area_oracle(g, gamma)
@@ -208,17 +201,11 @@ class TestClassification:
         g, gamma = make_three_chain(a, b, z)
         w = sum(z)
         pi, pt = np.zeros(2), np.array([w, 0.0])
-        from linkmorse.geometry import triangle_apex
-        b_apex = triangle_apex(b[0], b[1], w, up=False)
-        chain_a = AttachedChain(("A1", "A2"), a, 0, 3)
-        (phis,), placed = _place_free_chain(chain_a, (pt - pi)[None], g.total_length())
-        assert placed.tolist() == [True]
+        (b_apex,) = place_chain(b[::-1], pt[None], pi[None])[0]  # placed from T: below
         coords = {"I": (0.0, 0.0), "T": (w, 0.0), "Z1": (z[0], 0.0),
-                  "B1": (float(b_apex[0]), float(b_apex[1]))}
-        q = pi.copy()
-        for name, ln, phi in zip(("A1", "A2"), a, phis):
-            q = q + ln * np.array([math.cos(phi), math.sin(phi)])
-            coords[name] = (float(q[0]), float(q[1]))
+                  "B1": tuple(b_apex.tolist())}
+        (joints,) = place_chain(a, pi[None], pt[None])
+        coords.update(zip(("A1", "A2"), map(tuple, joints.tolist())))
         cfg = Configuration(coords)
         cfg.validate(g)
         cls = classify_configuration(g, gamma, cfg)
@@ -234,53 +221,55 @@ class TestClassification:
             classify_configuration(g, gamma, c)
 
 
-def place_one_pick(ch, target, scale):
-    """Free-chain placement one pick at a time, as the enumeration did before
-    it stacked the picks: up to 25 seeded starts, each run as a stack of one.
-    Returns the joint angles and the try that placed them, or (None, None)."""
-    lens = np.asarray(ch.lengths)
-    key = hashlib.sha256(
-        f"{tuple(ch.lengths)}|{ch.i_pos}|{ch.t_pos}".encode()).digest()
-    rng = np.random.default_rng(int.from_bytes(key[:8], "little"))
-    jac = np.array([[-1.0], [1.0]]) * lens
+def polygon6():
+    """A hexagon with a two-edge and a three-edge chain, drawn the way the
+    benchmark's record workload draws its polygons."""
+    cycle = [1.6205234759959084, 1.5195619916085088, 1.6008460244063398,
+             1.0181280773853723, 1.3136296383644845, 1.6153735546119234]
+    g, gamma = make_polygon(cycle)
+    g = LinkageGraph(g.vertices + ("c0_1", "c1_1", "c1_2"), g.edges + (
+        ("v0", "c0_1", 1.1459695544283266), ("c0_1", "v4", 0.5847110784118409),
+        ("v2", "c1_1", 0.6327473072627077), ("c1_1", "c1_2", 1.5073966831634338),
+        ("c1_2", "v4", 1.99817030459763)))
+    return g, gamma
 
-    def residual(phi):
-        cs = np.stack([np.cos(phi), np.sin(phi)], axis=-2)
-        return cs @ lens - target, cs[..., ::-1, :] * jac
 
-    for k in range(25):
-        phi = rng.uniform(-math.pi, math.pi, len(lens))
-        x, converged = gauss_newton(residual, phi[None], 1e-12 * scale, 120)
-        if converged[0]:
-            return x[0], k
-    return None, None
+REPRESENTATIVE_INSTANCES = {
+    "worked": lambda: worked_example()[:2],
+    "max16": max16_three_chain,
+    "bm223": bott_morse_three_chain,
+    "free_four_chain": lambda: make_three_chain([1.0, 1.2], [0.8, 1.1],
+                                                [0.53, 0.56, 0.61, 0.67]),
+    "polygon6": polygon6,
+}
+# test_determined_fields_unchanged: digests of the records as enumerated
+# before free chains were placed in closed form
+MAX16_DIGEST = "1ea89f419f3a051911413416cde65ed037804cbab411cf8c0bbad01ad1a29c11"
+BM223_DIGEST = "d7fd35e83e32b937fa90b09c5723120683bab6dcbda196960059a83f22fd4a70"
+POLYGON6_DIGEST = "32d17e13194142d60cd0dbdc1f7734f3259f785ad480e91d30e556566560a61b"
 
 
 class TestStackedPlacement:
     def test_rows_equal_one_pick_at_a_time(self):
-        # one stack mixing rows placed on the first try, rows placed on a
-        # later try and a row out of reach; each row equals its own run
-        chain = AttachedChain(("A1",), (1.3, 0.7), 2, 5)
-        targets = np.array([[0.9, 0.4], [-0.19865595849077633, -0.5759398141466006],
-                            [2.5, 0.0], [1.2, -0.3],
-                            [-0.0694978984107346, -1.5903815105063717]])
-        phis, placed = _place_free_chain(chain, targets, 6.0)
-        tries = []
-        for row, target in enumerate(targets):
-            ref, k = place_one_pick(chain, target, 6.0)
-            tries.append(k)
-            assert placed[row] == (ref is not None)
-            if ref is not None:
-                assert phis[row].tolist() == ref.tolist()
-        assert tries[2] is None
-        assert 0 in tries and any(k for k in tries)
+        # one stack of end vectors, short, long and in between, placed
+        # together equals each row placed on its own, bit for bit
+        lengths = (1.3, 0.7, 0.9)
+        rng = np.random.default_rng(11)
+        start = rng.normal(size=(40, 2))
+        w = np.linspace(0.05, 2.85, 40)
+        phi = rng.uniform(-math.pi, math.pi, 40)
+        end = start + w[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        joints = place_chain(lengths, start, end)
+        assert joints.shape == (40, 2, 2)
+        for row in range(40):
+            one = place_chain(lengths, start[row:row + 1], end[row:row + 1])
+            assert one[0].tolist() == joints[row].tolist()
 
     def test_worked_example_representatives(self):
-        # every free-chain placement of the worked example equals the
-        # one-pick-at-a-time run from the glued chain ends
+        # every free chain of a worked-example record sits where place_chain
+        # puts it from the record's own glued chain ends
         g, gamma, _ = worked_example()
         struct = detect_polygon_with_chains(g, gamma)
-        scale = g.total_length()
         recs = [r for r in enumerate_critical_pnd(g, gamma)
                 if any(s.kind == "free" for s in r.chain_status)]
         assert len(recs) == 996
@@ -290,31 +279,39 @@ class TestStackedPlacement:
                     continue
                 ends = rec.representative.points(
                     [gamma.vertices[ch.i_pos], gamma.vertices[ch.t_pos]])
-                ref, _ = place_one_pick(ch, ends[1] - ends[0], scale)
-                q, joints = ends[0].copy(), []
-                for ln, phi in zip(ch.lengths, ref):
-                    q = q + ln * np.array([math.cos(phi), math.sin(phi)])
-                    joints.append([float(q[0]), float(q[1])])
-                assert rec.representative.points(ch.joints).tolist() == joints[:-1]
+                (joints,) = place_chain(ch.lengths, ends[:1], ends[1:])
+                assert rec.representative.points(ch.joints).tolist() == joints.tolist()
 
-    @pytest.mark.parametrize("instance", ["max16", "two_chain_hexagon"])
-    def test_gram_kernel_keeps_every_record(self, monkeypatch, instance):
-        # free chains placed by gauss_newton through lstsq_stack's Gram path
-        # and through the SVD formula alone: the same records, with joints
-        # that move only in their last bits
-        g, gamma = GLUING_INSTANCES[instance]()
+    @pytest.mark.parametrize("instance", ["max16", "bm223", "free_four_chain", "worked"])
+    def test_representatives_pass_the_oracle(self, instance):
+        # every representative (every 5th on the worked example) realizes
+        # the lengths, and the oracle's inertia there is the record's index
+        # and manifold dimension
+        g, gamma = REPRESENTATIVE_INSTANCES[instance]()
+        recs = enumerate_critical_pnd(g, gamma)
+        if instance == "worked":
+            recs = recs[::5]
+        assert any(r.manifold_dim > 0 for r in recs) or instance == "max16"
+        o = area_oracle(g, gamma)
+        for r in recs:
+            r.representative.validate(g)
+            tri = o.inertia(o.chart.reduce(o.chart.theta_from_configuration(r.representative)))
+            assert (tri.negative, tri.zero) == (r.index.index, r.manifold_dim), r.key()
+
+    @pytest.mark.parametrize("instance,digest", [
+        ("max16", MAX16_DIGEST), ("bm223", BM223_DIGEST), ("polygon6", POLYGON6_DIGEST)])
+    def test_determined_fields_unchanged(self, instance, digest):
+        # every record field but the representative, and the representative's
+        # cycle vertices and aligned joints, bit for bit as they were when
+        # free chains were placed by a seeded Gauss-Newton search
+        g, gamma = REPRESENTATIVE_INSTANCES[instance]()
         struct = detect_polygon_with_chains(g, gamma)
-        recs = enumerate_critical_structure(struct)
-        monkeypatch.setattr(geometry, "lstsq_stack", geometry._lstsq_svd)
-        ref = enumerate_critical_structure(struct)
-        assert any(s.kind == "free" for r in ref for s in r.chain_status)
-        assert [r.key() for r in recs] == [r.key() for r in ref]
-        assert [(r.index, r.manifold_dim, r.area) for r in recs] == \
-            [(r.index, r.manifold_dim, r.area) for r in ref]
-        tol = 1e-12 * g.total_length()
-        for r, r0 in zip(recs, ref):
-            assert np.max(np.abs(r.representative.points(g.vertices)
-                                 - r0.representative.points(g.vertices))) <= tol
+        fields = [(r.key(), r.index, r.manifold_dim, r.area, r.chain_status,
+                   [(pc.poly.to_json_dict(), pc.center) for pc in r.cells], r.factors,
+                   [(v, r.representative.coords[v])
+                    for v in determined_vertices(struct, r.chain_status)])
+                  for r in enumerate_critical_pnd(g, gamma)]
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
 
 
 def glue_one_pick(struct, aligned_list, cells, polys, scale):
@@ -408,11 +405,11 @@ class TestStackedGluing:
     @pytest.mark.parametrize("instance", sorted(GLUING_INSTANCES))
     def test_every_pick_counted_once(self, caplog, instance):
         # each pick ends as exactly one of: glue mismatch, free chain out of
-        # reach, no representative, record
+        # reach, record
         recs, counts = enumerate_with_counts(caplog, *GLUING_INSTANCES[instance]())
         assert counts["records"] == len(recs)
         assert counts["picks"] == (counts["glue_mismatch"] + counts["outside_reach"]
-                                   + counts["no_representative"] + counts["records"])
+                                   + counts["records"])
 
     def test_glue_mismatch_drops_picks(self, caplog, monkeypatch):
         # the solutions of one triangle cell are moved 1e-3 of their radius
@@ -437,7 +434,7 @@ class TestStackedGluing:
         assert len(recs) == len(base) - counts["glue_mismatch"]
         assert {r.key() for r in recs} < {r.key() for r in base}
         assert counts["picks"] == (counts["glue_mismatch"] + counts["outside_reach"]
-                                   + counts["no_representative"] + counts["records"])
+                                   + counts["records"])
 
     @pytest.mark.parametrize("short", [1e-9, -1e-9, 0.9e-7, -0.9e-7])
     def test_pick_near_reach_bound_still_raises(self, short):
@@ -474,6 +471,33 @@ class TestStackedGluing:
         with pytest.raises(NonGenericError, match="simultaneously circular and aligned"):
             enumerate_critical_pnd(g, gamma)
 
+    @pytest.mark.parametrize("align_pick,bound_pick,message", [
+        (0, 2, "simultaneously circular and aligned"),
+        (2, 0, "hits the reach boundary"),
+        (None, 2, "hits the reach boundary"),
+        (2, None, "simultaneously circular and aligned"),
+    ])
+    def test_first_failing_pick_raises(self, align_pick, bound_pick, message):
+        # the pentagon's branch with both chains free has one pick per cyclic
+        # solution.  Chain a (v0-v2) can just about align in pick align_pick
+        # and chain b's (v2-v4) reach ends at its end distance in pick
+        # bound_pick; pick 1 is kept or dropped as out of reach.  Whatever
+        # the two failures are, the earlier pick's raises
+        lens = [1.0, 1.3, 0.8, 1.4, 1.1]
+        q = [p.vertex_array() for p in enumerate_cyclic(lens)]
+        d_a = [float(np.hypot(*(v[2] - v[0]))) for v in q]
+        d_b = [float(np.hypot(*(v[4] - v[2]))) for v in q]
+        short = 1e-9 * (sum(lens) + 4.0)
+        a = 1.2 if align_pick is None else d_a[align_pick]
+        b = 0.9 if bound_pick is None else d_b[bound_pick]
+        g, gamma = make_polygon(lens)
+        g = LinkageGraph(g.vertices + ("a1", "a2", "b1"), g.edges + (
+            ("v0", "a1", 0.6 * a), ("a1", "a2", 0.3 * a), ("a2", "v2", 0.7 * a + short),
+            ("v2", "b1", 0.5 * b), ("b1", "v4", 0.5 * b - short)))
+        assert wall_check(g).clean
+        with pytest.raises(NonGenericError, match=message):
+            enumerate_critical_pnd(g, gamma)
+
 
 class TestWorkedExample:
     def test_constructed_configuration_is_critical_with_index_8(self):
@@ -508,7 +532,7 @@ class TestWorkedExample:
             "branches": 15, "empty_branches": 4, "two_edge_cell": 0,
             "no_cyclic_root": 3, "cyclic_lookups": 34, "cyclic_solved": 18,
             "picks": 8158, "glue_mismatch": 0, "outside_reach": 2842,
-            "no_representative": 0, "records": 5316}
+            "records": 5316}
         digest = hashlib.sha256(repr([(r.key(), r.index.index, r.manifold_dim)
                                       for r in recs]).encode()).hexdigest()
         assert digest == "97e990efdd1ac21b60ed578d795743ccf51a2cd26e968b1b44012455b80cccb9"

@@ -30,6 +30,7 @@ from linkmorse.geometry import (
     is_aligned,
     lstsq_stack,
     oriented_area,
+    place_chain,
     shoelace,
     simple_cycles_via_sp,
     solve_cyclic,
@@ -486,6 +487,51 @@ class TestChainReach:
             seen_lo, seen_hi = min(seen_lo, d), max(seen_hi, d)
         assert seen_lo <= r.dmin + 1e-1 or r.dmin == 0
         assert seen_hi >= r.dmax - 1e-1
+
+
+class TestPlaceChain:
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.floats(0.05, 3.0), min_size=2, max_size=8),
+           frac=st.floats(0.0, 1.0), phi=st.floats(-math.pi, math.pi),
+           x0=st.floats(-3.0, 3.0), y0=st.floats(-3.0, 3.0))
+    def test_edges_hold(self, lengths, frac, phi, x0, y0):
+        # end distances 1e-7 of the total length inside either end of the
+        # reach and in between: every edge holds, every joint is finite and
+        # a second call gives the same bits
+        total = sum(lengths)
+        reach = chain_reach(lengths)
+        lo, hi = reach.dmin + 1e-7 * total, reach.dmax - 1e-7 * total
+        w = np.array([lo, hi, lo + frac * (hi - lo)])
+        start = np.tile([x0, y0], (3, 1))
+        end = start + w[:, None] * np.array([math.cos(phi), math.sin(phi)])
+        joints = place_chain(lengths, start, end)
+        assert joints.shape == (3, len(lengths) - 1, 2)
+        assert np.isfinite(joints).all()
+        path = np.concatenate((start[:, None], joints, end[:, None]), axis=1)
+        edges = np.hypot(*np.diff(path, axis=1).transpose(2, 0, 1))
+        assert np.abs(edges - lengths).max() <= 1e-12 * total
+        assert place_chain(lengths, start, end).tobytes() == joints.tobytes()
+
+    @pytest.mark.parametrize("a,b,w", [(1.0, 1.2, 0.5), (1.0, 1.2, 2.1), (0.7, 0.7, 1.3)])
+    def test_two_edges_is_triangle_apex(self, a, b, w):
+        # the joint of a two-edge chain is the triangle apex left of the line
+        # from start to end
+        (joint,) = place_chain([a, b], np.zeros((1, 2)), np.array([[w, 0.0]]))[0]
+        x = (w * w + a * a - b * b) / (2 * w)
+        assert joint == pytest.approx([x, math.sqrt(a * a - x * x)], abs=1e-15)
+        rotated = place_chain([a, b], np.array([[1.0, 2.0]]), np.array([[1.0, 2.0 + w]]))
+        assert rotated[0, 0] == pytest.approx([1.0 - joint[1], 2.0 + joint[0]], abs=1e-15)
+
+    @pytest.mark.parametrize("w", [0.45, 1.0, 2.4])
+    def test_first_joint_at_midpoint(self, w):
+        # the rest of the chain spans the middle of the end distances that
+        # both the first edge and the rest can make
+        lengths = [0.8, 1.1, 0.6]
+        rest = chain_reach(lengths[1:])
+        lo, hi = max(rest.dmin, abs(w - 0.8)), min(rest.dmax, w + 0.8)
+        end = np.array([[0.3 * w, -0.4 * w]]) / 0.5
+        first = place_chain(lengths, np.zeros((1, 2)), end)[0, 0]
+        assert np.hypot(*(end[0] - first)) == pytest.approx(0.5 * (lo + hi), abs=1e-15)
 
 
 class TestWallCheck:
