@@ -315,13 +315,12 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
         cell_sols.append(en.cyclic[key])
 
     sides = [_cells_of_diagonal(cells, di) for di in range(len(aligned_list))]
-    glue = _Gluing(struct, aligned_list, cells, sides,
-                   [sols for sols, _ in cell_sols], scale)
     free = [k for k in range(len(struct.chains)) if k not in aligned_list]
     picks = np.array(list(itertools.product(*(range(len(sols)) for sols, _ in cell_sols))),
                      dtype=np.intp)
     counts["picks"] += len(picks)
-    pts, placed, centers, mismatch = glue(picks)
+    pts, centers, mismatch = _glue(struct, aligned_list, cells, sides,
+                                   [sols for sols, _ in cell_sols], picks, scale)
 
     # the checks of every pick, in the order one pick runs them
     fate, d = _free_chain_fates(en, free, pts, mismatch)
@@ -361,7 +360,17 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
     for k, (sigma, w, f) in zip(aligned_list, combo):
         base[k] = ChainStatus("aligned", w, tuple(sigma), f)
     pts = pts[rows]
-    cells_of_rows = zip(*([pcs[i] for i in which[rows].tolist()] for pcs, which in placed))
+    # records that place a cell's solution at one glued center share one PlacedCell,
+    # which keeps peak memory down
+    placed: dict[tuple, PlacedCell] = {}
+    cells_of_rows = [[] for _ in rows]
+    for c, (sols, _) in enumerate(cell_sols):
+        for here, s, xy in zip(cells_of_rows, picks[rows, c].tolist(),
+                               map(tuple, centers[c][rows].tolist())):
+            pc = placed.get((c, s, xy))
+            if pc is None:
+                pc = placed[c, s, xy] = PlacedCell(sols[s], xy)
+            here.append(pc)
     out = []
     for cells_here, ds, report, rep, p in zip(
             cells_of_rows, d[rows].tolist(), report_of.tolist(),
@@ -369,8 +378,8 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
         statuses = list(base)
         for k, dk in zip(free, ds):
             statuses[k] = ChainStatus("free", dk)
-        out.append(CriticalRecord(tuple(statuses), cells_here, rep, reports[report], factors,
-                                  shoelace(p)))
+        out.append(CriticalRecord(tuple(statuses), tuple(cells_here), rep, reports[report],
+                                  factors, shoelace(p)))
     return out
 
 
@@ -414,97 +423,51 @@ def _cell_indices(cell_sols, picks, kept, tols: Tolerances) -> np.ndarray:
     return mu
 
 
-class _Gluing:
-    """Glues one solution per cell along the shared diagonals, for all of a
-    branch's picks at once.
+def _glue(struct: PolygonWithChains, aligned_list, cells, sides, sols, picks,
+          scale: float):
+    """Glue the picks ``picks`` (rows of one solution index per cell) along
+    the shared diagonals; ``sols`` holds each cell's cyclic solutions and
+    ``sides`` the two cells of each diagonal.
 
     Cell 0 keeps its own frame; the others follow breadth-first, each moved
     rigidly so that its copy of the diagonal to the cell it is reached from
-    lands on that cell's.  A placement depends only on the cell's solution
-    and on those of the cells that placed its shared vertices first, so each
-    distinct such choice is placed once.  ``sides`` holds the two cells of
-    each diagonal.
+    lands on that cell's.  Returns the cycle positions (picks, n, 2), per
+    cell the glued circumcenters (picks, 2), and a mask of the picks whose
+    cells disagree on a shared vertex.
     """
-
-    def __init__(self, struct: PolygonWithChains, aligned_list, cells, sides, sols,
-                 scale: float):
-        self.sols, self.tol, self.n = sols, GLUE_TOL * scale, len(struct.gamma)
-        self.verts = [np.array([poly.vertices for poly in s], dtype=float) for s in sols]
-        self.centers = [np.array([poly.center for poly in s], dtype=float) for s in sols]
-        # per cell: the diagonal it is glued along, as (position, vertex index)
-        # of its initial and terminal end; None for cell 0
-        self.via: dict[int, tuple | None] = {0: None}
-        self.order = [0]
-        for ci in self.order:  # visits the cells as they are appended
-            for e in cells[ci].edges:
-                if e.kind != "diag":
-                    continue
-                for cj in sides[e.index]:
-                    if cj in self.via:
-                        continue
-                    ch = struct.chains[aligned_list[e.index]]
-                    pos = cells[cj].positions
-                    self.via[cj] = ((ch.i_pos, pos.index(ch.i_pos)),
-                                    (ch.t_pos, pos.index(ch.t_pos)))
-                    self.order.append(cj)
-        if len(self.order) < len(cells):
-            raise AssertionError("cells are not connected by their diagonals")
-
-        first: dict[int, int] = {}  # cycle position -> cell that places it
-        self.fresh = {}    # cell -> (positions it places, their vertex indices)
-        self.shared = {}   # cell -> the same for the positions placed before it
-        self.deps = {}     # cell -> cells whose solutions fix its placement
-        for c in self.order:
-            fresh, shared, deps = ([], []), ([], []), {c}
-            for j, p in enumerate(cells[c].positions):
-                if p in first:
-                    deps.update(self.deps[first[p]])
-                    into = shared
-                else:
-                    first[p] = c
-                    into = fresh
-                into[0].append(p)
-                into[1].append(j)
-            self.fresh[c] = tuple(np.array(x, dtype=np.intp) for x in fresh)
-            self.shared[c] = tuple(np.array(x, dtype=np.intp) for x in shared)
-            self.deps[c] = sorted(deps)
-
-    def __call__(self, picks: np.ndarray):
-        """Glue the picks ``picks`` (rows of one solution index per cell).
-
-        Returns the cycle positions (picks, n, 2), per cell the distinct
-        PlacedCells and, per pick, which of them it uses, per cell the glued
-        circumcenters (picks, 2), and a mask of the picks whose cells
-        disagree on a shared vertex.
-        """
-        pts = np.empty((len(picks), self.n, 2))
-        placed, centers = [None] * len(self.order), [None] * len(self.order)
-        mismatch = np.zeros(len(picks), dtype=bool)
-        for c in self.order:
-            # the picks grouped by their solutions of the cells c depends on:
-            # the first pick of each group and the group of each pick
-            deps = self.deps[c]
-            key = np.ravel_multi_index(picks[:, deps].T, [len(self.sols[d]) for d in deps])
-            _, rows, which = np.unique(key, return_index=True, return_inverse=True)
-            s = picks[rows, c]
-            q = self.verts[c][s]
-            if self.via[c] is None:
-                R, t = np.tile(np.eye(2), (len(rows), 1, 1)), np.zeros((len(rows), 2))
-            else:
-                (pa, ja), (pb, jb) = self.via[c]
-                R, t = transform_mapping_segment(q[:, ja], q[:, jb],
-                                                 pts[rows, pa], pts[rows, pb])
-            verts = q @ R.transpose(0, 2, 1) + t[:, None]
-            center = (R @ self.centers[c][s][..., None])[..., 0] + t
-            ps, js = self.shared[c]
-            off = np.abs(pts[rows][:, ps] - verts[:, js]).max(axis=2) > self.tol
-            mismatch |= off.any(axis=1)[which]
-            ps, js = self.fresh[c]
-            pts[:, ps] = verts[which][:, js]
-            placed[c] = ([PlacedCell(self.sols[c][si], tuple(xy))
-                          for si, xy in zip(s.tolist(), center.tolist())], which)
-            centers[c] = center[which]
-        return pts, placed, centers, mismatch
+    pts = np.empty((len(picks), len(struct.gamma), 2))
+    centers = [None] * len(cells)
+    mismatch = np.zeros(len(picks), dtype=bool)
+    via = {0: None}  # cell -> the chain whose diagonal it is glued along
+    order, done = [0], set()  # cells in visiting order; cycle positions placed
+    for c in order:  # visits the cells as they are appended
+        s, pos = picks[:, c], cells[c].positions
+        q = np.array([poly.vertices for poly in sols[c]], dtype=float)[s]
+        if via[c] is None:
+            R, t = np.tile(np.eye(2), (len(picks), 1, 1)), np.zeros((len(picks), 2))
+        else:
+            ch = struct.chains[via[c]]
+            R, t = transform_mapping_segment(q[:, pos.index(ch.i_pos)], q[:, pos.index(ch.t_pos)],
+                                             pts[:, ch.i_pos], pts[:, ch.t_pos])
+        verts = q @ R.transpose(0, 2, 1) + t[:, None]
+        center = np.array([poly.center for poly in sols[c]], dtype=float)[s]
+        centers[c] = (R @ center[..., None])[..., 0] + t
+        seen = np.array([p in done for p in pos])
+        ps = np.array(pos, dtype=np.intp)
+        off = np.abs(pts[:, ps[seen]] - verts[:, seen]).max(axis=2) > GLUE_TOL * scale
+        mismatch |= off.any(axis=1)
+        pts[:, ps[~seen]] = verts[:, ~seen]
+        done.update(pos)
+        for e in cells[c].edges:
+            if e.kind != "diag":
+                continue
+            for cj in sides[e.index]:
+                if cj not in via:
+                    via[cj] = aligned_list[e.index]
+                    order.append(cj)
+    if len(order) < len(cells):
+        raise AssertionError("cells are not connected by their diagonals")
+    return pts, centers, mismatch
 
 
 def _free_factors(struct: PolygonWithChains, aligned_list) -> tuple[ManifoldFactor, ...]:

@@ -205,7 +205,7 @@ def _diag_stack(d: np.ndarray) -> np.ndarray:
 class CycleAreaObjective:
     """Oriented (shoelace) area of a distinguished cycle, in chart angles.
 
-    ``grad`` and ``hess`` take one angle vector or a stack (S, |E|).
+    ``value``, ``grad`` and ``hess`` take one angle vector or a stack (S, |E|).
     """
 
     def __init__(self, chart: AngleChart, gamma: DistinguishedCycle):
@@ -221,9 +221,10 @@ class CycleAreaObjective:
         ll = np.outer(chart.lengths, chart.lengths)
         self.A = 0.5 * (C - C.T) * ll  # antisymmetric pairwise coefficients
 
-    def value(self, theta: np.ndarray) -> float:
-        diff = theta[None, :] - theta[:, None]
-        return 0.5 * float(np.sum(self.A * np.sin(diff)))
+    def value(self, theta: np.ndarray) -> float | np.ndarray:
+        diff = theta[..., None, :] - theta[..., :, None]
+        area = 0.5 * np.sum(self.A * np.sin(diff), axis=(-2, -1))
+        return area if area.ndim else float(area)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         # diff[..., e, g] = theta_g - theta_e
@@ -242,7 +243,7 @@ class CycleAreaObjective:
 class VertexDistanceObjective:
     """Euclidean distance between two vertices, in chart angles.
 
-    ``grad`` and ``hess`` take one angle vector or a stack (S, |E|).
+    ``value``, ``grad`` and ``hess`` take one angle vector or a stack (S, |E|).
     """
 
     def __init__(self, chart: AngleChart, x: str, y: str):
@@ -256,9 +257,10 @@ class VertexDistanceObjective:
         return ((np.cos(theta) @ self.bl)[..., None],
                 (np.sin(theta) @ self.bl)[..., None])
 
-    def value(self, theta: np.ndarray) -> float:
+    def value(self, theta: np.ndarray) -> float | np.ndarray:
         vx, vy = self._vec(theta)
-        return float(np.hypot(vx, vy)[0])
+        d = np.hypot(vx, vy)[..., 0]
+        return d if d.ndim else float(d)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         vx, vy = self._vec(theta)
@@ -393,7 +395,7 @@ class ChartOracle:
         self._vi = self.chart.var_indices
 
     # reduced-variable wrappers: each takes one point (n,) or a stack (S, n) -----
-    def f(self, x: np.ndarray) -> float:
+    def f(self, x: np.ndarray) -> float | np.ndarray:
         return self.objective.value(self.chart.full_theta(x))
 
     def g(self, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import dataclasses
+import hashlib
 import io
 import json
 import logging
@@ -40,8 +42,10 @@ from linkmorse.instances import (
     pitchfork_family,
     worked_example,
 )
+from linkmorse.oracle import area_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
+THREE_CHAIN = ([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
 K4 = LinkageGraph(("a", "b", "c", "d"), tuple(
     (u, v, 1.0) for u, v in [("a", "b"), ("a", "c"), ("a", "d"),
                              ("b", "c"), ("b", "d"), ("c", "d")]))
@@ -68,6 +72,15 @@ def symbolic_records(g, gamma):
     return enumerate_critical_structure(detect_polygon_with_chains(g, gamma))
 
 
+# the sha256 of each instance's symbolic records on stdout
+STDOUT_SHA256 = {
+    "max16": "d0f1468983e3425cca2eca1b75327ea1c9d47de23e51ee5b24ce69d55c0fd8f7",
+    "bm223": "80aae77602e50b3238a407f4b5d5c0a8258e47e44fa0b64279b90209d7a2eacd",
+    "free_four_chain": "38ee218db0d4eed6452272fbd7016e9ee95974ba8e88745ce9b6a86d6d88e2be",
+    "worked": "8f8c3250b632c66f96f71866a136d828b4a4cb0a1b253b96d6e96290986a925b",
+}
+
+
 @pytest.fixture(scope="module")
 def worked_records():
     return symbolic_records(*worked_example()[:2])
@@ -81,7 +94,7 @@ def write_linkage(path, g, gamma=None, terminals=None):
 
 @pytest.fixture
 def three_chain_file(tmp_path):
-    g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
+    g, gamma = make_three_chain(*THREE_CHAIN)
     return write_linkage(tmp_path / "tc.json", g, gamma)
 
 
@@ -270,6 +283,16 @@ class TestCritical:
             stdout = capsysbinary.readouterr().out
             outputs.append(out.read_bytes() if command == "critical" else stdout)
         assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name", list(STDOUT_SHA256))
+    def test_stdout_digest(self, tmp_path, capsysbinary, name):
+        # a change that moves one output byte fails here; an intended change
+        # updates the digest
+        instance = {"max16": max16_three_chain, "bm223": bott_morse_three_chain,
+                    "free_four_chain": free_four_chain,
+                    "worked": lambda: worked_example()[:2]}[name]
+        assert main(["critical", write_linkage(tmp_path / "linkage.json", *instance())]) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == STDOUT_SHA256[name]
 
 
 def _freeze(v):
@@ -473,6 +496,69 @@ class TestVerify:
         diffs = json.loads(capsys.readouterr().out)["diffs"]
         assert f"record 3 ({payload['records'][3]['key']}): no matching enumerated record" \
             in diffs
+
+    def _verdict(self, tmp_path, path, capsys, argv=(), edit=None):
+        """Exit code, records and verdict of ``verify`` on the linkage's own
+        records, 400 seeds, after ``edit`` changed the records file's payload."""
+        records = tmp_path / "records.json"
+        assert main(["--out", str(records), "critical", path]) == 0
+        payload = json.loads(records.read_text())
+        if edit:
+            edit(payload)
+        records.write_text(json.dumps(payload))
+        code = main(["--n-seeds", "400", *argv, "verify", path, str(records)])
+        return code, payload, json.loads(capsys.readouterr().out)
+
+    def test_zero_count_mismatch_exit_5(self, tmp_path, three_chain_file, capsys):
+        def edit(payload):
+            payload["records"][0]["index"]["manifold_dim"] += 1
+
+        code, payload, verdict = self._verdict(tmp_path, three_chain_file, capsys, edit=edit)
+        rec = payload["records"][0]
+        dim = rec["index"]["manifold_dim"]
+        assert code == 5
+        assert verdict["diffs"] == [f"record 0 ({rec['key']}): zero-count mismatch "
+                                    f"oracle={dim - 1} recorded={dim}"]
+
+    def test_record_not_found_by_sweep_exit_5(self, tmp_path, three_chain_file, capsys):
+        # one seed finds one critical point: every other record is missed
+        code, payload, verdict = self._verdict(tmp_path, three_chain_file, capsys,
+                                               ["--n-seeds", "1"])
+        missed = [f"record ({rec['key']}): not found by the oracle sweep"
+                  for rec in payload["records"]]
+        assert (code, verdict["oracle_points"]) == (5, 1)
+        assert len(verdict["diffs"]) == len(missed) - 1
+        assert all(d in missed for d in verdict["diffs"])
+
+    def test_oracle_point_matching_no_record_exit_5(self, tmp_path, three_chain_file, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(linkmorse.cli, "match_record", lambda *args: None)
+        code, payload, verdict = self._verdict(tmp_path, three_chain_file, capsys)
+        oracle = area_oracle(*make_three_chain(*THREE_CHAIN))
+        assert code == 5
+        assert verdict["diffs"] == (
+            [f"oracle critical point at S={oracle.f(x)!r} matches no symbolic record"
+             for x, _, _ in oracle.find_critical(400, 42)]
+            + [f"record ({rec['key']}): not found by the oracle sweep"
+               for rec in payload["records"]])
+
+    def test_oracle_index_not_formula_exit_5(self, tmp_path, three_chain_file, capsys,
+                                             monkeypatch):
+        # the enumeration claims one record, its index raised by one, in the
+        # records file and in verify
+        def raised(struct, tols):
+            rec = enumerate_critical_structure(struct, tols)[0]
+            return [dataclasses.replace(rec, index=dataclasses.replace(
+                rec.index, index=rec.index.index + 1))]
+
+        monkeypatch.setattr(linkmorse.cli, "enumerate_critical_structure", raised)
+        code, payload, verdict = self._verdict(tmp_path, three_chain_file, capsys)
+        rec = payload["records"][0]
+        index = rec["index"]["index"]
+        assert code == 5
+        assert len(payload["records"]) == 1
+        assert f"record ({rec['key']}): oracle index {index - 1} != formula {index}" \
+            in verdict["diffs"]
 
 
 class TestContinue:

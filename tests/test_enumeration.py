@@ -38,7 +38,7 @@ from linkmorse.graphs import (
     make_polygon,
     make_three_chain,
 )
-from linkmorse.indices import cyclic_index
+from linkmorse.indices import COINCIDING_CENTERS, aligned_nus, cyclic_index
 from linkmorse.instances import (
     bott_morse_three_chain,
     max16_three_chain,
@@ -498,6 +498,65 @@ class TestStackedGluing:
         with pytest.raises(NonGenericError, match=message):
             enumerate_critical_pnd(g, gamma)
 
+    def test_kept_pick_with_index_too_close_to_call_raises(self, monkeypatch):
+        # the bar v0-v2 splits the pentagon into a triangle and a
+        # quadrilateral; one quadrilateral solution's index is too close to
+        # call, and the first kept pick using it raises that polygon's error
+        refused = {}
+
+        def index(poly, tols):
+            if len(poly.vertices) == 4 and refused.setdefault("poly", poly) is poly:
+                raise NonGenericError(f"index of {poly.signature} too close to call")
+            return cyclic_index(poly, tols)
+
+        monkeypatch.setattr(enumeration, "cyclic_index", index)
+        g, gamma = make_polygon([1.0, 1.1, 1.3, 1.2, 0.9])
+        g = LinkageGraph(g.vertices, g.edges + (("v0", "v2", 1.45),))
+        with pytest.raises(NonGenericError) as exc:
+            enumerate_critical_pnd(g, gamma)
+        assert str(exc.value) == f"index of {refused['poly'].signature} too close to call"
+
+    def test_kept_pick_with_coinciding_centers_raises(self, monkeypatch):
+        # with every pair of circumcenters counted as coinciding, the first
+        # kept pick with an aligned two-edge chain has no chain term
+        def nus(r, f, w, oa, ob, tol):
+            return aligned_nus(r, f, w, oa, ob, math.inf)
+
+        monkeypatch.setattr(enumeration, "aligned_nus", nus)
+        with pytest.raises(NonGenericError, match=COINCIDING_CENTERS):
+            enumerate_critical_pnd(*max16_three_chain())
+
+
+class TestMatchRecord:
+    def test_not_critical(self, rng):
+        g, gamma = max16_three_chain()
+        struct = detect_polygon_with_chains(g, gamma)
+        o = area_oracle(g, gamma)
+        c = o.chart.configuration(o.chart.full_theta(
+            o.project(rng.uniform(-math.pi, math.pi, o.chart.n_vars))))
+        assert not classify_configuration(g, gamma, c).critical
+        assert match_record(struct, enumerate_critical_pnd(g, gamma), c) is None
+
+    def test_chain_kind_or_count_mismatch(self):
+        # an aligned record's own representative matches no free record, nor
+        # an aligned one with another number of chains
+        g, gamma = max16_three_chain()
+        struct = detect_polygon_with_chains(g, gamma)
+        recs = enumerate_critical_pnd(g, gamma)
+        rec = next(r for r in recs if r.chain_status[0].kind == "aligned")
+        free = [r for r in recs if r.chain_status[0].kind == "free"]
+        other_count = dataclasses.replace(rec, chain_status=rec.chain_status * 2)
+        assert match_record(struct, [rec], rec.representative) is rec
+        assert match_record(struct, free + [other_count], rec.representative) is None
+
+    def test_no_record_within_match_tolerance(self):
+        g, gamma = max16_three_chain()
+        struct = detect_polygon_with_chains(g, gamma)
+        recs = enumerate_critical_pnd(g, gamma)
+        for rec in recs:
+            others = [r for r in recs if r is not rec]
+            assert match_record(struct, others, rec.representative) is None
+
 
 class TestWorkedExample:
     def test_constructed_configuration_is_critical_with_index_8(self):
@@ -539,10 +598,9 @@ class TestWorkedExample:
 
     def test_cells_placed_and_indexed_once(self, monkeypatch):
         # 8,158 glued picks of up to three cells: a cell other than cell 0
-        # is moved once per placement of the cells it hangs on (9,680 moves
-        # in 17 stacks, one per such cell and branch, against one move per
-        # cell and pick when every pick was glued afresh), and each cyclic
-        # solution used by a record is indexed once
+        # is moved once per pick (11,840 moves in 17 stacks, one per such
+        # cell and branch), and each cyclic solution used by a record is
+        # indexed once
         moves, indexed = [], []
 
         def move(*args):
@@ -557,7 +615,7 @@ class TestWorkedExample:
         monkeypatch.setattr(enumeration, "cyclic_index", index)
         g, gamma, _ = worked_example()
         recs = enumerate_critical_pnd(g, gamma)
-        assert (len(moves), sum(moves)) == (17, 9680)
+        assert (len(moves), sum(moves)) == (17, 11840)
         assert len(indexed) == len(set(indexed)) == 934
         assert set(indexed) == {id(pc.poly) for r in recs for pc in r.cells}
 

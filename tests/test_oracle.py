@@ -65,6 +65,21 @@ class TestChart:
         cfg = o.chart.configuration(o.chart.full_theta(x))
         cfg.validate(g)
 
+    @pytest.mark.parametrize("rows", [5, 3])
+    def test_objective_values_on_a_stack(self, rng, rows):
+        # a pentagon has |E| = 5 edges: a stack of 5 rows, or of 3, gives one
+        # value per row, the row's own area or distance; one point gives a float
+        g, gamma = make_polygon([1.0, 1.3, 0.8, 1.4, 1.1])
+        area, dist = area_oracle(g, gamma), distance_oracle(g, "v0", "v2")
+        x = rng.uniform(-math.pi, math.pi, (rows, area.chart.n_vars))
+        pts = area.chart.points(area.chart.full_theta(x))
+        for o, want in ((area, [geometry.shoelace(p) for p in pts]),
+                        (dist, np.hypot(*(pts[:, 2] - pts[:, 0]).T))):
+            assert o.f(x).shape == (rows,)
+            assert np.allclose(o.f(x), [o.f(xi) for xi in x], rtol=1e-14, atol=0)
+            assert np.allclose(o.f(x), want, rtol=0, atol=1e-12)
+            assert type(o.f(x[0])) is float
+
     def test_theta_round_trip(self, rng):
         g, gamma = make_polygon([1.0, 1.3, 0.8, 1.4])
         o = area_oracle(g, gamma)
