@@ -16,6 +16,8 @@ import sys
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _encode_str
 
+import numpy as np
+
 from .config import DEFAULT_TOLS, RunConfig, Tolerances
 from .enumeration import enumerate_critical_structure, match_record
 from .errors import LinkmorseError, NonGenericError, NotCriticalError, NotPTTError, NotSPError
@@ -261,11 +263,12 @@ def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
                   for k, rec in enumerate(payload.get("records", []))]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LinkmorseError(f"malformed records file: {exc!r}") from exc
+    names = tuple(sorted(g.vertices))
     for k, (_, c, _, _) in enumerate(claims):
-        if set(c.coords) != set(g.vertices):
+        if c.names != names:
             raise LinkmorseError(f"malformed records file: record {k}'s representative "
                                  "does not place exactly the linkage's vertices")
-        if not all(math.isfinite(x) for xy in c.coords.values() for x in xy):
+        if not np.isfinite(c.xy).all():
             raise LinkmorseError(f"malformed records file: record {k}'s representative "
                                  "has a non-finite coordinate")
     return claims

@@ -160,11 +160,11 @@ class CriticalRecord:
         """The shape of ``to_json_dict(cell_ids)`` and its leaves (the values
         that are not containers), in the order ``json.dumps(sort_keys=True)``
         writes them.  Two records of one shape differ in their leaves alone."""
-        coords = sorted(self.representative.coords.items())
+        rep = self.representative
         shape = (len(self.cells),
                  tuple((s.kind, len(s.sigma)) if s.kind == "aligned" else s.kind
                        for s in self.chain_status),
-                 len(self.factors), len(self.index.breakdown), tuple(v for v, _ in coords))
+                 len(self.factors), len(self.index.breakdown), rep.names)
         leaves = [self.area]
         for pc in self.cells:
             leaves += (cell_ids.setdefault(pc.poly, len(cell_ids)), *pc.center)
@@ -175,8 +175,7 @@ class CriticalRecord:
         for label, v in self.index.breakdown:
             leaves += (label, v)
         leaves += (self.index.index, self.index.manifold_dim, self.key(), self.manifold_dim)
-        for _, xy in coords:
-            leaves += xy
+        leaves += rep.xy.ravel().tolist()
         return shape, leaves
 
 
@@ -517,7 +516,9 @@ def _representatives(struct: PolygonWithChains, aligned_list, combo,
 
     Aligned chains lie along their diagonals; free chains are placed in
     closed form by ``place_chain``.  Joints are laid out for all picks at
-    once, with the arithmetic of one pick at a time.
+    once, with the arithmetic of one pick at a time.  The representatives are
+    row views of one read-only (picks, V, 2) array in sorted-name order and
+    share one names tuple.
     """
     names = list(struct.gamma.vertices)
     blocks = [pts]  # (picks, vertices, 2) coordinates of the vertices in names
@@ -534,8 +535,11 @@ def _representatives(struct: PolygonWithChains, aligned_list, combo,
                 joints.append(pi + s * what)
             blocks.append(np.stack(joints, axis=1))
         names.extend(ch.joints)
-    coords = np.concatenate(blocks, axis=1).tolist()
-    return [Configuration(dict(zip(names, map(tuple, c)))) for c in coords]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    xy = np.take(np.concatenate(blocks, axis=1), order, axis=1)
+    xy.flags.writeable = False
+    names = tuple(names[k] for k in order)
+    return [Configuration.from_rows(names, row) for row in xy]
 
 
 # ---------------------------------------------------------------------------

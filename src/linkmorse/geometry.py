@@ -16,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -79,17 +79,58 @@ GRAM_COND_CUT = 1e6
 # configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Configuration:
-    """Plane coordinates for every vertex of a linkage."""
+    """Plane coordinates for every vertex of a linkage: row k of the read-only
+    float64 array ``xy`` (V, 2) places vertex ``names[k]``, and ``names`` is
+    sorted.  Built from a mapping of vertex to point, or from rows."""
 
-    coords: dict[str, tuple[float, float]]
+    names: tuple[str, ...]
+    xy: np.ndarray
+
+    def __init__(self, coords: Mapping[str, Sequence[float]]):
+        names = tuple(sorted(coords))
+        xy = np.array([coords[v] for v in names], dtype=float).reshape(len(names), 2)
+        xy.flags.writeable = False
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "xy", xy)
+
+    @classmethod
+    def from_rows(cls, names: tuple[str, ...], xy: np.ndarray) -> "Configuration":
+        """The configuration whose row k of the float64 array ``xy`` places
+        ``names[k]``; ``names`` must be sorted.  ``xy`` is kept, not copied
+        (as a read-only view when it is writeable)."""
+        if xy.shape != (len(names), 2):
+            raise ValueError(f"{len(names)} names and rows of shape {xy.shape}")
+        if xy.flags.writeable:
+            xy = xy.view()
+            xy.flags.writeable = False
+        c = cls.__new__(cls)
+        object.__setattr__(c, "names", names)
+        object.__setattr__(c, "xy", xy)
+        return c
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return self.names == other.names and bool(np.array_equal(self.xy, other.xy))
+
+    @property
+    def coords(self) -> dict[str, tuple[float, float]]:
+        """A fresh dict of vertex to (x, y)."""
+        return dict(zip(self.names, map(tuple, self.xy.tolist())))
+
+    def _row(self, v: str) -> int:
+        try:
+            return self.names.index(v)
+        except ValueError:
+            raise KeyError(v) from None
 
     def point(self, v: str) -> np.ndarray:
-        return np.asarray(self.coords[v], dtype=float)
+        return self.xy[self._row(v)].copy()
 
     def points(self, vs: Sequence[str]) -> np.ndarray:
-        return np.array([self.coords[v] for v in vs], dtype=float)
+        return self.xy[[self._row(v) for v in vs]]
 
     def validate(self, g: LinkageGraph, tols: Tolerances = DEFAULT_TOLS) -> None:
         for u, v, length in g.edges:
@@ -99,7 +140,7 @@ class Configuration:
                     f"edge ({u},{v}) has length {d!r}, expected {length!r}")
 
     def to_json_dict(self) -> dict:
-        return {"coords": {v: [x, y] for v, (x, y) in sorted(self.coords.items())}}
+        return {"coords": dict(zip(self.names, self.xy.tolist()))}
 
     @staticmethod
     def from_json_dict(d: dict) -> "Configuration":

@@ -86,8 +86,9 @@ class AngleChart:
         return self.path_matrix @ (self.lengths[:, None] * u)
 
     def configuration(self, theta: np.ndarray) -> Configuration:
-        return Configuration({v: (float(p[0]), float(p[1]))
-                              for v, p in zip(self.graph.vertices, self.points(theta))})
+        vs = self.graph.vertices
+        order = sorted(range(len(vs)), key=vs.__getitem__)
+        return Configuration.from_rows(tuple(vs[k] for k in order), self.points(theta)[order])
 
     def theta_from_configuration(self, c: Configuration) -> np.ndarray:
         """Edge angles of a configuration, rotated so the gauge edge is at zero."""

@@ -619,6 +619,22 @@ class TestWorkedExample:
         assert len(indexed) == len(set(indexed)) == 934
         assert set(indexed) == {id(pc.poly) for r in recs for pc in r.cells}
 
+    def test_representatives_are_rows_of_one_array_per_branch(self, caplog):
+        # each representative's xy is a row view, and the records of a branch
+        # share its base array and names tuple
+        g, gamma, _ = worked_example()
+        with caplog.at_level(logging.DEBUG, logger="linkmorse.enumeration"):
+            recs = enumerate_critical_pnd(g, gamma)
+        (log,) = [r for r in caplog.records if r.name == "linkmorse.enumeration"]
+        branches = log.args["branches"] - log.args["empty_branches"]
+        reps = [r.representative for r in recs]
+        assert len(reps) == 5316
+        shape = (len(g.vertices), 2)
+        assert all(c.xy.shape == shape and c.xy.base is not None
+                   and c.xy.base.shape[1:] == shape for c in reps)
+        assert len({id(c.xy.base) for c in reps}) <= branches == 11
+        assert len({id(c.names) for c in reps}) <= branches
+
 
 def _verify(tmp_path, g, gamma, capsys):
     """The CLI's verdict on the linkage's own ``critical`` records, 400 seeds."""

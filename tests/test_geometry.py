@@ -38,7 +38,9 @@ from linkmorse.geometry import (
     triangle_area,
     wall_check,
 )
+from linkmorse.enumeration import enumerate_critical_pnd
 from linkmorse.graphs import DistinguishedCycle, LinkageGraph, make_polygon, make_three_chain
+from linkmorse.instances import max16_three_chain
 
 from conftest import random_sp_graph
 
@@ -50,6 +52,60 @@ def square_config(ccw=True):
     if not ccw:
         pts = [pts[0]] + pts[1:][::-1]
     return Configuration(dict(zip("abcd", pts)))
+
+
+class TestConfiguration:
+    def test_names_sorted_whatever_the_insertion_order(self):
+        pts = {"b": (1.0, 2.0), "a": (3.0, 4.0), "c": (5.0, 6.0)}
+        c = Configuration(pts)
+        d = Configuration(dict(reversed(pts.items())))
+        assert c.names == d.names == ("a", "b", "c")
+        assert c.xy.tolist() == [[3.0, 4.0], [1.0, 2.0], [5.0, 6.0]]
+        assert c.to_json_dict() == d.to_json_dict()
+        assert list(c.to_json_dict()["coords"]) == ["a", "b", "c"]
+
+    def test_equality_by_value(self):
+        c = square_config()
+        assert c == Configuration(dict(c.coords))
+        assert c == Configuration.from_rows(c.names, c.xy.copy())
+        assert c != square_config(ccw=False)
+        assert c != Configuration({"a": (0.0, 0.0)})
+        base = enumerate_critical_pnd(*max16_three_chain())[0]
+        again = dataclasses.replace(base, representative=Configuration(
+            dict(base.representative.coords)))
+        assert again == base
+        assert again != dataclasses.replace(base, representative=Configuration(
+            {v: (x, y + 1e-9) for v, (x, y) in base.representative.coords.items()}))
+
+    def test_xy_read_only(self):
+        c = square_config()
+        with pytest.raises(ValueError):
+            c.xy[0, 0] = 1.0
+        rows = np.zeros((2, 2))
+        d = Configuration.from_rows(("a", "b"), rows)
+        assert not d.xy.flags.writeable and np.shares_memory(d.xy, rows)
+        assert rows.flags.writeable  # the caller's array is left as it was
+        with pytest.raises(ValueError):
+            Configuration.from_rows(("a", "b", "c"), rows)
+
+    def test_point_is_a_copy_and_unknown_vertex_raises(self):
+        c = square_config()
+        p = c.point("c")
+        p[0] = 7.0
+        assert c.point("c").tolist() == [1.0, 1.0]
+        assert c.points(["d", "a"]).tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        for v in ("e", "0", "bb"):
+            with pytest.raises(KeyError):
+                c.point(v)
+            with pytest.raises(KeyError):
+                c.points(["a", v])
+
+    def test_integers_come_back_as_floats(self):
+        c = Configuration({"a": (0, 1), "b": (2, 3)})
+        assert c.xy.dtype == np.float64
+        assert c.coords == {"a": (0.0, 1.0), "b": (2.0, 3.0)}
+        assert all(type(x) is float for xy in c.to_json_dict()["coords"].values()
+                   for x in xy)
 
 
 class TestOrientedArea:
