@@ -14,6 +14,7 @@ from .enumeration import (
 from .geometry import (
     Configuration,
     CyclicPolygon,
+    CyclicSolutions,
     ReachInterval,
     chain_reach,
     circle_data,

@@ -27,6 +27,7 @@ from .errors import (
 from .geometry import (
     Configuration,
     CyclicPolygon,
+    CyclicSolutions,
     ReachInterval,
     aligned_distance,
     aligned_residual,
@@ -69,7 +70,7 @@ KEPT, GLUE_MISMATCH, OUTSIDE_REACH, AT_REACH_BOUND, AT_ALIGNMENT = range(5)
 EXTENT_FLOOR = 1e-30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainStatus:
     """Whether a chain is aligned (with its sign pattern) or free."""
 
@@ -91,13 +92,13 @@ class ChainStatus:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacedCell:
     poly: CyclicPolygon
     center: tuple[float, float]   # circumcenter in the glued frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifoldFactor:
     chain: int
     edges: int
@@ -109,7 +110,7 @@ class ManifoldFactor:
                 "chi": self.chi}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalRecord:
     chain_status: tuple[ChainStatus, ...]
     cells: tuple[PlacedCell, ...]
@@ -224,7 +225,7 @@ class _Enumeration:
     reach: list[ReachInterval]        # per chain
     aligned_ws: list[list[float]]     # per chain: end-to-end lengths of its alignments
     # cell lengths -> (cyclic solutions, their indices, each filled when first needed)
-    cyclic: dict[tuple[float, ...], tuple[list[CyclicPolygon], list[int | None]]]
+    cyclic: dict[tuple[float, ...], tuple[CyclicSolutions, list[int | None]]]
     counts: dict[str, int]
 
 
@@ -425,8 +426,8 @@ def _cell_indices(cell_sols, picks, kept, tols: Tolerances) -> np.ndarray:
 def _glue(struct: PolygonWithChains, aligned_list, cells, sides, sols, picks,
           scale: float):
     """Glue the picks ``picks`` (rows of one solution index per cell) along
-    the shared diagonals; ``sols`` holds each cell's cyclic solutions and
-    ``sides`` the two cells of each diagonal.
+    the shared diagonals; ``sols`` holds each cell's table of cyclic
+    solutions and ``sides`` the two cells of each diagonal.
 
     Cell 0 keeps its own frame; the others follow breadth-first, each moved
     rigidly so that its copy of the diagonal to the cell it is reached from
@@ -441,7 +442,7 @@ def _glue(struct: PolygonWithChains, aligned_list, cells, sides, sols, picks,
     order, done = [0], set()  # cells in visiting order; cycle positions placed
     for c in order:  # visits the cells as they are appended
         s, pos = picks[:, c], cells[c].positions
-        q = np.array([poly.vertices for poly in sols[c]], dtype=float)[s]
+        q = sols[c].vertices[s]
         if via[c] is None:
             R, t = np.tile(np.eye(2), (len(picks), 1, 1)), np.zeros((len(picks), 2))
         else:
@@ -449,7 +450,7 @@ def _glue(struct: PolygonWithChains, aligned_list, cells, sides, sols, picks,
             R, t = transform_mapping_segment(q[:, pos.index(ch.i_pos)], q[:, pos.index(ch.t_pos)],
                                              pts[:, ch.i_pos], pts[:, ch.t_pos])
         verts = q @ R.transpose(0, 2, 1) + t[:, None]
-        center = np.array([poly.center for poly in sols[c]], dtype=float)[s]
+        center = sols[c].centers[s]
         centers[c] = (R @ center[..., None])[..., 0] + t
         seen = np.array([p in done for p in pos])
         ps = np.array(pos, dtype=np.intp)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -380,27 +380,83 @@ class CyclicPolygon:
         }
 
 
-def _build_cyclic(lengths, eps, omega, radius) -> CyclicPolygon:
-    lengths = tuple(float(x) for x in lengths)
+_ORIGIN = (0.0, 0.0)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class CyclicSolutions:
+    """The cyclic solutions of one length vector, centred at the origin.
+
+    Row i of the read-only arrays ``radius`` (S,), ``omega`` (S,), ``eps``
+    (S, n), ``alphas`` (S, n) and ``vertices`` (S, n, 2), and ``flags[i]``,
+    describe solution i.  Item i is that solution as a ``CyclicPolygon``,
+    built on first access and the same object afterwards, so only the
+    solutions something reads become objects.
+    """
+
+    lengths: tuple[float, ...]
+    radius: np.ndarray
+    omega: np.ndarray
+    eps: np.ndarray
+    alphas: np.ndarray
+    vertices: np.ndarray
+    flags: tuple[frozenset[str], ...]
+    _polys: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for a in (self.radius, self.omega, self.eps, self.alphas, self.vertices):
+            a.flags.writeable = False
+        object.__setattr__(self, "_polys", [None] * len(self.radius))
+
+    def __len__(self) -> int:
+        return len(self._polys)
+
+    def __getitem__(self, i: int) -> CyclicPolygon:
+        poly = self._polys[i]
+        if poly is None:
+            poly = self._polys[i] = CyclicPolygon(
+                self.lengths, _ORIGIN, float(self.radius[i]),
+                tuple(map(tuple, self.vertices[i].tolist())), tuple(self.eps[i].tolist()),
+                tuple(self.alphas[i].tolist()), int(self.omega[i]), self.flags[i])
+        return poly
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def centers(self) -> np.ndarray:
+        return np.zeros((len(self), 2))
+
+
+def _solve_rows(lengths: tuple[float, ...], eps: np.ndarray, omega: np.ndarray,
+                radius: np.ndarray, flag_coincident: bool = False) -> CyclicSolutions:
+    """The solutions with sign vectors ``eps`` (rows of +1.0/-1.0), windings
+    ``omega`` and radii ``radius``, each computed as one polygon on its own
+    would be: half-angles by ``math.asin`` per entry, vertex angles as the
+    running sums of 2 eps alpha.  Refuses the lot when any polygon does not
+    close within CLOSURE_TOL * total length."""
     total = sum(lengths)
-    flags = set()
-    if omega == 0:
-        flags.add("omega_zero")
-    if any(abs(l - 2 * radius) <= DIAMETER_TOL * total for l in lengths):
-        flags.add("diameter_edge")
-    alphas = tuple(math.asin(min(1.0, length / (2.0 * radius))) for length in lengths)
-    phi = 0.0
-    verts = []
-    for k in range(len(lengths)):
-        verts.append((radius * math.cos(phi), radius * math.sin(phi)))
-        phi += 2.0 * eps[k] * alphas[k]
-    poly = CyclicPolygon(lengths, (0.0, 0.0), float(radius), tuple(verts),
-                         tuple(int(s) for s in eps), alphas, int(omega), frozenset(flags))
+    ratio = np.minimum(1.0, np.array(lengths) / (2.0 * radius[:, None]))
+    alphas = np.array(list(map(math.asin, ratio.ravel().tolist()))).reshape(ratio.shape)
+    turn = np.cumsum(2.0 * eps * alphas, axis=1)  # the angle after each edge
+    phi = np.concatenate((np.zeros((len(radius), 1)), turn[:, :-1]), axis=1)
+    vertices = radius[:, None, None] * np.stack((np.cos(phi), np.sin(phi)), axis=2)
     # closure residual must sit well inside the stated budget
-    end = np.array([radius * math.cos(phi), radius * math.sin(phi)])
-    if np.hypot(*(end - np.asarray(verts[0]))) > CLOSURE_TOL * total:
+    end = turn[:, -1]
+    gap = np.hypot(radius * np.cos(end) - vertices[:, 0, 0],
+                   radius * np.sin(end) - vertices[:, 0, 1])
+    if (gap > CLOSURE_TOL * total).any():
         raise NonGenericError("cyclic solution failed closure residual check")
-    return poly
+    on = {"omega_zero": omega == 0,
+          "diameter_edge": (np.abs(np.array(lengths) - 2.0 * radius[:, None])
+                            <= DIAMETER_TOL * total).any(axis=1)}
+    if flag_coincident:
+        on["coincident"] = _flag_coincident(radius, vertices, total)
+    rows = list(zip(*(v.tolist() for v in on.values())))
+    # one frozenset per combination of flags
+    sets = {row: frozenset(name for name, x in zip(on, row) if x) for row in set(rows)}
+    flags = tuple(sets[row] for row in rows)
+    return CyclicSolutions(lengths, radius, omega, eps.astype(int), alphas, vertices, flags)
 
 
 # sign vectors whose closure values (one float per grid point each) _scan_grid
@@ -572,64 +628,64 @@ def solve_cyclic_all(lengths: Sequence[float], eps: Sequence[int], omega: int,
     s0 = eps[0]
     row = np.array([[s0 * s for s in eps]], dtype=float)
     (roots,) = _cyclic_roots(np.asarray(lengths), row, tols)
-    return [_build_cyclic(lengths, eps, omega, r) for om, r in roots if s0 * om == omega]
+    radius = np.array([r for om, r in roots if s0 * om == omega])
+    return list(_solve_rows(tuple(lengths), np.tile(np.array(eps, dtype=float), (len(radius), 1)),
+                            np.full(len(radius), omega), radius))
 
 
 def enumerate_cyclic(lengths: Sequence[float],
-                     tols: Tolerances = DEFAULT_TOLS) -> list[CyclicPolygon]:
-    """All cyclic configurations of a polygonal linkage.
+                     tols: Tolerances = DEFAULT_TOLS) -> CyclicSolutions:
+    """All cyclic configurations of a polygonal linkage, as one table.
 
     Scans every sign vector with first entry +1 and derives the mirror
     solutions (eps -> -eps, omega -> -omega, equal radius), so both
-    orientations are kept.  Results are sorted by (omega, sign bitmask,
+    orientations are kept.  Rows are sorted by (omega, sign bitmask,
     radius).  Solutions whose vertices coincide within tolerance are all
     kept and flagged "coincident": a diameter edge fits both signs, so each
     solution of the 3-4-5 triangle comes twice.
     """
-    lengths = [float(x) for x in lengths]
+    lengths = tuple(float(x) for x in lengths)
     n = len(lengths)
     if n < 3:
         raise ValueError("need at least 3 edges")
     total = sum(lengths)
-    if 2 * max(lengths) >= total * (1 - DEGENERATE_TOL):
-        return []
-    table = _sign_rows(n, np.arange(2 ** (n - 1)))
-    sols: list[CyclicPolygon] = []
-    for eps, roots in zip(table.tolist(), _cyclic_roots(np.asarray(lengths), table, tols)):
-        for omega, r in roots:
-            sols.append(_build_cyclic(lengths, eps, omega, r))
-            sols.append(_build_cyclic(lengths, [-s for s in eps], -omega, r))
-
-    sols.sort(key=_cyclic_sort_key)
-    _flag_coincident(sols, total)
-    return sols
-
-
-def _cyclic_sort_key(p: CyclicPolygon):
-    bitmask = sum((1 << k) for k, s in enumerate(p.eps) if s > 0)
-    return (p.omega, bitmask, p.radius)
+    signs = _sign_rows(n, np.arange(2 ** (n - 1)))
+    flat = 2 * max(lengths) >= total * (1 - DEGENERATE_TOL)  # only flat polygons
+    roots = [] if flat else _cyclic_roots(np.asarray(lengths), signs, tols)
+    sign_row = np.array([i for i, rs in enumerate(roots) for _ in rs], dtype=np.intp)
+    omega = np.array([om for rs in roots for om, _ in rs], dtype=int)
+    radius = np.array([r for rs in roots for _, r in rs], dtype=float)
+    # each root, then its mirror: eps -> -eps, omega -> -omega, equal radius
+    eps = np.repeat(signs[sign_row], 2, axis=0)
+    eps[1::2] *= -1.0
+    omega = np.repeat(omega, 2)
+    omega[1::2] *= -1
+    radius = np.repeat(radius, 2)
+    bitmask = (eps > 0).astype(np.intp) @ (1 << np.arange(n))
+    order = np.lexsort((radius, bitmask, omega))  # stable: a tie keeps root before mirror
+    return _solve_rows(lengths, eps[order], omega[order], radius[order], flag_coincident=True)
 
 
-def _flag_coincident(sols: list[CyclicPolygon], scale: float) -> None:
-    """Flag both solutions of every pair whose vertices agree within COINCIDENT_TOL * scale.
+def _flag_coincident(radius: np.ndarray, vertices: np.ndarray, scale: float) -> np.ndarray:
+    """Mask of the solutions (rows of ``radius`` and ``vertices``) that have
+    a partner whose vertices agree within COINCIDENT_TOL * scale.
 
     Only pairs whose radii agree that closely are compared: in radius order,
     the solutions that follow each one until the gap exceeds the tolerance.
     """
     tol = COINCIDENT_TOL * scale
-    order = sorted(range(len(sols)), key=lambda i: sols[i].radius)
-    radii = [sols[i].radius for i in order]
-    verts = [sols[i].vertex_array() for i in order]
-    flagged = set()
+    order = np.argsort(radius, kind="stable")
+    radii = radius[order].tolist()
+    verts = vertices[order]
+    flagged = np.zeros(len(radius), dtype=bool)
     for a in range(len(order)):
         for b in range(a + 1, len(order)):
             if radii[b] - radii[a] > tol:
                 break
             if np.max(np.abs(verts[a] - verts[b])) <= tol:
                 logger.warning("two cyclic solutions coincide within tolerance")
-                flagged.update((order[a], order[b]))
-    for i in flagged:
-        sols[i] = replace(sols[i], flags=sols[i].flags | {"coincident"})
+                flagged[order[[a, b]]] = True
+    return flagged
 
 
 def circle_data(c: Configuration, cycle: DistinguishedCycle,

@@ -310,9 +310,11 @@ PROJECT_TOL = 1e-12     # a projection converges at |G| <= PROJECT_TOL * total l
 NEWTON_MAX_ITER = 80    # KKT Newton steps before a seed counts as failed
 NEWTON_FEAS_TOL = 1e-11  # a Newton row converges only at |G| <= NEWTON_FEAS_TOL * scale
 # with the stall exit on, a row still at |G| > NEWTON_STALL_FEAS * scale after
-# NEWTON_STALL_ITER steps stops.  Converging cold-start rows sat at least 3x
-# below it on every instance measured; warm-started corrector runs reached
-# 0.065 * scale and converged, so continuation keeps the full budget
+# NEWTON_STALL_ITER steps stops.  A few cold-start rows that would converge on
+# the full budget are dropped (9 of 966 on a 7-gon, 1000 seeds), but the
+# sweeps measured found the same clusters, bit for bit, through other seeds;
+# warm-started corrector runs reached 0.065 * scale and converged, so
+# continuation keeps the full budget
 NEWTON_STALL_ITER = 20
 NEWTON_STALL_FEAS = 0.03
 # inertia refuses a point with |rho| > CRITICAL_GRAD_TOL * max(1, scale**2)

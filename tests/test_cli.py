@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import logging
@@ -78,7 +79,28 @@ STDOUT_SHA256 = {
     "bm223": "80aae77602e50b3238a407f4b5d5c0a8258e47e44fa0b64279b90209d7a2eacd",
     "free_four_chain": "38ee218db0d4eed6452272fbd7016e9ee95974ba8e88745ce9b6a86d6d88e2be",
     "worked": "8f8c3250b632c66f96f71866a136d828b4a4cb0a1b253b96d6e96290986a925b",
+    "polygon6": "2bfbc87bd57bb2ead96ff58cb3cf80436ee90248bfa0cab58f759827f9cbedb0",
+    "polygon7": "84e67d570aae8360ff7e3636d9921c53ff25a8cc5e4870ae5426931ad40fda71",
+    "polygon8": "ed5b17eeac621faf3b777181127bc098a6a3ff743a35d049f0f43830626001c5",
+    "polygon9": "3a6acfd4d68c280bb97bc690806b95343e19379376795082b9bad7a598516e09",
 }
+# the benchmark's symbolic_records polygons: (n-gon, edges of the two chains),
+# drawn in this order from one generator seeded 505
+PERFBENCH_POLYGONS = ((6, (2, 3)), (7, (3, 3)), (8, (3, 3)), (9, (2, 3)))
+
+
+def load_perfbench_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def perfbench_polygons():
+    rng = np.random.default_rng(505)
+    sample = load_perfbench_gen().sample_polygon_with_chains
+    return {f"polygon{n}": sample(rng, n, edges)[:2] for n, edges in PERFBENCH_POLYGONS}
 
 
 @pytest.fixture(scope="module")
@@ -285,13 +307,13 @@ class TestCritical:
         assert outputs[0] and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("name", list(STDOUT_SHA256))
-    def test_stdout_digest(self, tmp_path, capsysbinary, name):
+    def test_stdout_digest(self, tmp_path, capsysbinary, perfbench_polygons, name):
         # a change that moves one output byte fails here; an intended change
         # updates the digest
-        instance = {"max16": max16_three_chain, "bm223": bott_morse_three_chain,
-                    "free_four_chain": free_four_chain,
-                    "worked": lambda: worked_example()[:2]}[name]
-        assert main(["critical", write_linkage(tmp_path / "linkage.json", *instance())]) == 0
+        make = {"max16": max16_three_chain, "bm223": bott_morse_three_chain,
+                "free_four_chain": free_four_chain, "worked": lambda: worked_example()[:2]}
+        g, gamma = make[name]() if name in make else perfbench_polygons[name]
+        assert main(["critical", write_linkage(tmp_path / "linkage.json", g, gamma)]) == 0
         assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == STDOUT_SHA256[name]
 
 

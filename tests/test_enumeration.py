@@ -424,8 +424,7 @@ class TestStackedGluing:
             sols = enumerate_cyclic(lens, tols)
             if len(lens) == 3 and not moved:
                 moved.append(tuple(lens))
-                sols = [dataclasses.replace(p, vertices=tuple(
-                    (1.001 * x, 1.001 * y) for x, y in p.vertices)) for p in sols]
+                sols = dataclasses.replace(sols, vertices=1.001 * sols.vertices)
             return sols
 
         monkeypatch.setattr(enumeration, "enumerate_cyclic", shifted)
@@ -618,6 +617,22 @@ class TestWorkedExample:
         assert (len(moves), sum(moves)) == (17, 11840)
         assert len(indexed) == len(set(indexed)) == 934
         assert set(indexed) == {id(pc.poly) for r in recs for pc in r.cells}
+
+    def test_polygons_built_only_for_records(self, monkeypatch):
+        # the 18 solved length vectors have 2,526 cyclic solutions; a
+        # CyclicPolygon is built only for the 934 that records place
+        built = []
+        init = geometry.CyclicPolygon.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(geometry.CyclicPolygon, "__init__", counted)
+        recs = enumerate_critical_pnd(*worked_example()[:2])
+        used = {id(pc.poly) for r in recs for pc in r.cells}
+        assert len(built) == len(used) == 934
+        assert {id(p) for p in built} == used
 
     def test_representatives_are_rows_of_one_array_per_branch(self, caplog):
         # each representative's xy is a row view, and the records of a branch

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from linkmorse.config import Tolerances
 from linkmorse.errors import (
     DegenerateTriangleError,
+    NonGenericError,
     NotConcyclicError,
     NotPTTError,
 )
-from linkmorse import geometry
+from linkmorse import enumeration, geometry
 from linkmorse.geometry import (
     Configuration,
     _cyclic_roots,
@@ -40,7 +41,7 @@ from linkmorse.geometry import (
 )
 from linkmorse.enumeration import enumerate_critical_pnd
 from linkmorse.graphs import DistinguishedCycle, LinkageGraph, make_polygon, make_three_chain
-from linkmorse.instances import max16_three_chain
+from linkmorse.instances import max16_three_chain, worked_example
 
 from conftest import random_sp_graph
 
@@ -417,12 +418,12 @@ def _reference_flag_coincident(sols, scale):
 @pytest.mark.parametrize("lens, coincide", [
     ([3, 4, 5], True), ([1] * 4, True), ([1] * 6, True), ([1.0, 1.3, 0.8, 1.4, 1.1], False)])
 def test_flag_coincident_matches_pair_loop(lens, coincide, caplog):
-    sols = [dataclasses.replace(p, flags=p.flags - {"coincident"})
-            for p in enumerate_cyclic(lens)]
-    ref = list(sols)
+    sols = enumerate_cyclic(lens)
+    ref = [dataclasses.replace(p, flags=p.flags - {"coincident"}) for p in sols]
     warned = _reference_flag_coincident(ref, sum(lens))
     with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
-        _flag_coincident(sols, sum(lens))
+        flagged = _flag_coincident(sols.radius, sols.vertices, sum(lens))
+    assert flagged.tolist() == ["coincident" in p.flags for p in ref]
     assert [p.flags for p in sols] == [p.flags for p in ref]
     assert len(caplog.records) == warned
     assert (warned > 0) == coincide
@@ -439,9 +440,126 @@ def test_flag_coincident_radius_window(caplog):
     ref = list(sols)
     warned = _reference_flag_coincident(ref, scale)
     with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
-        _flag_coincident(sols, scale)
-    assert [p.flags for p in sols] == [p.flags for p in ref]
+        flagged = _flag_coincident(np.array([q.radius for q in sols]),
+                                   np.array([q.vertex_array() for q in sols]), scale)
+    assert flagged.tolist() == ["coincident" in q.flags for q in ref]
     assert len(caplog.records) == warned == 3
+
+
+# ---------------------------------------------------------------------------
+# the solution table against polygons built one at a time, entry by entry
+# ---------------------------------------------------------------------------
+
+def _reference_polygon(lengths, eps, omega, radius):
+    """One cyclic solution built with ``math`` one entry at a time."""
+    lengths = tuple(float(x) for x in lengths)
+    total = sum(lengths)
+    flags = set()
+    if omega == 0:
+        flags.add("omega_zero")
+    if any(abs(l - 2 * radius) <= 1e-12 * total for l in lengths):
+        flags.add("diameter_edge")
+    alphas = tuple(math.asin(min(1.0, length / (2.0 * radius))) for length in lengths)
+    phi = 0.0
+    verts = []
+    for k in range(len(lengths)):
+        verts.append((radius * math.cos(phi), radius * math.sin(phi)))
+        phi += 2.0 * eps[k] * alphas[k]
+    end = np.array([radius * math.cos(phi), radius * math.sin(phi)])
+    assert np.hypot(*(end - np.asarray(verts[0]))) <= 1e-9 * total
+    return geometry.CyclicPolygon(lengths, (0.0, 0.0), float(radius), tuple(verts),
+                                  tuple(int(s) for s in eps), alphas, int(omega),
+                                  frozenset(flags))
+
+
+def _reference_solutions(lengths):
+    """enumerate_cyclic's solutions, each root and its mirror built on its
+    own, sorted by (omega, sign bitmask, radius), coincident ones flagged."""
+    n = len(lengths)
+    table = _eps_table(n, range(2 ** (n - 1)))
+    sols = []
+    for eps, roots in zip(table.tolist(),
+                          _cyclic_roots(np.asarray(lengths, float), table, Tolerances())):
+        for omega, r in roots:
+            sols.append(_reference_polygon(lengths, eps, omega, r))
+            sols.append(_reference_polygon(lengths, [-s for s in eps], -omega, r))
+    sols.sort(key=lambda p: (p.omega, sum(1 << k for k, s in enumerate(p.eps) if s > 0),
+                             p.radius))
+    _reference_flag_coincident(sols, sum(lengths))
+    return sols
+
+
+def worked_example_length_vectors():
+    """The cell length vectors the worked example's enumeration solves."""
+    seen = []
+
+    def recorded(lens, tols):
+        seen.append(tuple(lens))
+        return enumerate_cyclic(lens, tols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "enumerate_cyclic", recorded)
+        enumerate_critical_pnd(*worked_example()[:2])
+    return seen
+
+
+class TestSolutionTable:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_random_polygons_equal_reference(self, n):
+        rng = np.random.default_rng(5000 + n)
+        for _ in range(3):
+            lens = [float(x) for x in _random_lengths(rng, n)]
+            sols = enumerate_cyclic(lens)
+            assert len(sols) > 0
+            assert list(sols) == _reference_solutions(lens)
+
+    def test_worked_example_length_vectors_equal_reference(self):
+        solved = [lens for lens in worked_example_length_vectors() if enumerate_cyclic(lens)]
+        assert len(solved) == 17
+        for lens in solved:
+            assert list(enumerate_cyclic(lens)) == _reference_solutions(lens)
+
+    @pytest.mark.parametrize("lens, flags", [
+        ([3, 4, 5], {"coincident", "diameter_edge", "omega_zero"}),
+        ([1.0, 1.3, 0.8, 1.4, 1.1], {"omega_zero"})])
+    def test_flags_and_mirrors_equal_reference(self, lens, flags):
+        sols = enumerate_cyclic(lens)
+        ref = _reference_solutions(lens)
+        assert list(sols) == ref
+        assert set().union(*(p.flags for p in sols)) == flags
+        # every solution's mirror is in the table: signs and winding negated
+        keys = [(p.eps, p.omega, p.radius) for p in sols]
+        assert sorted(keys) == sorted((tuple(-s for s in e), -w, r) for e, w, r in keys)
+
+    def test_rows_are_the_polygons(self):
+        lens = [1.0, 1.3, 0.8, 1.4, 1.1]
+        sols = enumerate_cyclic(lens)
+        assert sols[3] is sols[3] and list(sols)[3] is sols[3]
+        for i, p in enumerate(sols):
+            assert sols.vertices[i].tolist() == [list(v) for v in p.vertices]
+            assert sols.centers[i].tolist() == list(p.center) == [0.0, 0.0]
+            assert (sols.radius[i], sols.omega[i]) == (p.radius, p.omega)
+            assert tuple(sols.eps[i].tolist()) == p.eps
+            assert tuple(sols.alphas[i].tolist()) == p.alphas
+            assert sols.flags[i] == p.flags and p.lengths is sols.lengths
+        with pytest.raises(ValueError):
+            sols.vertices[0, 0, 0] = 1.0
+
+    def test_closure_failure_on_any_root_refuses(self, monkeypatch):
+        # one root of the last sign vector moved off its closure radius: the
+        # enumeration is refused, though nothing reads that solution
+        roots = geometry._cyclic_roots
+
+        def moved(lengths, eps, tols):
+            out = roots(lengths, eps, tols)
+            last = next(k for k in range(len(out) - 1, -1, -1) if out[k])
+            omega, r = out[last][-1]
+            out[last][-1] = (omega, 1.01 * r)
+            return out
+
+        monkeypatch.setattr(geometry, "_cyclic_roots", moved)
+        with pytest.raises(NonGenericError, match="failed closure residual check"):
+            enumerate_cyclic([1.0, 1.3, 0.8, 1.4, 1.1])
 
 
 class TestCircleData:

@@ -289,6 +289,26 @@ class TestStackedSweep:
             assert np.sum(status == NEWTON_BUDGET) == 737
             assert np.array_equal(statusd == NEWTON_STALLED, status == NEWTON_BUDGET)
 
+    def test_stall_exit_drops_converging_rows_but_no_cluster(self, monkeypatch):
+        # on this 7-gon some rows that converge on the full budget are still
+        # above NEWTON_STALL_FEAS at NEWTON_STALL_ITER, and the stall exit
+        # drops them; the sweep finds the same clusters, bit for bit
+        o = area_oracle(*make_polygon([1.0, 1.2, 0.9, 1.4, 0.8, 1.1, 1.3]))
+        starts = np.random.default_rng(77).uniform(-math.pi, math.pi, (1000, o.chart.n_vars))
+        x0, projected = o.chart.project_stack(starts)
+        *_, status = o.newton_stack(x0[projected])
+        *_, statusd = o.newton_stack(x0[projected], drop_stalled=True)
+        conv = status == NEWTON_CONVERGED
+        assert (np.sum(conv), np.sum(conv & (statusd == NEWTON_STALLED))) == (966, 9)
+        dropped = o.find_critical(1000, 77)
+        newton_stack = o.newton_stack
+        monkeypatch.setattr(o, "newton_stack",
+                            lambda x, drop_stalled=False: newton_stack(x))
+        full = o.find_critical(1000, 77)
+        assert len(dropped) == len(full) == 46
+        for (x, tri, c), (xf, trif, cf) in zip(dropped, full):
+            assert np.array_equal(x, xf) and tri == trif and c == cf
+
     @pytest.mark.parametrize("name, n_seeds, seed", [
         ("criterion_02_0", 1000, 77), ("k4_fallback", 300, 13), ("bm223", 1000, 77)])
     def test_gram_kernel_keeps_every_outcome(self, caplog, monkeypatch, name, n_seeds, seed):
