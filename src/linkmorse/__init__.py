@@ -17,11 +17,7 @@ from .geometry import (
     CyclicSolutions,
     ReachInterval,
     chain_reach,
-    circle_data,
     enumerate_cyclic,
-    is_aligned,
-    oriented_area,
-    solve_cyclic,
     wall_check,
 )
 from .graphs import (
@@ -40,10 +36,8 @@ from .indices import (
     OpenChainCritical,
     aligned_nu,
     cyclic_index,
-    lagrange_det_222,
     open_chain_index,
     ptt_index,
-    three_chain_aligned_index,
 )
 from .oracle import (
     AngleChart,
@@ -53,7 +47,6 @@ from .oracle import (
     constrained_inertia,
     continue_family,
     find_critical_numeric,
-    project_to_manifold,
 )
 
 __version__ = "0.1.0"

@@ -450,8 +450,7 @@ def _glue(struct: PolygonWithChains, aligned_list, cells, sides, sols, picks,
             R, t = transform_mapping_segment(q[:, pos.index(ch.i_pos)], q[:, pos.index(ch.t_pos)],
                                              pts[:, ch.i_pos], pts[:, ch.t_pos])
         verts = q @ R.transpose(0, 2, 1) + t[:, None]
-        center = sols[c].centers[s]
-        centers[c] = (R @ center[..., None])[..., 0] + t
+        centers[c] = t  # the table's solutions are centred at the origin
         seen = np.array([p in done for p in pos])
         ps = np.array(pos, dtype=np.intp)
         off = np.abs(pts[:, ps[seen]] - verts[:, seen]).max(axis=2) > GLUE_TOL * scale

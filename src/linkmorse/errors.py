@@ -28,10 +28,6 @@ class NonGenericError(LinkmorseError):
     """Edge lengths hit a degeneracy the theory excludes (wall, boundary, tie)."""
 
 
-class DegenerateTriangleError(LinkmorseError):
-    """Side lengths violate the strict triangle inequality."""
-
-
 class NotConcyclicError(LinkmorseError):
     """Cycle vertices do not lie on a common circle within tolerance."""
 

@@ -21,14 +21,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import (
-    DegenerateCenterError,
-    DegenerateTriangleError,
-    NonGenericError,
-    NotConcyclicError,
-)
+from .errors import DegenerateCenterError, NonGenericError, NotConcyclicError
 from .graphs import (
-    DistinguishedCycle,
     LinkageGraph,
     SPEdge,
     SPSeries,
@@ -38,7 +32,6 @@ from .graphs import (
 
 logger = logging.getLogger(__name__)
 
-TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 # a cyclic polygon's vertices lie within ON_CIRCLE_TOL * radius of its circle
 ON_CIRCLE_TOL = 1e-8
@@ -148,24 +141,14 @@ class Configuration:
                               for v, (x, y) in d["coords"].items()})
 
 
-def oriented_area(c: Configuration, cycle: DistinguishedCycle) -> float:
-    """Signed shoelace area of the cycle; flips under orientation reversal."""
-    pts = c.points(cycle.vertices)
-    return shoelace(pts)
-
-
 def shoelace(pts: np.ndarray) -> float:
+    """Signed area of the polygon with vertices ``pts`` (n, 2) in order; it
+    flips under orientation reversal."""
     x, y = pts[:, 0], pts[:, 1]
     # the next vertex's coordinates as contiguous copies, the layout np.roll
     # gives, so np.dot adds the same products in the same order
     xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
     return 0.5 * float(np.dot(x, yn) - np.dot(y, xn))
-
-
-def is_aligned(c: Configuration, path: Sequence[str], tol: float) -> bool:
-    """True when all path vertices lie within tol of their least-squares line."""
-    pts = c.points(path)
-    return aligned_residual(pts) <= tol
 
 
 def aligned_residual(pts: np.ndarray) -> float:
@@ -423,10 +406,6 @@ class CyclicSolutions:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    @property
-    def centers(self) -> np.ndarray:
-        return np.zeros((len(self), 2))
-
 
 def _solve_rows(lengths: tuple[float, ...], eps: np.ndarray, omega: np.ndarray,
                 radius: np.ndarray, flag_coincident: bool = False) -> CyclicSolutions:
@@ -599,40 +578,6 @@ def _collapse(roots: list[tuple[int, float]]) -> list[tuple[int, float]]:
     return out
 
 
-def solve_cyclic(lengths: Sequence[float], eps: Sequence[int], omega: int,
-                 tols: Tolerances = DEFAULT_TOLS) -> CyclicPolygon | None:
-    """Cyclic polygon for one (eps, omega) cell, or None when no root exists.
-
-    When the closure function has several roots in the cell the one with the
-    smallest radius is returned; enumerate_cyclic reports them all.
-    """
-    sols = solve_cyclic_all(lengths, eps, omega, tols)
-    return sols[0] if sols else None
-
-
-def solve_cyclic_all(lengths: Sequence[float], eps: Sequence[int], omega: int,
-                     tols: Tolerances = DEFAULT_TOLS) -> list[CyclicPolygon]:
-    lengths = [float(x) for x in lengths]
-    n = len(lengths)
-    if n < 3:
-        raise ValueError("need at least 3 edges")
-    if any(l <= 0 for l in lengths):
-        raise ValueError("lengths must be positive")
-    if len(eps) != n or any(s not in (-1, 1) for s in eps):
-        raise ValueError("eps must be a vector of +1/-1 of matching size")
-    total = sum(lengths)
-    if 2 * max(lengths) >= total + tols.rel_length * total:
-        raise ValueError("longest edge exceeds the sum of the others; no closed polygon")
-    # F is odd in eps, so a sign vector starting with -1 has the roots of its
-    # negation at -omega
-    s0 = eps[0]
-    row = np.array([[s0 * s for s in eps]], dtype=float)
-    (roots,) = _cyclic_roots(np.asarray(lengths), row, tols)
-    radius = np.array([r for om, r in roots if s0 * om == omega])
-    return list(_solve_rows(tuple(lengths), np.tile(np.array(eps, dtype=float), (len(radius), 1)),
-                            np.full(len(radius), omega), radius))
-
-
 def enumerate_cyclic(lengths: Sequence[float],
                      tols: Tolerances = DEFAULT_TOLS) -> CyclicSolutions:
     """All cyclic configurations of a polygonal linkage, as one table.
@@ -648,6 +593,8 @@ def enumerate_cyclic(lengths: Sequence[float],
     n = len(lengths)
     if n < 3:
         raise ValueError("need at least 3 edges")
+    if not all(0.0 < x < math.inf for x in lengths):
+        raise ValueError(f"lengths must be positive and finite, got {lengths}")
     total = sum(lengths)
     signs = _sign_rows(n, np.arange(2 ** (n - 1)))
     flat = 2 * max(lengths) >= total * (1 - DEGENERATE_TOL)  # only flat polygons
@@ -688,20 +635,14 @@ def _flag_coincident(radius: np.ndarray, vertices: np.ndarray, scale: float) -> 
     return flagged
 
 
-def circle_data(c: Configuration, cycle: DistinguishedCycle,
-                tols: Tolerances = DEFAULT_TOLS) -> CyclicPolygon:
-    """Extract the cyclic-polygon data of a realized cycle.
+def cyclic_data_from_points(pts: np.ndarray,
+                            tols: Tolerances = DEFAULT_TOLS) -> CyclicPolygon:
+    """The cyclic-polygon data of a realized cycle with vertices ``pts`` (n, 2).
 
     Fits the circle exactly through the first three vertices and verifies the
     rest; raises NotConcyclicError (with the worst deviation) otherwise, and
     DegenerateCenterError when the center sits on an edge line.
     """
-    pts = c.points(cycle.vertices)
-    return cyclic_data_from_points(pts, tols)
-
-
-def cyclic_data_from_points(pts: np.ndarray,
-                            tols: Tolerances = DEFAULT_TOLS) -> CyclicPolygon:
     n = len(pts)
     center = _circumcenter(pts[0], pts[1], pts[2])
     radius = float(np.hypot(*(pts[0] - center)))
@@ -741,34 +682,8 @@ def _circumcenter(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# triangles and chains
+# open chains
 # ---------------------------------------------------------------------------
-
-def area_derivative_wrt_side(a: float, b: float, c: float) -> float:
-    """d(area)/dc for a triangle with fixed sides a, b and variable side c.
-
-    Equals the distance from the circumcenter to the midpoint of c, signed
-    positive while the opposite angle is acute: (c/2) * cot(gamma).
-    """
-    for s in (a, b, c):
-        if s <= 0:
-            raise DegenerateTriangleError("sides must be positive")
-    if a + b <= c or a + c <= b or b + c <= a:
-        raise DegenerateTriangleError(f"({a},{b},{c}) violates the triangle inequality")
-    cos_g = (a * a + b * b - c * c) / (2.0 * a * b)
-    sin_g = math.sqrt(max(0.0, 1.0 - cos_g * cos_g))
-    if sin_g == 0.0:
-        raise DegenerateTriangleError("flat triangle")
-    return 0.5 * c * cos_g / sin_g
-
-
-def triangle_area(a: float, b: float, c: float) -> float:
-    s = 0.5 * (a + b + c)
-    val = s * (s - a) * (s - b) * (s - c)
-    if val <= 0:
-        raise DegenerateTriangleError(f"({a},{b},{c}) violates the triangle inequality")
-    return math.sqrt(val)
-
 
 @dataclass(frozen=True)
 class ReachInterval:

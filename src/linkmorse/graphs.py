@@ -217,35 +217,6 @@ def sp_tree_to_json(node: SPTree) -> dict:
             "children": [sp_tree_to_json(c) for c in node.children]}
 
 
-def sp_tree_from_json(d: dict) -> SPTree:
-    if d["op"] == "E":
-        return SPEdge(d["u"], d["v"], d["len"], d["edge"])
-    children = tuple(sp_tree_from_json(c) for c in d["children"])
-    return SPSeries(children) if d["op"] == "S" else SPParallel(children)
-
-
-def evaluate_sp_tree(node: SPTree) -> LinkageGraph:
-    """Rebuild the multigraph described by an SP tree (original vertex ids)."""
-    edges: list[tuple[str, str, float]] = []
-
-    def walk(n: SPTree):
-        if isinstance(n, SPEdge):
-            edges.append((n.u, n.v, n.length))
-        else:
-            for c in n.children:
-                walk(c)
-
-    walk(node)
-    vertices = []
-    seen = set()
-    for u, v, _ in edges:
-        for x in (u, v):
-            if x not in seen:
-                seen.add(x)
-                vertices.append(x)
-    return LinkageGraph(tuple(sorted(vertices)), tuple(edges))
-
-
 def sp_decompose(g: LinkageGraph, i: str, t: str) -> SPTree:
     """Two-terminal series-parallel decomposition by reduction.
 

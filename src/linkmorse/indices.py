@@ -127,31 +127,7 @@ def aligned_nus(r: int, f: int, w, oa, ob, tol: float) -> tuple[np.ndarray, np.n
     return np.where(cross > 0, f - 1, r - f), np.hypot(d[:, 0], d[:, 1]) < tol
 
 
-def three_chain_aligned_index(mu_a: int, mu_b: int, nu: int) -> int:
-    """Total Morse index of an aligned three-chain critical point."""
-    return mu_a + mu_b + nu
-
-
 def ptt_index(cell_indices: Sequence[int], chain_nus: Sequence[int]) -> int:
     """Bott-Morse index for a partial two-tree: cell indices plus chain terms."""
     return sum(cell_indices) + sum(chain_nus)
 
-
-def lagrange_matrix_222(a1, a2, b1, b2, c1, c2, alpha, beta, gamma) -> np.ndarray:
-    """Lagrange multiplier matrix of the [2,2;2] three-chain at angles alpha,
-    beta, gamma of the arms."""
-    return np.array([
-        [a1 * a2 * math.cos(alpha), b1 * b2 * math.cos(beta), 0.0],
-        [2 * a1 * a2 * math.sin(alpha), -2 * b1 * b2 * math.sin(beta), 0.0],
-        [2 * a1 * a2 * math.sin(alpha), 0.0, -2 * c1 * c2 * math.sin(gamma)],
-    ])
-
-
-def lagrange_det_222(a1, a2, b1, b2, c1, c2, alpha, beta, gamma) -> float:
-    """Closed form 4 c1 c2 a1 a2 b1 b2 sin(gamma) sin(alpha+beta).
-
-    Vanishes exactly at aligned type (sin gamma = 0) and circular type
-    (sin(alpha+beta) = 0).
-    """
-    return (4.0 * c1 * c2 * a1 * a2 * b1 * b2
-            * math.sin(gamma) * math.sin(alpha + beta))

@@ -426,10 +426,6 @@ class ChartOracle:
         lam = lstsq_stack(JT, gS)
         return lam, gS - (JT @ lam[..., None])[..., 0], G, J
 
-    def stationarity_residual(self, x: np.ndarray) -> float:
-        _, rho, _, _ = self.multipliers(x)
-        return float(np.linalg.norm(rho))
-
     # manifold operations -------------------------------------------------------
     def project(self, x: np.ndarray) -> np.ndarray:
         """Gauss-Newton projection onto the closure constraint set."""
@@ -628,15 +624,6 @@ def distance_oracle(g: LinkageGraph, x: str, y: str,
                     tols: Tolerances = DEFAULT_TOLS) -> ChartOracle:
     return ChartOracle(g, None, tols,
                        objective=lambda chart: VertexDistanceObjective(chart, x, y))
-
-
-def project_to_manifold(chart: AngleChart, theta0: np.ndarray) -> np.ndarray:
-    """Gauss-Newton projection of a full angle vector onto the closure set.
-
-    The angles are first rotated so the gauge angle is zero; raises
-    NoConvergenceError after the iteration budget.
-    """
-    return chart.full_theta(chart.project(chart.reduce(theta0 - theta0[chart.gauge_edge])))
 
 
 def find_critical_numeric(g: LinkageGraph, gamma: DistinguishedCycle,

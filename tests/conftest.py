@@ -1,13 +1,22 @@
-"""Shared generators for random linkages and graphs."""
+"""Shared generators for random linkages and graphs, and closed forms of
+the paper that only the tests compute."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from linkmorse.errors import NonGenericError
-from linkmorse.geometry import chain_reach, wall_check
-from linkmorse.graphs import LinkageGraph, make_polygon, make_three_chain
+from linkmorse.geometry import chain_reach, enumerate_cyclic, wall_check
+from linkmorse.graphs import (
+    LinkageGraph,
+    SPEdge,
+    SPParallel,
+    SPSeries,
+    make_polygon,
+    make_three_chain,
+)
 
 logging.getLogger("linkmorse").setLevel(logging.ERROR)
 
@@ -120,3 +129,80 @@ def random_multigraph(rng):
               for _ in range(int(rng.integers(0, 2 * n)))]
     edges = tuple((vs[a], vs[b], float(rng.uniform(0.3, 2.0))) for a, b in pairs)
     return LinkageGraph(vs, edges)
+
+
+# ---------------------------------------------------------------------------
+# closed forms and inverses that the program does not compute
+# ---------------------------------------------------------------------------
+
+def cyclic_solution(lengths, eps, omega):
+    """The row of ``enumerate_cyclic(lengths)`` with signs ``eps`` and
+    winding ``omega`` of the smallest radius, or None when there is none."""
+    sols = enumerate_cyclic(lengths)
+    rows = [i for i in range(len(sols))
+            if sols.eps[i].tolist() == list(eps) and sols.omega[i] == omega]
+    return sols[rows[0]] if rows else None  # rows are in radius order
+
+
+def triangle_area(a, b, c):
+    """Heron's formula; ValueError unless the triangle inequality is strict."""
+    s = 0.5 * (a + b + c)
+    val = s * (s - a) * (s - b) * (s - c)
+    if val <= 0:
+        raise ValueError(f"({a},{b},{c}) violates the triangle inequality")
+    return math.sqrt(val)
+
+
+def area_derivative_wrt_side(a, b, c):
+    """d(area)/dc for a triangle with fixed sides a, b and variable side c.
+
+    Equals the distance from the circumcenter to the midpoint of c, signed
+    positive while the opposite angle is acute: (c/2) * cot(gamma).
+    """
+    if a + b <= c or a + c <= b or b + c <= a:
+        raise ValueError(f"({a},{b},{c}) violates the triangle inequality")
+    cos_g = (a * a + b * b - c * c) / (2.0 * a * b)
+    return 0.5 * c * cos_g / math.sqrt(1.0 - cos_g * cos_g)
+
+
+def lagrange_matrix_222(a1, a2, b1, b2, c1, c2, alpha, beta, gamma):
+    """Lagrange multiplier matrix of the [2,2;2] three-chain at angles alpha,
+    beta, gamma of the arms."""
+    return np.array([
+        [a1 * a2 * math.cos(alpha), b1 * b2 * math.cos(beta), 0.0],
+        [2 * a1 * a2 * math.sin(alpha), -2 * b1 * b2 * math.sin(beta), 0.0],
+        [2 * a1 * a2 * math.sin(alpha), 0.0, -2 * c1 * c2 * math.sin(gamma)],
+    ])
+
+
+def lagrange_det_222(a1, a2, b1, b2, c1, c2, alpha, beta, gamma):
+    """Closed form 4 c1 c2 a1 a2 b1 b2 sin(gamma) sin(alpha+beta).
+
+    Vanishes exactly at aligned type (sin gamma = 0) and circular type
+    (sin(alpha+beta) = 0).
+    """
+    return (4.0 * c1 * c2 * a1 * a2 * b1 * b2
+            * math.sin(gamma) * math.sin(alpha + beta))
+
+
+def sp_tree_from_json(d):
+    """The SP tree that ``graphs.sp_tree_to_json`` wrote as ``d``."""
+    if d["op"] == "E":
+        return SPEdge(d["u"], d["v"], d["len"], d["edge"])
+    children = tuple(sp_tree_from_json(c) for c in d["children"])
+    return SPSeries(children) if d["op"] == "S" else SPParallel(children)
+
+
+def evaluate_sp_tree(node):
+    """The multigraph that an SP tree describes, with its vertex names."""
+    edges = []
+
+    def walk(n):
+        if isinstance(n, SPEdge):
+            edges.append((n.u, n.v, n.length))
+        else:
+            for c in n.children:
+                walk(c)
+
+    walk(node)
+    return LinkageGraph(tuple(sorted({x for u, v, _ in edges for x in (u, v)})), tuple(edges))

@@ -25,9 +25,8 @@ from linkmorse.graphs import (
     is_partial_two_tree,
     make_three_chain,
     sp_decompose,
-    evaluate_sp_tree,
 )
-from linkmorse.indices import cyclic_index, lagrange_det_222, lagrange_matrix_222
+from linkmorse.indices import cyclic_index
 from linkmorse.instances import (
     bott_morse_three_chain,
     pitchfork_concyclic_parameter,
@@ -37,6 +36,9 @@ from linkmorse.instances import (
 from linkmorse.oracle import area_oracle, continue_family
 
 from conftest import (
+    evaluate_sp_tree,
+    lagrange_det_222,
+    lagrange_matrix_222,
     random_sp_graph,
     random_subdivided_k4,
     sample_polygon,

@@ -13,19 +13,23 @@ from linkmorse.graphs import (
     biconnected_blocks,
     detect_polygon_with_chains,
     elementary_cycles,
-    evaluate_sp_tree,
     is_partial_two_tree,
     linkage_from_json_dict,
     make_polygon,
     make_three_chain,
     relative_decomposition,
     sp_decompose,
-    sp_tree_from_json,
     sp_tree_to_json,
 )
 from linkmorse.instances import non_ptt_example
 
-from conftest import random_multigraph, random_sp_graph, random_subdivided_k4
+from conftest import (
+    evaluate_sp_tree,
+    random_multigraph,
+    random_sp_graph,
+    random_subdivided_k4,
+    sp_tree_from_json,
+)
 
 
 def _decomposes(g, i, t):

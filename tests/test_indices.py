@@ -9,17 +9,16 @@ import pytest
 
 from linkmorse.config import Tolerances
 from linkmorse.errors import CoincidingCentersError, NonGenericError, NotAlignedError
-from linkmorse.geometry import enumerate_cyclic, solve_cyclic
+from linkmorse.geometry import enumerate_cyclic
 from linkmorse.indices import (
     OpenChainCritical,
     aligned_nu,
     cyclic_index,
-    lagrange_det_222,
-    lagrange_matrix_222,
     open_chain_index,
     ptt_index,
-    three_chain_aligned_index,
 )
+
+from conftest import cyclic_solution, lagrange_det_222, lagrange_matrix_222
 
 
 class TestOpenChainIndex:
@@ -35,19 +34,19 @@ class TestOpenChainIndex:
 
 class TestCyclicIndex:
     def test_equilateral_triangle(self):
-        p = solve_cyclic([1, 1, 1], [1, 1, 1], 1)
+        p = cyclic_solution([1, 1, 1], [1, 1, 1], 1)
         assert cyclic_index(p) == 0
 
     def test_unit_square_ccw_is_max(self):
-        p = solve_cyclic([1, 1, 1, 1], [1, 1, 1, 1], 1)
+        p = cyclic_solution([1, 1, 1, 1], [1, 1, 1, 1], 1)
         assert cyclic_index(p) == 1  # e - 1 - 2 omega = 4 - 1 - 2
 
     def test_unit_square_cw_is_min(self):
-        p = solve_cyclic([1, 1, 1, 1], [-1, -1, -1, -1], -1)
+        p = cyclic_solution([1, 1, 1, 1], [-1, -1, -1, -1], -1)
         assert cyclic_index(p) == 0  # e - 2 - 2 omega = 0 - 2 + 2
 
     def test_obtuse_triangle_center_outside(self):
-        p = solve_cyclic([2, 1.5, 1], [-1, 1, 1], 0)
+        p = cyclic_solution([2, 1.5, 1], [-1, 1, 1], 0)
         assert cyclic_index(p) == 0
 
     def test_diameter_edge(self):
@@ -62,7 +61,7 @@ class TestCyclicIndex:
     def test_guard_band_raises(self):
         # mixed signs: |sum| is strictly below the term scale, so a huge
         # guard band must refuse to pick a branch
-        p = solve_cyclic([2, 1.5, 1], [-1, 1, 1], 0)
+        p = cyclic_solution([2, 1.5, 1], [-1, 1, 1], 0)
         huge_guard = Tolerances(sign_guard=0.99999)
         with pytest.raises(NonGenericError):
             cyclic_index(p, huge_guard)
@@ -70,7 +69,7 @@ class TestCyclicIndex:
     def test_index_outside_morse_bound_is_logged(self, caplog):
         # the equilateral triangle relabelled with winding 0: e - 1 - 2w = 2,
         # outside [0, n - 3] = [0, 0]
-        p = dataclasses.replace(solve_cyclic([1, 1, 1], [1, 1, 1], 1), omega=0)
+        p = dataclasses.replace(cyclic_solution([1, 1, 1], [1, 1, 1], 1), omega=0)
         with caplog.at_level(logging.WARNING, logger="linkmorse.indices"):
             assert cyclic_index(p) == 2
         (rec,) = caplog.records
@@ -130,10 +129,6 @@ class TestAlignedNu:
 
 
 class TestSums:
-    def test_three_chain_sum(self):
-        assert three_chain_aligned_index(0, 0, 1) == 1
-        assert three_chain_aligned_index(1, 0, 0) == 1
-
     def test_ptt_sum_worked_example(self):
         assert ptt_index([1, 0, 5], [1, 1]) == 8
 
