@@ -76,7 +76,7 @@ def _write_json(o, fh, depth: int) -> int:
     """Write ``o``, which sits ``depth`` containers deep; returns the number of
     characters written."""
     nl = "\n" + "  " * depth
-    if isinstance(o, _TemplatedRecords):
+    if isinstance(o, _Streamed):
         return o.write(fh, nl)
     if depth >= _STREAM_DEPTH or not isinstance(o, (list, tuple, dict)) or not o:
         text = _encode_json(o, nl)
@@ -161,68 +161,108 @@ _SCALARS = {str: _encode_str, int: int.__repr__, float: _encode_float,
             type(None): lambda _: "null", _Slot: lambda _: "\0"}
 
 
-def _slotted(o):
-    """``o`` with every leaf replaced by a ``_Slot``."""
-    if isinstance(o, dict):
-        return {k: _slotted(v) for k, v in o.items()}
-    if isinstance(o, (list, tuple)):
-        return [_slotted(v) for v in o]
-    return _Slot()
+class _Streamed:
+    """A list written once, its items encoded one at a time as it goes out:
+    ``encode(*item, nl)`` gives the text of ``item`` on a line whose
+    indentation follows the newline ``nl``."""
 
-
-class _TemplatedRecords:
-    """Symbolic records, written one at a time as the text template of the
-    record's shape filled with the texts of its leaves
-    (``CriticalRecord.json_leaves``), so no record dict is built or walked.
-
-    A shape's template is the generic encoding of its first record's
-    ``to_json_dict`` with every leaf slotted; that record's filled template
-    must equal the record's generic encoding.  Templates live as long as the
-    object, which serves one ``critical`` call."""
-
-    def __init__(self, records):
-        self.records = records
-        # each polygon once, in order of first use, known before any record
-        # goes out since the cell table sorts first
-        self.cell_ids: dict = {}
-        for r in records:
-            for pc in r.cells:
-                self.cell_ids.setdefault(pc.poly, len(self.cell_ids))
-        self.templates: dict = {}
+    def __init__(self, items, encode):
+        self.items, self.encode = items, encode
 
     def write(self, fh, nl: str) -> int:
-        """Write the record list on a line whose indentation follows the
-        newline ``nl``; returns the number of characters written."""
-        if not self.records:
-            fh.write("[]")
-            return 2
+        """Write the list on a line whose indentation follows the newline
+        ``nl``; returns the number of characters written."""
         inner = nl + "  "
         opener, n = "[", 0
-        for r in self.records:
-            text = opener + inner + self.encode(r, inner)
+        for item in self.items:
+            text = opener + inner + self.encode(*item, inner)
             fh.write(text)
             n += len(text)
             opener = ","
+        if not n:
+            fh.write("[]")
+            return 2
         fh.write(nl + "]")
         return n + len(nl) + 1
 
-    def encode(self, r, nl: str) -> str:
-        """The text ``_encode_json(r.to_json_dict(self.cell_ids), nl)`` gives."""
-        shape, leaves = r.json_leaves(self.cell_ids)
-        texts = tuple([s(v) if (s := _SCALARS.get(type(v))) else _encode_json(v, nl)
-                       for v in leaves])
-        template = self.templates.get((nl, shape))
-        if template is None:
-            d = r.to_json_dict(self.cell_ids)
-            # the fixed text's own "%" are doubled, so each leaf text is
-            # substituted once and never read as a format
-            parts = _encode_json(_slotted(d), nl).replace("%", "%%").split("\0")
-            template = "%s".join(parts)
-            if len(parts) != len(texts) + 1 or template % texts != _encode_json(d, nl):
-                raise RuntimeError(f"record {r.key()}: its leaves do not fill the "
-                                   f"template of its shape {shape!r}")
-            self.templates[nl, shape] = template
-        return template % texts
+
+def _encode_cell(sols, i: int, nl: str) -> str:
+    """The text of cyclic solution ``i`` of the table ``sols``."""
+    return _encode_json(sols.to_json_dict(i), nl)
+
+
+class _TemplatedRecords:
+    """Symbolic records, each encoded as the text template of its table and
+    index report filled with the leaves that vary within them: the area,
+    each cell's id and glued center, each free chain's end distance, the key
+    and the representative's coordinates.  No record dict is built or walked.
+
+    A template is the generic encoding of its first record's
+    ``to_json_dict`` with those leaves slotted, and that record's filled
+    template must equal its generic encoding.  A finite float goes in as
+    ``%s`` writes it, which is its repr and so its JSON text; a table with a
+    non-finite float in those columns has every leaf encoded as the generic
+    encoder would.  Cell ids are keyed by ``CriticalRecord.cell_keys``.
+    Templates live as long as the object, which serves one ``critical``
+    call."""
+
+    def __init__(self, records, keys):
+        # each cyclic solution once, in order of first use, known before any
+        # record goes out since the cell table sorts first
+        self.cell_ids: dict = {}
+        for r in records:
+            for k in r.cell_keys():
+                self.cell_ids.setdefault(k, len(self.cell_ids))
+        self.records = _Streamed(zip(records, keys), self.encode)
+        self.cells = _Streamed(self.cell_ids, _encode_cell)
+        self.templates: dict = {}
+        self.finite: dict = {}  # table -> whether its varying floats are all finite
+
+    def encode(self, r, key: str, nl: str) -> str:
+        """The text ``_encode_json(r.to_json_dict(self.cell_ids), nl)`` gives;
+        ``key`` is ``r.key()``."""
+        t, row = r.table, r.row
+        head = [float(t.area[row])]
+        for k, xy in zip(r.cell_keys(), t.centers[row].tolist()):
+            head += (self.cell_ids[k], *xy)
+        head += t.free_w[row].tolist()
+        coords = t.xy[row].ravel().tolist()
+        shape = (nl, t, int(t.report[row]))
+        made = self.templates.get(shape)
+        fresh = made is None
+        if fresh:
+            made = self.templates[shape] = self._template(r, nl, len(head) + 1 + len(coords))
+        template, finite = made
+        if finite:
+            text = template % (*head, _encode_str(key), *coords)
+        else:
+            text = template % tuple([_SCALARS[type(v)](v) for v in (*head, key, *coords)])
+        if fresh and text != _encode_json(r.to_json_dict(self.cell_ids), nl):
+            raise RuntimeError(f"record {key}: its leaves do not fill its template")
+        return text
+
+    def _template(self, r, nl: str, n_leaves: int) -> tuple[str, bool]:
+        """The template of the record ``r``'s table and index report, and
+        whether the table's varying floats are all finite."""
+        t = r.table
+        slot = _Slot()
+        d = r.to_json_dict(self.cell_ids)
+        d["area"] = d["key"] = slot
+        for cell in d["cells"]:
+            cell["cell"], cell["center_glued"] = slot, [slot, slot]
+        for k in t.free:
+            d["chains"][k]["w"] = slot
+        d["representative"]["coords"] = dict.fromkeys(t.names, [slot, slot])
+        # the fixed text's own "%" are doubled, so each leaf text is
+        # substituted once and never read as a format
+        parts = _encode_json(d, nl).replace("%", "%%").split("\0")
+        if len(parts) != n_leaves + 1:
+            raise RuntimeError(f"record {r.key()}: {n_leaves} leaves for "
+                               f"{len(parts) - 1} slots")
+        if t not in self.finite:
+            self.finite[t] = all(np.isfinite(a).all()
+                                 for a in (t.area, t.centers, t.free_w, t.xy))
+        return "%s".join(parts), self.finite[t]
 
 
 def _load(path: str):
@@ -327,14 +367,16 @@ def cmd_critical(args) -> int:
     # a cycle with non-crossing chains has no K4 minor, so walls is set
     struct = detect_polygon_with_chains(g, gamma)
     if struct is not None and walls.clean:
-        records = _TemplatedRecords(enumerate_critical_structure(struct, cfg.tols))
-        out.update(mode="symbolic", format=RECORDS_FORMAT, records=records,
-                   cells=[poly.to_json_dict() for poly in records.cell_ids])
+        keys: list[str] = []
+        records = enumerate_critical_structure(struct, cfg.tols, keys)
+        templated = _TemplatedRecords(records, keys)
+        out.update(mode="symbolic", format=RECORDS_FORMAT, records=templated.records,
+                   cells=templated.cells)
         written = _dump_json(out, args.out)
         logger.debug("critical: %(records)d records, %(cells)d cell-table entries, "
                      "%(shapes)d record templates, %(bytes)d bytes written",
-                     {"records": len(records.records), "cells": len(records.cell_ids),
-                      "shapes": len(records.templates), "bytes": written})
+                     {"records": len(records), "cells": len(templated.cell_ids),
+                      "shapes": len(templated.templates), "bytes": written})
         return EXIT_OK
     out["warning"] = ("linkage outside the symbolic class; falling back to "
                       "numeric search" if struct is None else

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .indices import (
     IndexReport,
     aligned_nus,
     cyclic_index,
+    cyclic_index_of,
     ptt_index,
 )
 
@@ -110,19 +111,122 @@ class ManifoldFactor:
                 "chi": self.chi}
 
 
-@dataclass(frozen=True, slots=True)
-class CriticalRecord:
-    chain_status: tuple[ChainStatus, ...]
-    cells: tuple[PlacedCell, ...]
-    representative: Configuration
-    index: IndexReport
+@dataclass(frozen=True, eq=False, slots=True)
+class RecordTable:
+    """The critical records of one branch: row i of every column is record i's.
+
+    Shared by the rows: ``statuses`` (each aligned chain's ``ChainStatus``,
+    None for a free chain), ``factors``, the distinct ``reports``, each
+    cell's cyclic solutions ``sols`` and the sorted vertex ``names``.  The
+    read-only columns are ``picks`` (k, cells), each cell's row of its
+    solutions; ``centers`` (k, cells, 2), the glued circumcenters;
+    ``free_w`` (k, free chains), the free chains' end distances in chain
+    order; ``report`` (k,), an index into ``reports``; ``xy`` (k, V, 2),
+    the representatives in ``names`` order; and ``area`` (k,).
+    """
+
+    statuses: tuple[ChainStatus | None, ...]
     factors: tuple[ManifoldFactor, ...]
-    area: float
+    reports: tuple[IndexReport, ...]
+    sols: tuple[CyclicSolutions, ...]
+    names: tuple[str, ...]
+    picks: np.ndarray
+    centers: np.ndarray
+    free_w: np.ndarray
+    report: np.ndarray
+    xy: np.ndarray
+    area: np.ndarray
+    free: tuple[int, ...] = field(init=False)  # the free chains
+    chains_key: str = field(init=False)        # the chains' part of every key
+
+    def __post_init__(self):
+        for a in (self.picks, self.centers, self.free_w, self.report, self.xy, self.area):
+            a.flags.writeable = False
+        object.__setattr__(self, "free", tuple(
+            k for k, s in enumerate(self.statuses) if s is None))
+        object.__setattr__(self, "chains_key", "|".join(
+            "F" if s is None else s.key() for s in self.statuses))
+
+    def records(self) -> list[CriticalRecord]:
+        """One record per row, in row order."""
+        return [CriticalRecord.row_of(self, i) for i in range(len(self.area))]
+
+
+class CriticalRecord:
+    """One critical record, a view of row ``row`` of a ``RecordTable``.
+
+    Built from its fields, a record is the one row of a table of its own.
+    Its cells and representative are made when read; records are equal
+    when their fields are.
+    """
+
+    __slots__ = ("table", "row")
+
+    def __init__(self, chain_status: tuple[ChainStatus, ...], cells: tuple[PlacedCell, ...],
+                 representative: Configuration, index: IndexReport,
+                 factors: tuple[ManifoldFactor, ...], area: float):
+        self.table = RecordTable(
+            tuple(s if s.kind == "aligned" else None for s in chain_status), tuple(factors),
+            (index,), tuple(CyclicSolutions.of_polygon(pc.poly) for pc in cells),
+            representative.names, np.zeros((1, len(cells)), dtype=np.intp),
+            np.array([pc.center for pc in cells], dtype=float).reshape(1, len(cells), 2),
+            np.array([[s.w for s in chain_status if s.kind != "aligned"]], dtype=float),
+            np.zeros(1, dtype=np.intp), representative.xy[None], np.array([area], dtype=float))
+        self.row = 0
+
+    @classmethod
+    def row_of(cls, table: RecordTable, row: int) -> CriticalRecord:
+        """The record of row ``row`` of ``table``."""
+        rec = cls.__new__(cls)
+        rec.table, rec.row = table, row
+        return rec
+
+    @property
+    def chain_status(self) -> tuple[ChainStatus, ...]:
+        t = self.table
+        statuses = list(t.statuses)
+        for k, w in zip(t.free, t.free_w[self.row].tolist()):
+            statuses[k] = ChainStatus("free", w)
+        return tuple(statuses)
+
+    def cell_keys(self) -> list[tuple[CyclicSolutions, int]]:
+        """(solutions, row) of each cell: equal exactly when the polygons are."""
+        t = self.table
+        return list(zip(t.sols, t.picks[self.row].tolist()))
+
+    @property
+    def cells(self) -> tuple[PlacedCell, ...]:
+        return tuple(PlacedCell(sols[s], tuple(c)) for (sols, s), c in
+                     zip(self.cell_keys(), self.table.centers[self.row].tolist()))
+
+    @property
+    def representative(self) -> Configuration:
+        return Configuration.from_rows(self.table.names, self.table.xy[self.row])
+
+    @property
+    def index(self) -> IndexReport:
+        return self.table.reports[self.table.report[self.row]]
+
+    @property
+    def factors(self) -> tuple[ManifoldFactor, ...]:
+        return self.table.factors
+
+    @property
+    def area(self) -> float:
+        return float(self.table.area[self.row])
+
+    def _fields(self) -> tuple:
+        return (self.chain_status, self.cells, self.representative, self.index,
+                self.factors, self.area)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CriticalRecord):
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def key(self) -> str:
-        chains = "|".join(s.key() for s in self.chain_status)
-        cells = ";".join(pc.poly.signature for pc in self.cells)
-        return f"{chains}#{cells}"
+        return self.table.chains_key + "#" + ";".join(
+            sols.signature(s) for sols, s in self.cell_keys())
 
     @property
     def manifold_dim(self) -> int:
@@ -143,41 +247,20 @@ class CriticalRecord:
         """Number of critical points represented, for zero-dimensional records."""
         return self.chi if self.manifold_dim == 0 else None
 
-    def to_json_dict(self, cell_ids: dict[CyclicPolygon, int]) -> dict:
-        """The record; each cell names its polygon's index in ``cell_ids``, grown as needed."""
+    def to_json_dict(self, cell_ids: dict[tuple[CyclicSolutions, int], int]) -> dict:
+        """The record; each cell names its ``cell_keys()`` entry's index in
+        ``cell_ids``, grown as needed."""
         return {
             "key": self.key(),
             "index": self.index.to_json_dict(),
             "manifold_dim": self.manifold_dim,
             "area": self.area,
             "chains": [s.to_json_dict() for s in self.chain_status],
-            "cells": [{"cell": cell_ids.setdefault(pc.poly, len(cell_ids)),
-                       "center_glued": list(pc.center)} for pc in self.cells],
+            "cells": [{"cell": cell_ids.setdefault(k, len(cell_ids)), "center_glued": c}
+                      for k, c in zip(self.cell_keys(), self.table.centers[self.row].tolist())],
             "factors": [f.to_json_dict() for f in self.factors],
             "representative": self.representative.to_json_dict(),
         }
-
-    def json_leaves(self, cell_ids: dict[CyclicPolygon, int]) -> tuple[tuple, list]:
-        """The shape of ``to_json_dict(cell_ids)`` and its leaves (the values
-        that are not containers), in the order ``json.dumps(sort_keys=True)``
-        writes them.  Two records of one shape differ in their leaves alone."""
-        rep = self.representative
-        shape = (len(self.cells),
-                 tuple((s.kind, len(s.sigma)) if s.kind == "aligned" else s.kind
-                       for s in self.chain_status),
-                 len(self.factors), len(self.index.breakdown), rep.names)
-        leaves = [self.area]
-        for pc in self.cells:
-            leaves += (cell_ids.setdefault(pc.poly, len(cell_ids)), *pc.center)
-        for s in self.chain_status:
-            leaves += (s.f, s.kind, *s.sigma, s.w) if s.kind == "aligned" else (s.kind, s.w)
-        for f in self.factors:
-            leaves += (f.chain, f.chi, f.dim, f.edges)
-        for label, v in self.index.breakdown:
-            leaves += (label, v)
-        leaves += (self.index.index, self.index.manifold_dim, self.key(), self.manifold_dim)
-        leaves += rep.xy.ravel().tolist()
-        return shape, leaves
 
 
 def _factor_chi(r: int) -> int | None:
@@ -229,8 +312,10 @@ class _Enumeration:
     counts: dict[str, int]
 
 
-def enumerate_critical_structure(struct: PolygonWithChains,
-                                 tols: Tolerances = DEFAULT_TOLS) -> list[CriticalRecord]:
+def enumerate_critical_structure(struct: PolygonWithChains, tols: Tolerances = DEFAULT_TOLS,
+                                 keys: list[str] | None = None) -> list[CriticalRecord]:
+    """The critical records, sorted by index, key and area.  A list passed
+    as ``keys`` receives the records' keys in that order."""
     g = struct.graph
     scale = g.total_length()
     report = wall_check(g, tols=tols)
@@ -262,11 +347,16 @@ def enumerate_critical_structure(struct: PolygonWithChains,
         aligned_list = sorted(aligned_set)
         pattern_choices = [patterns_by_chain[k] for k in aligned_list]
         for combo in itertools.product(*pattern_choices):
-            branch = _records_for_branch(en, aligned_list, combo)
-            if not branch:
+            table = _records_for_branch(en, aligned_list, combo)
+            if table is None:
                 en.counts["empty_branches"] += 1
-            records.extend(branch)
-    records.sort(key=lambda r: (r.index.index, r.key(), r.area))
+            else:
+                records.extend(table.records())
+    sort_keys = [(r.index.index, r.key(), r.area) for r in records]
+    order = sorted(range(len(records)), key=sort_keys.__getitem__)
+    records = [records[i] for i in order]
+    if keys is not None:
+        keys.extend(sort_keys[i][1] for i in order)
     counts = en.counts
     counts["cyclic_solved"], counts["records"] = len(en.cyclic), len(records)
     logger.debug(
@@ -279,12 +369,13 @@ def enumerate_critical_structure(struct: PolygonWithChains,
     return records
 
 
-def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalRecord]:
-    """Records of one choice of aligned chains and patterns.
+def _records_for_branch(en: _Enumeration, aligned_list, combo) -> RecordTable | None:
+    """The table of the records of one choice of aligned chains and
+    patterns, or None when there are none.
 
     A pick is one cyclic solution per cell, taken in ``itertools.product``
     order.  All of a branch's picks are glued, checked, indexed and placed
-    together as arrays; per record only its own objects are built.  When
+    together as arrays, and the kept ones are the table's rows.  When
     checks fail, the first failing pick raises the ``NonGenericError`` it
     would raise if the picks were assembled one at a time.
     """
@@ -303,7 +394,7 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
             if abs(lens[0] - lens[1]) <= tols.wall * scale:
                 raise NonGenericError("degenerate two-edge cell with equal lengths")
             counts["two_edge_cell"] += 1
-            return []  # two-edge cell cannot be cyclic: branch infeasible
+            return None  # two-edge cell cannot be cyclic: branch infeasible
         counts["cyclic_lookups"] += 1
         key = tuple(lens)
         if key not in en.cyclic:
@@ -311,7 +402,7 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
             en.cyclic[key] = (sols, [None] * len(sols))
         if not en.cyclic[key][0]:
             counts["no_cyclic_root"] += 1
-            return []
+            return None
         cell_sols.append(en.cyclic[key])
 
     sides = [_cells_of_diagonal(cells, di) for di in range(len(aligned_list))]
@@ -342,45 +433,29 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> list[CriticalR
         if fate[row] == AT_ALIGNMENT:
             raise NonGenericError("configuration is simultaneously circular and aligned")
         for (sols, _), s in zip(cell_sols, picks[row].tolist()):
-            cyclic_index(sols[s], tols)
+            _solution_index(sols, s, tols)
         raise NonGenericError(COINCIDING_CENTERS)
     counts["glue_mismatch"] += int(np.count_nonzero(fate == GLUE_MISMATCH))
     counts["outside_reach"] += int(np.count_nonzero(fate == OUTSIDE_REACH))
 
     rows = np.flatnonzero(kept)
     if rows.size == 0:
-        return []
+        return None
     # one IndexReport per distinct tuple of cell indices and chain terms
     factors = _free_factors(struct, aligned_list)
     terms, report_of = np.unique(np.concatenate((mu, nu), axis=1)[rows], axis=0,
                                  return_inverse=True)
-    reports = [_index_report(aligned_list, t[:len(cells)], t[len(cells):], factors)
-               for t in terms.tolist()]
-    base: list[ChainStatus | None] = [None] * len(struct.chains)
+    reports = tuple(_index_report(aligned_list, t[:len(cells)], t[len(cells):], factors)
+                    for t in terms.tolist())
+    statuses: list[ChainStatus | None] = [None] * len(struct.chains)
     for k, (sigma, w, f) in zip(aligned_list, combo):
-        base[k] = ChainStatus("aligned", w, tuple(sigma), f)
+        statuses[k] = ChainStatus("aligned", w, tuple(sigma), f)
     pts = pts[rows]
-    # records that place a cell's solution at one glued center share one PlacedCell,
-    # which keeps peak memory down
-    placed: dict[tuple, PlacedCell] = {}
-    cells_of_rows = [[] for _ in rows]
-    for c, (sols, _) in enumerate(cell_sols):
-        for here, s, xy in zip(cells_of_rows, picks[rows, c].tolist(),
-                               map(tuple, centers[c][rows].tolist())):
-            pc = placed.get((c, s, xy))
-            if pc is None:
-                pc = placed[c, s, xy] = PlacedCell(sols[s], xy)
-            here.append(pc)
-    out = []
-    for cells_here, ds, report, rep, p in zip(
-            cells_of_rows, d[rows].tolist(), report_of.tolist(),
-            _representatives(struct, aligned_list, combo, pts), pts):
-        statuses = list(base)
-        for k, dk in zip(free, ds):
-            statuses[k] = ChainStatus("free", dk)
-        out.append(CriticalRecord(tuple(statuses), tuple(cells_here), rep, reports[report],
-                                  factors, shoelace(p)))
-    return out
+    names, xy = _representatives(struct, aligned_list, combo, pts)
+    return RecordTable(tuple(statuses), factors, reports, tuple(sols for sols, _ in cell_sols),
+                       names, picks[rows], np.stack([c[rows] for c in centers], axis=1),
+                       d[rows], report_of.reshape(-1), xy,
+                       np.array([shoelace(p) for p in pts]))
 
 
 def _free_chain_fates(en: _Enumeration, free, pts, mismatch):
@@ -416,11 +491,17 @@ def _cell_indices(cell_sols, picks, kept, tols: Tolerances) -> np.ndarray:
         for s in sorted(set(picks[kept, c].tolist())):  # np.unique would import numpy.ma
             if mus[s] is None:
                 try:
-                    mus[s] = cyclic_index(sols[s], tols)
+                    mus[s] = _solution_index(sols, s, tols)
                 except NonGenericError:
                     mus[s] = -1  # a kept pick uses it, so the enumeration raises
         mu[kept, c] = np.array([-1 if m is None else m for m in mus])[picks[kept, c]]
     return mu
+
+
+def _solution_index(sols: CyclicSolutions, s: int, tols: Tolerances) -> int:
+    """``cyclic_index`` of solution ``s`` of ``sols``, read from the table."""
+    return cyclic_index_of(sols.eps[s].tolist(), sols.alphas[s].tolist(), int(sols.omega[s]),
+                           tols)
 
 
 def _glue(struct: PolygonWithChains, aligned_list, cells, sides, sols, picks,
@@ -510,15 +591,14 @@ def _cells_of_diagonal(cells, di):
 
 
 def _representatives(struct: PolygonWithChains, aligned_list, combo,
-                     pts) -> list[Configuration]:
-    """Representatives of a branch's kept picks from their cycle positions
-    ``pts`` (picks, n, 2).
+                     pts) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted vertex names and the representatives (picks, V, 2) in their
+    order of a branch's kept picks, from their cycle positions ``pts``
+    (picks, n, 2).
 
     Aligned chains lie along their diagonals; free chains are placed in
     closed form by ``place_chain``.  Joints are laid out for all picks at
-    once, with the arithmetic of one pick at a time.  The representatives are
-    row views of one read-only (picks, V, 2) array in sorted-name order and
-    share one names tuple.
+    once, with the arithmetic of one pick at a time.
     """
     names = list(struct.gamma.vertices)
     blocks = [pts]  # (picks, vertices, 2) coordinates of the vertices in names
@@ -537,9 +617,7 @@ def _representatives(struct: PolygonWithChains, aligned_list, combo,
         names.extend(ch.joints)
     order = sorted(range(len(names)), key=names.__getitem__)
     xy = np.take(np.concatenate(blocks, axis=1), order, axis=1)
-    xy.flags.writeable = False
-    names = tuple(names[k] for k in order)
-    return [Configuration.from_rows(names, row) for row in xy]
+    return tuple(names[k] for k in order), xy
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +720,8 @@ def _record_from_classification(struct, c, statuses, aligned_list, cells,
     factors = _free_factors(struct, aligned_list)
     report = _index_report(aligned_list, cell_mu, chain_nus, factors)
     area = shoelace(np.array(list(pos_xy.values())))
-    return CriticalRecord(tuple(statuses), tuple(placed), c, report, factors,
-                          float(area))
+    return CriticalRecord(chain_status=tuple(statuses), cells=tuple(placed), representative=c,
+                          index=report, factors=factors, area=float(area))
 
 
 # ---------------------------------------------------------------------------

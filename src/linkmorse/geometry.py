@@ -323,8 +323,7 @@ class CyclicPolygon:
     @cached_property
     def signature(self) -> str:
         """Edge signs, winding and radius: the polygon's part of a record key."""
-        return ("".join("+" if s > 0 else "-" for s in self.eps)
-                + f"w{self.omega}r{self.radius:.9e}")
+        return _signature(self.eps, self.omega, self.radius)
 
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
@@ -363,18 +362,24 @@ class CyclicPolygon:
         }
 
 
+def _signature(eps, omega: int, radius: float) -> str:
+    return "".join("+" if s > 0 else "-" for s in eps) + f"w{omega}r{radius:.9e}"
+
+
 _ORIGIN = (0.0, 0.0)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class CyclicSolutions:
-    """The cyclic solutions of one length vector, centred at the origin.
+    """The cyclic solutions of one length vector, on circles about ``center``
+    (the origin, unless the table holds one given polygon).
 
     Row i of the read-only arrays ``radius`` (S,), ``omega`` (S,), ``eps``
     (S, n), ``alphas`` (S, n) and ``vertices`` (S, n, 2), and ``flags[i]``,
     describe solution i.  Item i is that solution as a ``CyclicPolygon``,
     built on first access and the same object afterwards, so only the
-    solutions something reads become objects.
+    solutions something reads become objects; ``signature(i)`` and
+    ``to_json_dict(i)`` give the polygon's without building it.
     """
 
     lengths: tuple[float, ...]
@@ -384,12 +389,25 @@ class CyclicSolutions:
     alphas: np.ndarray
     vertices: np.ndarray
     flags: tuple[frozenset[str], ...]
+    center: tuple[float, float] = _ORIGIN
     _polys: list = field(init=False, repr=False)
+    _signatures: list = field(init=False, repr=False)
 
     def __post_init__(self):
         for a in (self.radius, self.omega, self.eps, self.alphas, self.vertices):
             a.flags.writeable = False
         object.__setattr__(self, "_polys", [None] * len(self.radius))
+        object.__setattr__(self, "_signatures", [None] * len(self.radius))
+
+    @classmethod
+    def of_polygon(cls, poly: CyclicPolygon) -> "CyclicSolutions":
+        """The one-row table of ``poly``, whose item 0 is ``poly`` itself."""
+        sols = cls(poly.lengths, np.array([poly.radius], dtype=float), np.array([poly.omega]),
+                   np.array([poly.eps], dtype=int), np.array([poly.alphas], dtype=float),
+                   np.array(poly.vertices, dtype=float).reshape(1, poly.n, 2), (poly.flags,),
+                   tuple(poly.center))
+        sols._polys[0] = poly
+        return sols
 
     def __len__(self) -> int:
         return len(self._polys)
@@ -398,13 +416,38 @@ class CyclicSolutions:
         poly = self._polys[i]
         if poly is None:
             poly = self._polys[i] = CyclicPolygon(
-                self.lengths, _ORIGIN, float(self.radius[i]),
+                self.lengths, self.center, float(self.radius[i]),
                 tuple(map(tuple, self.vertices[i].tolist())), tuple(self.eps[i].tolist()),
                 tuple(self.alphas[i].tolist()), int(self.omega[i]), self.flags[i])
         return poly
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+    def signature(self, i: int) -> str:
+        """Solution i's ``CyclicPolygon.signature``, made once."""
+        sig = self._signatures[i]
+        if sig is None:
+            sig = self._signatures[i] = _signature(self.eps[i].tolist(), int(self.omega[i]),
+                                                   float(self.radius[i]))
+        return sig
+
+    def to_json_dict(self, i: int) -> dict:
+        """Solution i's ``CyclicPolygon.to_json_dict``."""
+        eps = self.eps[i].tolist()
+        return {
+            "lengths": list(self.lengths),
+            "center": list(self.center),
+            "radius": float(self.radius[i]),
+            "vertices": self.vertices[i].tolist(),
+            "eps": eps,
+            "alphas": self.alphas[i].tolist(),
+            "omega": int(self.omega[i]),
+            "e": sum(1 for s in eps if s > 0),
+            # the row is laid out as np.asarray(poly.vertices) would be
+            "area": shoelace(self.vertices[i]),
+            "flags": sorted(self.flags[i]),
+        }
 
 
 def _solve_rows(lengths: tuple[float, ...], eps: np.ndarray, omega: np.ndarray,
@@ -475,10 +518,8 @@ def _sign_rows(n: int, masks: np.ndarray) -> np.ndarray:
 def _closure(lengths: np.ndarray, eps: np.ndarray, r: np.ndarray) -> np.ndarray:
     """F(r[i]) for the sign vectors eps[i], summed column by column as np.dot does."""
     v = np.arcsin(np.minimum(1.0, lengths / (2.0 * r[:, None])))
-    f = v[:, 0] * eps[:, 0]
-    for k in range(1, len(lengths)):
-        f = f + v[:, k] * eps[:, k]
-    return f
+    # unlike np.sum, which adds pairwise, cumsum adds one column at a time
+    return np.cumsum(v * eps, axis=1)[:, -1]
 
 
 def _bisect_stack(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
@@ -596,9 +637,12 @@ def enumerate_cyclic(lengths: Sequence[float],
     if not all(0.0 < x < math.inf for x in lengths):
         raise ValueError(f"lengths must be positive and finite, got {lengths}")
     total = sum(lengths)
+    if 2 * max(lengths) >= total * (1 - DEGENERATE_TOL):  # only flat polygons
+        return CyclicSolutions(lengths, np.empty(0), np.empty(0, dtype=int),
+                               np.empty((0, n), dtype=int), np.empty((0, n)),
+                               np.empty((0, n, 2)), ())
     signs = _sign_rows(n, np.arange(2 ** (n - 1)))
-    flat = 2 * max(lengths) >= total * (1 - DEGENERATE_TOL)  # only flat polygons
-    roots = [] if flat else _cyclic_roots(np.asarray(lengths), signs, tols)
+    roots = _cyclic_roots(np.asarray(lengths), signs, tols)
     sign_row = np.array([i for i, rs in enumerate(roots) for _ in rs], dtype=np.intp)
     omega = np.array([om for rs in roots for om, _ in rs], dtype=int)
     radius = np.array([r for rs in roots for _, r in rs], dtype=float)

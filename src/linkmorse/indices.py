@@ -72,17 +72,25 @@ def cyclic_index(p: CyclicPolygon, tols: Tolerances = DEFAULT_TOLS) -> int:
     half-angle at pi/2 contributes an infinite term whose sign decides the
     branch by limit.
     """
-    mu = p.e - 1 - 2 * p.omega if _tan_sum_positive(p, tols) else p.e - 2 - 2 * p.omega
-    if not 0 <= mu <= max(p.n - 3, 0):
+    return cyclic_index_of(p.eps, p.alphas, p.omega, tols)
+
+
+def cyclic_index_of(eps: Sequence[int], alphas: Sequence[float], omega: int,
+                    tols: Tolerances = DEFAULT_TOLS) -> int:
+    """``cyclic_index`` of the cyclic polygon with edge signs ``eps``,
+    half-angles ``alphas`` and winding ``omega``."""
+    n, e = len(eps), sum(1 for s in eps if s > 0)
+    mu = e - 1 - 2 * omega if _tan_sum_positive(eps, alphas, tols) else e - 2 - 2 * omega
+    if not 0 <= mu <= max(n - 3, 0):
         logger.warning("cyclic index %d escapes the Morse bound [0, %d]; "
-                       "treat this configuration as suspect", mu, p.n - 3)
+                       "treat this configuration as suspect", mu, n - 3)
     return mu
 
 
-def _tan_sum_positive(p: CyclicPolygon, tols: Tolerances) -> bool:
+def _tan_sum_positive(eps: Sequence[int], alphas: Sequence[float], tols: Tolerances) -> bool:
     terms = []
     inf_signs = []
-    for e, a in zip(p.eps, p.alphas):
+    for e, a in zip(eps, alphas):
         if abs(a - 0.5 * math.pi) < RIGHT_ANGLE_TOL:
             inf_signs.append(e)
         else:

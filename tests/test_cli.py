@@ -83,10 +83,18 @@ STDOUT_SHA256 = {
     "polygon7": "84e67d570aae8360ff7e3636d9921c53ff25a8cc5e4870ae5426931ad40fda71",
     "polygon8": "ed5b17eeac621faf3b777181127bc098a6a3ff743a35d049f0f43830626001c5",
     "polygon9": "3a6acfd4d68c280bb97bc690806b95343e19379376795082b9bad7a598516e09",
+    "three_chain_0": "756f8dc1c8f3006ce3173a271fe5a563cadaa68dca5256995dadc64c13d4a20f",
+    "three_chain_1": "95ad7b1aadbbc51a46757faae73b9e719f315f6261279933b177ac8b507a56d4",
+    "three_chain_2": "a5c9a42d5b702690dee2651497d1b1d8977dd5972e22c9343f3755eed2c40c5a",
+    "three_chain_3": "f0d664df070e2a915c40ddb7083d696cc0187d3ddd3500122d74906aa424d8aa",
+    "three_chain_4": "e766a752111daf5ff25e76f73743de871da8cf6cf2b792cc46f9e115627edeaa",
+    "three_chain_5": "c98781f778c6aaaaea15d9d65fef7219946e4c28475302a5dd572d7fa7d72929",
 }
 # the benchmark's symbolic_records polygons: (n-gon, edges of the two chains),
 # drawn in this order from one generator seeded 505
 PERFBENCH_POLYGONS = ((6, (2, 3)), (7, (3, 3)), (8, (3, 3)), (9, (2, 3)))
+# the benchmark's verify_sweep three-chains, the first of the generator seeded 202
+PERFBENCH_THREE_CHAINS = 6
 
 
 def load_perfbench_gen():
@@ -97,10 +105,14 @@ def load_perfbench_gen():
 
 
 @pytest.fixture(scope="module")
-def perfbench_polygons():
+def perfbench_instances():
     rng = np.random.default_rng(505)
     sample = load_perfbench_gen().sample_polygon_with_chains
-    return {f"polygon{n}": sample(rng, n, edges)[:2] for n, edges in PERFBENCH_POLYGONS}
+    polygons = {f"polygon{n}": sample(rng, n, edges)[:2] for n, edges in PERFBENCH_POLYGONS}
+    rng = np.random.default_rng(202)
+    sample = load_perfbench_gen().sample_three_chain_with_records
+    return polygons | {f"three_chain_{k}": sample(rng)[:2]
+                       for k in range(PERFBENCH_THREE_CHAINS)}
 
 
 @pytest.fixture(scope="module")
@@ -307,12 +319,12 @@ class TestCritical:
         assert outputs[0] and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("name", list(STDOUT_SHA256))
-    def test_stdout_digest(self, tmp_path, capsysbinary, perfbench_polygons, name):
+    def test_stdout_digest(self, tmp_path, capsysbinary, perfbench_instances, name):
         # a change that moves one output byte fails here; an intended change
         # updates the digest
         make = {"max16": max16_three_chain, "bm223": bott_morse_three_chain,
                 "free_four_chain": free_four_chain, "worked": lambda: worked_example()[:2]}
-        g, gamma = make[name]() if name in make else perfbench_polygons[name]
+        g, gamma = make[name]() if name in make else perfbench_instances[name]
         assert main(["critical", write_linkage(tmp_path / "linkage.json", g, gamma)]) == 0
         assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == STDOUT_SHA256[name]
 
@@ -378,8 +390,9 @@ class TestRecordTemplates:
     def test_every_record_equals_generic(self, instance, request):
         records = (request.getfixturevalue("worked_records") if instance is None
                    else symbolic_records(*instance()))
-        templated = _TemplatedRecords(records)
-        texts = [templated.encode(r, self.NL) for r in records]
+        keys = [r.key() for r in records]
+        templated = _TemplatedRecords(records, keys)
+        texts = [templated.encode(r, key, self.NL) for r, key in zip(records, keys)]
         assert texts == [_encode_json(r.to_json_dict(templated.cell_ids), self.NL)
                          for r in records]
         assert len(templated.templates) < len(records)
@@ -387,16 +400,33 @@ class TestRecordTemplates:
             assert any('"chi": null' in t for t in texts)
 
     def test_non_finite_leaves(self):
+        # each hand-built record is a one-row table of its own
         odd = hand_built_record(math.nan, (math.inf, -0.0))
         plain = hand_built_record(1.5, (0.5, 0.25))
-        # the odd record fills a template made from the plain one, then makes its own
         for order in ([plain, odd], [odd]):
-            templated = _TemplatedRecords(order)
+            templated = _TemplatedRecords(order, [r.key() for r in order])
             for r in order:
-                text = templated.encode(r, "\n")
+                text = templated.encode(r, r.key(), "\n")
                 assert text == json.dumps(r.to_json_dict(templated.cell_ids), indent=2,
                                           sort_keys=True)
             assert '"area": NaN' in text and "Infinity" in text
+
+    def test_table_with_nan_area_written_as_generic(self):
+        # a NaN in one row's area sends the whole table down the generic
+        # per-leaf encoding; the NaN goes out as json.dumps writes it
+        table = max(symbolic_records(*bott_morse_three_chain()),
+                    key=lambda r: len(r.table.area)).table
+        assert len(table.area) > 1
+        odd = dataclasses.replace(table, area=np.where(np.arange(len(table.area)) == 1,
+                                                        math.nan, table.area))
+        records = odd.records()
+        templated = _TemplatedRecords(records, [r.key() for r in records])
+        texts = [templated.encode(r, r.key(), self.NL) for r in records]
+        assert texts == [_encode_json(r.to_json_dict(templated.cell_ids), self.NL)
+                         for r in records]
+        assert '"area": NaN' in texts[1] and "NaN" not in texts[0]
+        assert texts[1] == json.dumps(records[1].to_json_dict(templated.cell_ids), indent=2,
+                                      sort_keys=True).replace("\n", self.NL)
 
     def test_vertex_names_escaped(self, tmp_path, capsysbinary):
         g, gamma = free_four_chain()
@@ -431,7 +461,8 @@ class TestRecordTemplates:
         assert runs[0] == runs[1]
         assert runs[0]["records"] == 5316 and runs[0]["cells"] == 934
         assert runs[0]["bytes"] == out.stat().st_size == 16_031_568
-        assert 0 < runs[0]["shapes"] < 10
+        # one template per branch table and index report
+        assert runs[0]["shapes"] == 174
 
 
 class TestVerify:
@@ -568,10 +599,16 @@ class TestVerify:
                                              monkeypatch):
         # the enumeration claims one record, its index raised by one, in the
         # records file and in verify
-        def raised(struct, tols):
+        def raised(struct, tols, keys=None):
             rec = enumerate_critical_structure(struct, tols)[0]
-            return [dataclasses.replace(rec, index=dataclasses.replace(
-                rec.index, index=rec.index.index + 1))]
+            rec = CriticalRecord(
+                chain_status=rec.chain_status, cells=rec.cells,
+                representative=rec.representative,
+                index=dataclasses.replace(rec.index, index=rec.index.index + 1),
+                factors=rec.factors, area=rec.area)
+            if keys is not None:
+                keys.append(rec.key())
+            return [rec]
 
         monkeypatch.setattr(linkmorse.cli, "enumerate_critical_structure", raised)
         code, payload, verdict = self._verdict(tmp_path, three_chain_file, capsys)
@@ -839,8 +876,11 @@ class TestOutput:
     def test_symbolic_records_stream(self, tmp_path, monkeypatch, worked_records):
         # the worked example's records, enumerated beforehand, go out one at a
         # time: holding every record's text (about 14 MB) or dict at once fails
-        monkeypatch.setattr(linkmorse.cli, "enumerate_critical_structure",
-                            lambda *args: worked_records)
+        def enumerated(struct, tols, keys):
+            keys += [r.key() for r in worked_records]
+            return worked_records
+
+        monkeypatch.setattr(linkmorse.cli, "enumerate_critical_structure", enumerated)
         path = write_linkage(tmp_path / "worked.json", *worked_example()[:2])
         out = tmp_path / "records.json"
         tracemalloc.start()

@@ -1,11 +1,13 @@
 """Symbolic critical-point enumeration, classification, and Euler sums."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from linkmorse import enumeration, geometry
 from linkmorse.cli import main
 from linkmorse.enumeration import (
+    CriticalRecord,
     classify_configuration,
     determined_vertices,
     enumerate_critical_pnd,
@@ -500,20 +503,22 @@ class TestStackedGluing:
     def test_kept_pick_with_index_too_close_to_call_raises(self, monkeypatch):
         # the bar v0-v2 splits the pentagon into a triangle and a
         # quadrilateral; one quadrilateral solution's index is too close to
-        # call, and the first kept pick using it raises that polygon's error
+        # call, and the first kept pick using it raises that solution's error
         refused = {}
+        solution_index = enumeration._solution_index
 
-        def index(poly, tols):
-            if len(poly.vertices) == 4 and refused.setdefault("poly", poly) is poly:
-                raise NonGenericError(f"index of {poly.signature} too close to call")
-            return cyclic_index(poly, tols)
+        def index(sols, s, tols):
+            if len(sols.lengths) == 4 and refused.setdefault("sol", (sols, s)) == (sols, s):
+                raise NonGenericError(f"index of {sols.signature(s)} too close to call")
+            return solution_index(sols, s, tols)
 
-        monkeypatch.setattr(enumeration, "cyclic_index", index)
+        monkeypatch.setattr(enumeration, "_solution_index", index)
         g, gamma = make_polygon([1.0, 1.1, 1.3, 1.2, 0.9])
         g = LinkageGraph(g.vertices, g.edges + (("v0", "v2", 1.45),))
         with pytest.raises(NonGenericError) as exc:
             enumerate_critical_pnd(g, gamma)
-        assert str(exc.value) == f"index of {refused['poly'].signature} too close to call"
+        sols, s = refused["sol"]
+        assert str(exc.value) == f"index of {sols.signature(s)} too close to call"
 
     def test_kept_pick_with_coinciding_centers_raises(self, monkeypatch):
         # with every pair of circumcenters counted as coinciding, the first
@@ -544,7 +549,10 @@ class TestMatchRecord:
         recs = enumerate_critical_pnd(g, gamma)
         rec = next(r for r in recs if r.chain_status[0].kind == "aligned")
         free = [r for r in recs if r.chain_status[0].kind == "free"]
-        other_count = dataclasses.replace(rec, chain_status=rec.chain_status * 2)
+        other_count = CriticalRecord(
+            chain_status=rec.chain_status * 2, cells=rec.cells,
+            representative=rec.representative, index=rec.index, factors=rec.factors,
+            area=rec.area)
         assert match_record(struct, [rec], rec.representative) is rec
         assert match_record(struct, free + [other_count], rec.representative) is None
 
@@ -601,26 +609,29 @@ class TestWorkedExample:
         # cell and branch), and each cyclic solution used by a record is
         # indexed once
         moves, indexed = [], []
+        solution_index = enumeration._solution_index
 
         def move(*args):
             moves.append(len(args[0]))
             return transform_mapping_segment(*args)
 
-        def index(poly, tols):
-            indexed.append(id(poly))
-            return cyclic_index(poly, tols)
+        def index(sols, s, tols):
+            indexed.append((id(sols), s))
+            return solution_index(sols, s, tols)
 
         monkeypatch.setattr(enumeration, "transform_mapping_segment", move)
-        monkeypatch.setattr(enumeration, "cyclic_index", index)
+        monkeypatch.setattr(enumeration, "_solution_index", index)
         g, gamma, _ = worked_example()
         recs = enumerate_critical_pnd(g, gamma)
         assert (len(moves), sum(moves)) == (17, 11840)
         assert len(indexed) == len(set(indexed)) == 934
-        assert set(indexed) == {id(pc.poly) for r in recs for pc in r.cells}
+        assert set(indexed) == {(id(sols), s) for r in recs for sols, s in r.cell_keys()}
 
-    def test_polygons_built_only_for_records(self, monkeypatch):
-        # the 18 solved length vectors have 2,526 cyclic solutions; a
-        # CyclicPolygon is built only for the 934 that records place
+    def test_polygons_built_only_for_records(self, tmp_path, monkeypatch):
+        # the 18 solved length vectors have 2,526 cyclic solutions, 934 of
+        # them placed by records.  critical indexes, keys and writes them
+        # from the solution tables and builds no CyclicPolygon; reading the
+        # records' cells builds one per placed solution
         built = []
         init = geometry.CyclicPolygon.__init__
 
@@ -629,14 +640,44 @@ class TestWorkedExample:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(geometry.CyclicPolygon, "__init__", counted)
-        recs = enumerate_critical_pnd(*worked_example()[:2])
+        g, gamma, _ = worked_example()
+        path = tmp_path / "worked.json"
+        path.write_text(json.dumps(g.to_json_dict(gamma=gamma)))
+        assert main(["--out", str(tmp_path / "records.json"), "critical", str(path)]) == 0
+        assert built == []
+        recs = enumerate_critical_pnd(g, gamma)
+        assert built == []
         used = {id(pc.poly) for r in recs for pc in r.cells}
         assert len(built) == len(used) == 934
         assert {id(p) for p in built} == used
 
+    def test_records_memory(self):
+        # the records are row views of one table per branch: the worked
+        # example's 5,316 keep at most half of the 6.46 MB they kept as
+        # objects (tracemalloc, records alive after the call)
+        g, gamma, _ = worked_example()
+        enumerate_critical_pnd(g, gamma)  # numpy's and the interpreter's first-use caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            recs = enumerate_critical_pnd(g, gamma)
+            gc.collect()
+            alive, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(recs) == 5316
+        assert alive <= 6_460_000 / 2, alive
+
+    def test_keys_in_record_order(self):
+        # the keys the sort builds come back with the records
+        keys = []
+        recs = enumerate_critical_structure(
+            detect_polygon_with_chains(*max16_three_chain()), keys=keys)
+        assert keys == [r.key() for r in recs]
+
     def test_representatives_are_rows_of_one_array_per_branch(self, caplog):
         # each representative's xy is a row view, and the records of a branch
-        # share its base array and names tuple
+        # share its base array and names tuple; one table per branch
         g, gamma, _ = worked_example()
         with caplog.at_level(logging.DEBUG, logger="linkmorse.enumeration"):
             recs = enumerate_critical_pnd(g, gamma)
@@ -649,6 +690,7 @@ class TestWorkedExample:
                    and c.xy.base.shape[1:] == shape for c in reps)
         assert len({id(c.xy.base) for c in reps}) <= branches == 11
         assert len({id(c.names) for c in reps}) <= branches
+        assert len({id(r.table) for r in recs}) == branches
 
 
 def _verify(tmp_path, g, gamma, capsys):

@@ -1,6 +1,7 @@
 """Oriented area, cyclic polygons, reach, and genericity checks."""
 
 import dataclasses
+import json
 import logging
 import math
 
@@ -28,7 +29,7 @@ from linkmorse.geometry import (
     simple_cycles_via_sp,
     wall_check,
 )
-from linkmorse.enumeration import enumerate_critical_pnd
+from linkmorse.enumeration import CriticalRecord, enumerate_critical_pnd
 from linkmorse.graphs import DistinguishedCycle, LinkageGraph, make_polygon, make_three_chain
 from linkmorse.instances import max16_three_chain, worked_example
 
@@ -64,11 +65,17 @@ class TestConfiguration:
         assert c == Configuration.from_rows(c.names, c.xy.copy())
         assert c != square_config(ccw=False)
         assert c != Configuration({"a": (0.0, 0.0)})
+        # records are equal when their fields are, row view or one-row table
         base = enumerate_critical_pnd(*max16_three_chain())[0]
-        again = dataclasses.replace(base, representative=Configuration(
-            dict(base.representative.coords)))
+
+        def with_representative(c):
+            return CriticalRecord(chain_status=base.chain_status, cells=base.cells,
+                                  representative=c, index=base.index,
+                                  factors=base.factors, area=base.area)
+
+        again = with_representative(Configuration(dict(base.representative.coords)))
         assert again == base
-        assert again != dataclasses.replace(base, representative=Configuration(
+        assert again != with_representative(Configuration(
             {v: (x, y + 1e-9) for v, (x, y) in base.representative.coords.items()}))
 
     def test_xy_read_only(self):
@@ -323,6 +330,15 @@ def _random_lengths(rng, n):
             return lens
 
 
+def _closure_by_columns(lengths, eps, r):
+    """geometry._closure as a loop over the columns, one addition at a time."""
+    v = np.arcsin(np.minimum(1.0, lengths / (2.0 * r[:, None])))
+    f = v[:, 0] * eps[:, 0]
+    for k in range(1, len(lengths)):
+        f = f + v[:, k] * eps[:, k]
+    return f
+
+
 class TestStackedRoots:
     @pytest.mark.parametrize("n", range(3, 12))
     def test_stack_equals_rows(self, n):
@@ -352,6 +368,17 @@ class TestStackedRoots:
         stacked = _cyclic_roots(lens, table, Tolerances())
         assert stacked == [_reference_roots(lens, eps)[0] for eps in table]
         assert sum(map(len, stacked)) > 0
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_closure_is_the_column_by_column_sum(self, n):
+        # one running sum makes the additions of the column loop in its
+        # order, so the closure values agree bit for bit
+        rng = np.random.default_rng(6000 + n)
+        lens = _random_lengths(rng, n)
+        eps = _eps_table(n, rng.integers(0, 2 ** (n - 1), 50))
+        r = float(lens.max()) * rng.uniform(0.5, 20.0, 50)
+        assert geometry._closure(lens, eps, r).tobytes() == \
+            _closure_by_columns(lens, eps, r).tobytes()
 
     def test_degenerate_closure_warned_per_cell(self, caplog, monkeypatch):
         # (+,+,-,-), (+,-,+,-) and (+,-,-,+) sum to exactly 0 at every radius
@@ -531,6 +558,48 @@ class TestSolutionTable:
             assert sols.flags[i] == p.flags and p.lengths is sols.lengths
         with pytest.raises(ValueError):
             sols.vertices[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("lens", [[3, 4, 5], [1.0, 1.3, 0.8, 1.4, 1.1]])
+    def test_row_json_and_signature_are_the_polygons(self, lens):
+        # a row's JSON text and key part equal its polygon's, built afterwards
+        sols = enumerate_cyclic(lens)
+        rows = [(json.dumps(sols.to_json_dict(i), sort_keys=True), sols.signature(i))
+                for i in range(len(sols))]
+        assert sols._polys == [None] * len(sols)
+        assert rows == [(json.dumps(p.to_json_dict(), sort_keys=True), p.signature)
+                        for p in sols]
+
+    def test_one_polygon_table(self):
+        # a polygon off the origin, from its vertices: the table's item 0 is
+        # the polygon and its row JSON and signature are the polygon's
+        p = cyclic_data_from_points(enumerate_cyclic([1.0, 1.3, 0.8, 1.4])[2].vertex_array()
+                                    + [0.5, -2.0])
+        sols = geometry.CyclicSolutions.of_polygon(p)
+        assert len(sols) == 1 and sols[0] is p and sols.center == p.center != (0.0, 0.0)
+        assert sols.to_json_dict(0) == p.to_json_dict()
+        assert sols.signature(0) == p.signature
+
+    @pytest.mark.parametrize("lens", [[1.0, 1.0, 3.0], [1.0, 2.0, 0.5, 0.5], [0.1, 0.1, 5.0, 0.2]])
+    def test_flat_lengths_give_the_empty_table_unsolved(self, lens, monkeypatch):
+        # only flat polygons: the empty table _solve_rows would make, without
+        # forming sign vectors or solving rows
+        n = len(lens)
+        ref = geometry._solve_rows(tuple(map(float, lens)), np.empty((0, n)),
+                                   np.empty(0, dtype=int), np.empty(0), flag_coincident=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a flat length vector was solved")
+
+        monkeypatch.setattr(geometry, "_sign_rows", refuse)
+        monkeypatch.setattr(geometry, "_solve_rows", refuse)
+        sols = enumerate_cyclic(lens)
+        assert len(sols) == 0 and sols.flags == ref.flags == ()
+        assert sols.lengths == ref.lengths
+        for name in ("radius", "omega", "eps", "alphas", "vertices"):
+            a, b = getattr(sols, name), getattr(ref, name)
+            assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False), name
+        assert [a.shape for a in (sols.radius, sols.eps, sols.vertices)] == \
+            [(0,), (0, n), (0, n, 2)]
 
     def test_closure_failure_on_any_root_refuses(self, monkeypatch):
         # one root of the last sign vector moved off its closure radius: the
