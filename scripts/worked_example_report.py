@@ -32,8 +32,9 @@ def main():
     print(f"critical: {cls.critical}")
     print(f"index: {rec.index.index}  breakdown: {list(rec.index.breakdown)}")
     print(f"chains: {[s.key() for s in rec.chain_status]}")
-    print(f"cells (eps, omega, R): "
-          f"{[(p.poly.eps, p.poly.omega, round(p.poly.radius, 6)) for p in rec.cells]}")
+    cells = [(tuple(sols.eps[s].tolist()), int(sols.omega[s]), round(float(sols.radius[s]), 6))
+             for sols, s, _ in rec.cells]
+    print(f"cells (eps, omega, R): {cells}")
 
     oracle = area_oracle(g, gamma)
     x = oracle.chart.reduce(oracle.chart.theta_from_configuration(rep))

@@ -13,7 +13,6 @@ from .enumeration import (
 )
 from .geometry import (
     Configuration,
-    CyclicPolygon,
     CyclicSolutions,
     ReachInterval,
     chain_reach,

@@ -284,8 +284,10 @@ def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
     """(key, representative, index, manifold_dim) of every record of a symbolic
     ``critical`` output file for the linkage ``g``, in format 2 or without one.
 
-    Each representative must place exactly the linkage's vertices at finite
-    coordinates; whether it closes up is for verification to judge.
+    Each key must be a string and each index and dimension an integer of at
+    least 0 (not a bool).  Each representative must place exactly the
+    linkage's vertices at finite coordinates; whether it closes up is for
+    verification to judge.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -304,7 +306,13 @@ def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LinkmorseError(f"malformed records file: {exc!r}") from exc
     names = tuple(sorted(g.vertices))
-    for k, (_, c, _, _) in enumerate(claims):
+    for k, (key, c, index, dim) in enumerate(claims):
+        if not isinstance(key, str):
+            raise LinkmorseError(f"malformed records file: record {k}'s key {key!r} "
+                                 "is not a string")
+        if not all(type(v) is int and v >= 0 for v in (index, dim)):
+            raise LinkmorseError(f"malformed records file: record {k}'s index {index!r} "
+                                 f"or manifold_dim {dim!r} is not an integer >= 0")
         if c.names != names:
             raise LinkmorseError(f"malformed records file: record {k}'s representative "
                                  "does not place exactly the linkage's vertices")

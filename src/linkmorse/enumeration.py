@@ -26,7 +26,6 @@ from .errors import (
 )
 from .geometry import (
     Configuration,
-    CyclicPolygon,
     CyclicSolutions,
     ReachInterval,
     aligned_distance,
@@ -55,7 +54,6 @@ from .indices import (
     IndexReport,
     aligned_nus,
     cyclic_index,
-    cyclic_index_of,
     ptt_index,
 )
 
@@ -91,12 +89,6 @@ class ChainStatus:
             d["sigma"] = list(self.sigma)
             d["f"] = self.f
         return d
-
-
-@dataclass(frozen=True, slots=True)
-class PlacedCell:
-    poly: CyclicPolygon
-    center: tuple[float, float]   # circumcenter in the glued frame
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,21 +147,23 @@ class RecordTable:
 class CriticalRecord:
     """One critical record, a view of row ``row`` of a ``RecordTable``.
 
-    Built from its fields, a record is the one row of a table of its own.
-    Its cells and representative are made when read; records are equal
-    when their fields are.
+    Built from its fields, a record is the one row of a table of its own;
+    each cell is given as (solutions, row, glued circumcenter).  Its cells
+    and representative are made when read; records are equal when their
+    fields are, with each cell's solution compared by its JSON.
     """
 
     __slots__ = ("table", "row")
 
-    def __init__(self, chain_status: tuple[ChainStatus, ...], cells: tuple[PlacedCell, ...],
+    def __init__(self, chain_status: tuple[ChainStatus, ...],
+                 cells: tuple[tuple[CyclicSolutions, int, tuple[float, float]], ...],
                  representative: Configuration, index: IndexReport,
                  factors: tuple[ManifoldFactor, ...], area: float):
         self.table = RecordTable(
             tuple(s if s.kind == "aligned" else None for s in chain_status), tuple(factors),
-            (index,), tuple(CyclicSolutions.of_polygon(pc.poly) for pc in cells),
-            representative.names, np.zeros((1, len(cells)), dtype=np.intp),
-            np.array([pc.center for pc in cells], dtype=float).reshape(1, len(cells), 2),
+            (index,), tuple(sols for sols, _, _ in cells), representative.names,
+            np.array([[s for _, s, _ in cells]], dtype=np.intp).reshape(1, len(cells)),
+            np.array([c for _, _, c in cells], dtype=float).reshape(1, len(cells), 2),
             np.array([[s.w for s in chain_status if s.kind != "aligned"]], dtype=float),
             np.zeros(1, dtype=np.intp), representative.xy[None], np.array([area], dtype=float))
         self.row = 0
@@ -195,8 +189,9 @@ class CriticalRecord:
         return list(zip(t.sols, t.picks[self.row].tolist()))
 
     @property
-    def cells(self) -> tuple[PlacedCell, ...]:
-        return tuple(PlacedCell(sols[s], tuple(c)) for (sols, s), c in
+    def cells(self) -> tuple[tuple[CyclicSolutions, int, tuple[float, float]], ...]:
+        """(solutions, row, glued circumcenter) of each cell."""
+        return tuple((sols, s, tuple(c)) for (sols, s), c in
                      zip(self.cell_keys(), self.table.centers[self.row].tolist()))
 
     @property
@@ -216,8 +211,9 @@ class CriticalRecord:
         return float(self.table.area[self.row])
 
     def _fields(self) -> tuple:
-        return (self.chain_status, self.cells, self.representative, self.index,
-                self.factors, self.area)
+        cells = [(sols.to_json_dict(s), c) for sols, s, c in self.cells]
+        return (self.chain_status, cells, self.representative, self.index, self.factors,
+                self.area)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CriticalRecord):
@@ -433,7 +429,7 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> RecordTable | 
         if fate[row] == AT_ALIGNMENT:
             raise NonGenericError("configuration is simultaneously circular and aligned")
         for (sols, _), s in zip(cell_sols, picks[row].tolist()):
-            _solution_index(sols, s, tols)
+            cyclic_index(sols, s, tols)
         raise NonGenericError(COINCIDING_CENTERS)
     counts["glue_mismatch"] += int(np.count_nonzero(fate == GLUE_MISMATCH))
     counts["outside_reach"] += int(np.count_nonzero(fate == OUTSIDE_REACH))
@@ -491,17 +487,11 @@ def _cell_indices(cell_sols, picks, kept, tols: Tolerances) -> np.ndarray:
         for s in sorted(set(picks[kept, c].tolist())):  # np.unique would import numpy.ma
             if mus[s] is None:
                 try:
-                    mus[s] = _solution_index(sols, s, tols)
+                    mus[s] = cyclic_index(sols, s, tols)
                 except NonGenericError:
                     mus[s] = -1  # a kept pick uses it, so the enumeration raises
         mu[kept, c] = np.array([-1 if m is None else m for m in mus])[picks[kept, c]]
     return mu
-
-
-def _solution_index(sols: CyclicSolutions, s: int, tols: Tolerances) -> int:
-    """``cyclic_index`` of solution ``s`` of ``sols``, read from the table."""
-    return cyclic_index_of(sols.eps[s].tolist(), sols.alphas[s].tolist(), int(sols.omega[s]),
-                           tols)
 
 
 def _glue(struct: PolygonWithChains, aligned_list, cells, sides, sols, picks,
@@ -625,17 +615,12 @@ def _representatives(struct: PolygonWithChains, aligned_list, combo,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CellVerdict:
-    concyclic: bool
-    poly: CyclicPolygon | None
-
-
-@dataclass(frozen=True)
 class Classification:
     critical: bool
     chain_status: tuple[ChainStatus, ...]
     cells: tuple[Cell, ...]
-    cell_verdicts: tuple[CellVerdict, ...]
+    # each cell's one-row table of cyclic solutions; None where not concyclic
+    cell_verdicts: tuple[CyclicSolutions | None, ...]
     record: CriticalRecord | None
 
 
@@ -688,10 +673,9 @@ def classify_structure(struct: PolygonWithChains, c: Configuration,
     for cell in cells:
         pts = np.array([c.point(struct.gamma.vertices[p]) for p in cell.positions])
         try:
-            poly = cyclic_data_from_points(pts, tols)
-            verdicts.append(CellVerdict(True, poly))
+            verdicts.append(cyclic_data_from_points(pts, tols))
         except NotConcyclicError:
-            verdicts.append(CellVerdict(False, None))
+            verdicts.append(None)
             all_cyclic = False
 
     record = None
@@ -705,23 +689,23 @@ def classify_structure(struct: PolygonWithChains, c: Configuration,
 def _record_from_classification(struct, c, statuses, aligned_list, cells,
                                 verdicts, tols: Tolerances):
     pos_xy = {p: c.point(v) for p, v in enumerate(struct.gamma.vertices)}
-    placed = [PlacedCell(v.poly, v.poly.center) for v in verdicts]
-    cell_mu = [cyclic_index(v.poly, tols) for v in verdicts]
+    cell_mu = [cyclic_index(sols, 0, tols) for sols in verdicts]
     chain_nus = []
     for di, k in enumerate(aligned_list):
         ch = struct.chains[k]
         a, b = _cells_of_diagonal(cells, di)
         (nu,), (coincide,) = _chain_terms(
-            ch, statuses[k].f, [pos_xy[ch.t_pos] - pos_xy[ch.i_pos]], [placed[a].center],
-            [placed[b].center], tols, struct.graph.total_length())
+            ch, statuses[k].f, [pos_xy[ch.t_pos] - pos_xy[ch.i_pos]], [verdicts[a].center],
+            [verdicts[b].center], tols, struct.graph.total_length())
         if coincide:
             raise NonGenericError(COINCIDING_CENTERS)
         chain_nus.append(int(nu))
     factors = _free_factors(struct, aligned_list)
     report = _index_report(aligned_list, cell_mu, chain_nus, factors)
     area = shoelace(np.array(list(pos_xy.values())))
-    return CriticalRecord(chain_status=tuple(statuses), cells=tuple(placed), representative=c,
-                          index=report, factors=factors, area=float(area))
+    return CriticalRecord(chain_status=tuple(statuses),
+                          cells=tuple((sols, 0, sols.center) for sols in verdicts),
+                          representative=c, index=report, factors=factors, area=float(area))
 
 
 # ---------------------------------------------------------------------------

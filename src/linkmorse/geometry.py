@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,11 +32,7 @@ from .graphs import (
 logger = logging.getLogger(__name__)
 
 _EPS = float(np.finfo(float).eps)
-# a cyclic polygon's vertices lie within ON_CIRCLE_TOL * radius of its circle
-ON_CIRCLE_TOL = 1e-8
-# ... its signed half-angles sum to pi * omega within WINDING_TOL (radians)
-WINDING_TOL = 1e-7
-# ... and its last edge closes within CLOSURE_TOL * total length
+# a cyclic solution's last edge closes within CLOSURE_TOL * total length
 CLOSURE_TOL = 1e-9
 # cyclic_data_from_points reads a winding within WINDING_ROUND_TOL of an integer
 WINDING_ROUND_TOL = 1e-6
@@ -295,91 +290,18 @@ def gauss_newton(residual, x0: np.ndarray, tol: float, max_iter: int):
 # cyclic polygons
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CyclicPolygon:
-    """Polygon inscribed in a circle, with the sign/half-angle/winding data."""
-
-    lengths: tuple[float, ...]
-    center: tuple[float, float]
-    radius: float
-    vertices: tuple[tuple[float, float], ...]
-    eps: tuple[int, ...]
-    alphas: tuple[float, ...]
-    omega: int
-    flags: frozenset[str] = frozenset()
-
-    @property
-    def n(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def e(self) -> int:
-        return sum(1 for s in self.eps if s > 0)
-
-    @cached_property
-    def area(self) -> float:
-        return shoelace(np.asarray(self.vertices))
-
-    @cached_property
-    def signature(self) -> str:
-        """Edge signs, winding and radius: the polygon's part of a record key."""
-        return _signature(self.eps, self.omega, self.radius)
-
-    def vertex_array(self) -> np.ndarray:
-        return np.asarray(self.vertices, dtype=float)
-
-    def validate(self, tols: Tolerances = DEFAULT_TOLS) -> None:
-        pts = self.vertex_array()
-        o = np.asarray(self.center)
-        scale = sum(self.lengths)
-        if np.max(np.abs(np.hypot(*(pts - o).T) - self.radius)) \
-                > ON_CIRCLE_TOL * self.radius:
-            raise ValueError("vertices not on the circle")
-        for k in range(self.n):
-            if abs(self.lengths[k] - 2 * self.radius * math.sin(self.alphas[k])) \
-                    > tols.rel_length * scale:
-                raise ValueError("length/half-angle mismatch")
-        if abs(sum(e * a for e, a in zip(self.eps, self.alphas)) - math.pi * self.omega) \
-                > WINDING_TOL:
-            raise ValueError("winding mismatch")
-        closure = pts[0] - pts[-1]
-        edge = np.hypot(*closure)
-        if abs(edge - self.lengths[-1]) > CLOSURE_TOL * scale:
-            raise ValueError("closure edge off tolerance")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lengths": list(self.lengths),
-            "center": list(self.center),
-            "radius": self.radius,
-            "vertices": [list(p) for p in self.vertices],
-            "eps": list(self.eps),
-            "alphas": list(self.alphas),
-            "omega": self.omega,
-            "e": self.e,
-            "area": self.area,
-            "flags": sorted(self.flags),
-        }
-
-
-def _signature(eps, omega: int, radius: float) -> str:
-    return "".join("+" if s > 0 else "-" for s in eps) + f"w{omega}r{radius:.9e}"
-
-
 _ORIGIN = (0.0, 0.0)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class CyclicSolutions:
     """The cyclic solutions of one length vector, on circles about ``center``
-    (the origin, unless the table holds one given polygon).
+    (the origin, unless the table holds the one polygon of a realized cycle).
 
     Row i of the read-only arrays ``radius`` (S,), ``omega`` (S,), ``eps``
     (S, n), ``alphas`` (S, n) and ``vertices`` (S, n, 2), and ``flags[i]``,
-    describe solution i.  Item i is that solution as a ``CyclicPolygon``,
-    built on first access and the same object afterwards, so only the
-    solutions something reads become objects; ``signature(i)`` and
-    ``to_json_dict(i)`` give the polygon's without building it.
+    describe solution i: ``signature(i)`` is its part of a record key and
+    ``to_json_dict(i)`` its JSON.
     """
 
     lengths: tuple[float, ...]
@@ -390,50 +312,29 @@ class CyclicSolutions:
     vertices: np.ndarray
     flags: tuple[frozenset[str], ...]
     center: tuple[float, float] = _ORIGIN
-    _polys: list = field(init=False, repr=False)
     _signatures: list = field(init=False, repr=False)
 
     def __post_init__(self):
         for a in (self.radius, self.omega, self.eps, self.alphas, self.vertices):
             a.flags.writeable = False
-        object.__setattr__(self, "_polys", [None] * len(self.radius))
         object.__setattr__(self, "_signatures", [None] * len(self.radius))
 
-    @classmethod
-    def of_polygon(cls, poly: CyclicPolygon) -> "CyclicSolutions":
-        """The one-row table of ``poly``, whose item 0 is ``poly`` itself."""
-        sols = cls(poly.lengths, np.array([poly.radius], dtype=float), np.array([poly.omega]),
-                   np.array([poly.eps], dtype=int), np.array([poly.alphas], dtype=float),
-                   np.array(poly.vertices, dtype=float).reshape(1, poly.n, 2), (poly.flags,),
-                   tuple(poly.center))
-        sols._polys[0] = poly
-        return sols
-
     def __len__(self) -> int:
-        return len(self._polys)
-
-    def __getitem__(self, i: int) -> CyclicPolygon:
-        poly = self._polys[i]
-        if poly is None:
-            poly = self._polys[i] = CyclicPolygon(
-                self.lengths, self.center, float(self.radius[i]),
-                tuple(map(tuple, self.vertices[i].tolist())), tuple(self.eps[i].tolist()),
-                tuple(self.alphas[i].tolist()), int(self.omega[i]), self.flags[i])
-        return poly
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        return len(self.radius)
 
     def signature(self, i: int) -> str:
-        """Solution i's ``CyclicPolygon.signature``, made once."""
+        """Solution i's edge signs, winding and radius, its part of a record
+        key; made once."""
         sig = self._signatures[i]
         if sig is None:
-            sig = self._signatures[i] = _signature(self.eps[i].tolist(), int(self.omega[i]),
-                                                   float(self.radius[i]))
+            sig = self._signatures[i] = "".join(
+                "+" if s > 0 else "-" for s in self.eps[i].tolist()
+            ) + f"w{int(self.omega[i])}r{float(self.radius[i]):.9e}"
         return sig
 
     def to_json_dict(self, i: int) -> dict:
-        """Solution i's ``CyclicPolygon.to_json_dict``."""
+        """Solution i as JSON, with its count ``e`` of positive edge signs
+        and its signed ``area``."""
         eps = self.eps[i].tolist()
         return {
             "lengths": list(self.lengths),
@@ -444,7 +345,6 @@ class CyclicSolutions:
             "alphas": self.alphas[i].tolist(),
             "omega": int(self.omega[i]),
             "e": sum(1 for s in eps if s > 0),
-            # the row is laid out as np.asarray(poly.vertices) would be
             "area": shoelace(self.vertices[i]),
             "flags": sorted(self.flags[i]),
         }
@@ -680,8 +580,9 @@ def _flag_coincident(radius: np.ndarray, vertices: np.ndarray, scale: float) -> 
 
 
 def cyclic_data_from_points(pts: np.ndarray,
-                            tols: Tolerances = DEFAULT_TOLS) -> CyclicPolygon:
-    """The cyclic-polygon data of a realized cycle with vertices ``pts`` (n, 2).
+                            tols: Tolerances = DEFAULT_TOLS) -> CyclicSolutions:
+    """The realized cycle with vertices ``pts`` (n, 2) as a one-row table of
+    cyclic solutions, centred at its fitted circle's center.
 
     Fits the circle exactly through the first three vertices and verifies the
     rest; raises NotConcyclicError (with the worst deviation) otherwise, and
@@ -710,10 +611,11 @@ def cyclic_data_from_points(pts: np.ndarray,
     omega = round(w)
     if abs(w - omega) > WINDING_ROUND_TOL:
         raise NotConcyclicError(f"winding {w!r} is not an integer", max_deviation=max_dev)
-    flags = {"omega_zero"} if omega == 0 else set()
-    return CyclicPolygon(tuple(lengths), (float(center[0]), float(center[1])),
-                         radius, tuple(map(tuple, pts)), tuple(eps), tuple(alphas),
-                         int(omega), frozenset(flags))
+    flags = frozenset({"omega_zero"} if omega == 0 else ())
+    return CyclicSolutions(tuple(lengths), np.array([radius]), np.array([omega]),
+                           np.array([eps]), np.array([alphas]),
+                           np.array(pts, dtype=float).reshape(1, n, 2), (flags,),
+                           (float(center[0]), float(center[1])))
 
 
 def _circumcenter(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import CoincidingCentersError, NonGenericError, NotAlignedError
-from .geometry import CyclicPolygon
+from .geometry import CyclicSolutions
 
 logger = logging.getLogger(__name__)
 
@@ -64,21 +64,15 @@ def open_chain_index(crit: OpenChainCritical) -> int:
     return crit.f - 1
 
 
-def cyclic_index(p: CyclicPolygon, tols: Tolerances = DEFAULT_TOLS) -> int:
-    """Morse index of the oriented area at a cyclic polygon.
+def cyclic_index(sols: CyclicSolutions, i: int, tols: Tolerances = DEFAULT_TOLS) -> int:
+    """Morse index of the oriented area at cyclic solution i of ``sols``.
 
     e - 1 - 2*omega when sum(eps_i tan alpha_i) > 0, else e - 2 - 2*omega.
     Raises NonGenericError when the sign test is too close to call; a
     half-angle at pi/2 contributes an infinite term whose sign decides the
     branch by limit.
     """
-    return cyclic_index_of(p.eps, p.alphas, p.omega, tols)
-
-
-def cyclic_index_of(eps: Sequence[int], alphas: Sequence[float], omega: int,
-                    tols: Tolerances = DEFAULT_TOLS) -> int:
-    """``cyclic_index`` of the cyclic polygon with edge signs ``eps``,
-    half-angles ``alphas`` and winding ``omega``."""
+    eps, alphas, omega = sols.eps[i].tolist(), sols.alphas[i].tolist(), int(sols.omega[i])
     n, e = len(eps), sum(1 for s in eps if s > 0)
     mu = e - 1 - 2 * omega if _tan_sum_positive(eps, alphas, tols) else e - 2 - 2 * omega
     if not 0 <= mu <= max(n - 3, 0):

@@ -136,12 +136,17 @@ def random_multigraph(rng):
 # ---------------------------------------------------------------------------
 
 def cyclic_solution(lengths, eps, omega):
-    """The row of ``enumerate_cyclic(lengths)`` with signs ``eps`` and
-    winding ``omega`` of the smallest radius, or None when there is none."""
+    """(table, row) of the solution of ``enumerate_cyclic(lengths)`` with
+    signs ``eps`` and winding ``omega`` of the smallest radius, or None when
+    there is none."""
     sols = enumerate_cyclic(lengths)
-    rows = [i for i in range(len(sols))
-            if sols.eps[i].tolist() == list(eps) and sols.omega[i] == omega]
-    return sols[rows[0]] if rows else None  # rows are in radius order
+    rows = [i for i in range(len(sols)) if signs_and_winding(sols, i) == (tuple(eps), omega)]
+    return (sols, rows[0]) if rows else None  # rows are in radius order
+
+
+def signs_and_winding(sols, i):
+    """Row i's edge signs, as a tuple, and winding."""
+    return tuple(sols.eps[i].tolist()), int(sols.omega[i])
 
 
 def triangle_area(a, b, c):

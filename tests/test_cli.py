@@ -25,7 +25,6 @@ from linkmorse.enumeration import (
     ChainStatus,
     CriticalRecord,
     ManifoldFactor,
-    PlacedCell,
     enumerate_critical_structure,
 )
 from linkmorse.geometry import Configuration, enumerate_cyclic
@@ -90,6 +89,18 @@ STDOUT_SHA256 = {
     "three_chain_4": "e766a752111daf5ff25e76f73743de871da8cf6cf2b792cc46f9e115627edeaa",
     "three_chain_5": "c98781f778c6aaaaea15d9d65fef7219946e4c28475302a5dd572d7fa7d72929",
 }
+# the sha256 of verify's verdict on each instance's own critical records
+# (--seed 77 --n-seeds 1000), and its exit code
+VERIFY_SHA256 = {
+    "max16": ("350bc0dbef15e7571075775788d3d2fc6e618baec4a1884b6d03f7f4d228bfe3", 0),
+    "bm223": ("4bf057628010f66fce2af9be0b4aefcec172569213a60604b4570fba547e7457", 0),
+    "three_chain_0": ("566e479c089b84711c5fe77f5e7d2f370ecf8ee7b36ceaa0255636732e6e006a", 0),
+    "three_chain_1": ("2746a611be887d0932c28a70d84120b36b17a23c422b063ef98134af980c8b8b", 0),
+    "three_chain_2": ("477551ff865ccd47ccc58b79794cee480fb0ccfa4935f898e08161be052f1bf8", 0),
+    "three_chain_3": ("566e479c089b84711c5fe77f5e7d2f370ecf8ee7b36ceaa0255636732e6e006a", 0),
+    "three_chain_4": ("7a7239a3f4d25564e903b44ad9598a467f166d898111af38f9763916ba60e17f", 0),
+    "three_chain_5": ("2746a611be887d0932c28a70d84120b36b17a23c422b063ef98134af980c8b8b", 0),
+}
 # the benchmark's symbolic_records polygons: (n-gon, edges of the two chains),
 # drawn in this order from one generator seeded 505
 PERFBENCH_POLYGONS = ((6, (2, 3)), (7, (3, 3)), (8, (3, 3)), (9, (2, 3)))
@@ -113,6 +124,13 @@ def perfbench_instances():
     sample = load_perfbench_gen().sample_three_chain_with_records
     return polygons | {f"three_chain_{k}": sample(rng)[:2]
                        for k in range(PERFBENCH_THREE_CHAINS)}
+
+
+def reference_instance(name, perfbench_instances):
+    """The linkage and cycle of the reference file ``name``."""
+    make = {"max16": max16_three_chain, "bm223": bott_morse_three_chain,
+            "free_four_chain": free_four_chain, "worked": lambda: worked_example()[:2]}
+    return make[name]() if name in make else perfbench_instances[name]
 
 
 @pytest.fixture(scope="module")
@@ -322,9 +340,7 @@ class TestCritical:
     def test_stdout_digest(self, tmp_path, capsysbinary, perfbench_instances, name):
         # a change that moves one output byte fails here; an intended change
         # updates the digest
-        make = {"max16": max16_three_chain, "bm223": bott_morse_three_chain,
-                "free_four_chain": free_four_chain, "worked": lambda: worked_example()[:2]}
-        g, gamma = make[name]() if name in make else perfbench_instances[name]
+        g, gamma = reference_instance(name, perfbench_instances)
         assert main(["critical", write_linkage(tmp_path / "linkage.json", g, gamma)]) == 0
         assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == STDOUT_SHA256[name]
 
@@ -359,18 +375,16 @@ class TestCellTable:
             assert rec["key"] == r.key()
             assert [table[c["cell"]] | {"center_glued": c["center_glued"]}
                     for c in rec["cells"]] == \
-                [pc.poly.to_json_dict() | {"center_glued": list(pc.center)}
-                 for pc in r.cells]
+                [sols.to_json_dict(s) | {"center_glued": list(c)} for sols, s, c in r.cells]
         assert len(set(map(_freeze, table))) == len(table)
         used = [c["cell"] for rec in payload["records"] for c in rec["cells"]]
         assert list(dict.fromkeys(used)) == list(range(len(table)))
 
 
 def hand_built_record(area, center):
-    poly = enumerate_cyclic([1.0, 1.1, 1.2])[0]
     return CriticalRecord(
         chain_status=(ChainStatus("aligned", 2.0, (1, -1), 1), ChainStatus("free", 0.5)),
-        cells=(PlacedCell(poly, center),),
+        cells=((enumerate_cyclic([1.0, 1.1, 1.2]), 0, center),),
         representative=Configuration({"b": (1.0, -0.5), "a": (0.0, 0.25)}),
         index=IndexReport(1, 0, (("cell0", 0), ("chain0", 1))),
         factors=(ManifoldFactor(1, 2, 0, 2),),
@@ -466,6 +480,18 @@ class TestRecordTemplates:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("name", list(VERIFY_SHA256))
+    def test_stdout_digest(self, tmp_path, capsysbinary, perfbench_instances, name):
+        # verify classifies every oracle point and matches it to a record; a
+        # change that moves one verdict byte or the exit code fails here
+        path = write_linkage(tmp_path / "linkage.json", *reference_instance(name,
+                                                                            perfbench_instances))
+        records = tmp_path / "records.json"
+        assert main(["--out", str(records), "critical", path]) == 0
+        code = main(["--seed", "77", "--n-seeds", "1000", "verify", path, str(records)])
+        digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+        assert (digest, code) == VERIFY_SHA256[name]
+
     def test_round_trip_agreement(self, tmp_path, three_chain_file):
         records = tmp_path / "records.json"
         assert main(["--out", str(records), "critical", three_chain_file]) == 0
@@ -679,6 +705,15 @@ def test_process_exit_codes(tmp_path, three_chain_file):
         assert "Traceback" not in proc.stderr
 
 
+def one_claim(key="k", index=0, manifold_dim=0):
+    """A records file for THREE_CHAIN whose one claim is well formed but for
+    the fields given."""
+    g, _ = make_three_chain(*THREE_CHAIN)
+    return {"mode": "symbolic", "records": [{
+        "key": key, "index": {"index": index, "manifold_dim": manifold_dim},
+        "representative": {"coords": {v: [0.0, 0.0] for v in g.vertices}}}]}
+
+
 class TestInputErrors:
     """Malformed input ends in exit 2 and one ``error:`` line, no traceback."""
 
@@ -752,8 +787,13 @@ class TestInputErrors:
         {"mode": "symbolic", "records": [{"key": "k", "representative": {"coords": {}}}]},
         {"mode": "symbolic", "format": 1, "records": []},
         {"mode": "symbolic", "format": 3, "records": []},
+        one_claim(key=[1]),
+        one_claim(index="0"),
+        one_claim(manifold_dim=False),
+        one_claim(index=-1),
     ], ids=["top_level_list", "records_not_a_list", "no_representative", "no_index",
-            "format_1", "format_3"])
+            "format_1", "format_3", "key_not_a_string", "index_a_string",
+            "manifold_dim_false", "index_negative"])
     def test_malformed_records_file(self, tmp_path, three_chain_file, capsys,
                                     monkeypatch, payload):
         def no_enumeration(*args, **kw):

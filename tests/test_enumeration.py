@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linkmorse import enumeration, geometry
+from linkmorse import enumeration
 from linkmorse.cli import main
 from linkmorse.enumeration import (
     CriticalRecord,
@@ -50,7 +50,7 @@ from linkmorse.instances import (
 )
 from linkmorse.oracle import area_oracle
 
-from conftest import sample_three_chain_with_records
+from conftest import sample_three_chain_with_records, signs_and_winding
 
 THREE_CHAIN = ([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
 
@@ -112,13 +112,13 @@ class TestThreeChainEnumeration:
         recs = enumerate_critical_pnd(g, gamma)
         sols = enumerate_cyclic(lens)
         assert len(recs) == len(sols)
-        rec_keys = sorted((r.cells[0].poly.eps, r.cells[0].poly.omega) for r in recs)
-        sol_keys = sorted((p.eps, p.omega) for p in sols)
+        rec_keys = sorted(signs_and_winding(*r.cell_keys()[0]) for r in recs)
+        sol_keys = sorted(signs_and_winding(sols, i) for i in range(len(sols)))
         assert rec_keys == sol_keys
-        by_key = {(p.eps, p.omega): p for p in sols}
+        by_key = {signs_and_winding(sols, i): i for i in range(len(sols))}
         for r in recs:
-            p = by_key[(r.cells[0].poly.eps, r.cells[0].poly.omega)]
-            assert r.index.index == cyclic_index(p)
+            i = by_key[signs_and_winding(*r.cell_keys()[0])]
+            assert r.index.index == cyclic_index(sols, i)
             assert r.manifold_dim == 0
 
     def test_representatives_realize_lengths(self):
@@ -174,8 +174,8 @@ class TestClassification:
                 assert back.factors == r.factors
                 assert [(s.kind, s.sigma, s.f) for s in back.chain_status] == \
                     [(s.kind, s.sigma, s.f) for s in r.chain_status]
-                assert [(pc.poly.eps, pc.poly.omega) for pc in back.cells] == \
-                    [(pc.poly.eps, pc.poly.omega) for pc in r.cells]
+                assert [signs_and_winding(*k) for k in back.cell_keys()] == \
+                    [signs_and_winding(*k) for k in r.cell_keys()]
                 assert back.area == pytest.approx(r.area, rel=0, abs=1e-12 * scale ** 2)
 
     def test_random_feasible_not_critical(self, rng):
@@ -189,7 +189,7 @@ class TestClassification:
             cfg = o.chart.configuration(o.chart.full_theta(x))
             cls = classify_configuration(g, gamma, cfg)
             assert not cls.critical
-            assert any(not v.concyclic for v in cls.cell_verdicts) \
+            assert None in cls.cell_verdicts \
                 or all(s.kind == "free" for s in cls.chain_status)
             hits += 1
         assert hits >= 5
@@ -215,7 +215,7 @@ class TestClassification:
         z_status = cls.chain_status[0]
         assert z_status.kind == "aligned"
         assert not cls.critical
-        assert any(not v.concyclic for v in cls.cell_verdicts)
+        assert None in cls.cell_verdicts
 
     def test_non_ptt_rejected(self):
         g, gamma = non_ptt_example()
@@ -310,22 +310,24 @@ class TestStackedPlacement:
         g, gamma = REPRESENTATIVE_INSTANCES[instance]()
         struct = detect_polygon_with_chains(g, gamma)
         fields = [(r.key(), r.index, r.manifold_dim, r.area, r.chain_status,
-                   [(pc.poly.to_json_dict(), pc.center) for pc in r.cells], r.factors,
+                   [(sols.to_json_dict(s), c) for sols, s, c in r.cells], r.factors,
                    [(v, r.representative.coords[v])
                     for v in determined_vertices(struct, r.chain_status)])
                   for r in enumerate_critical_pnd(g, gamma)]
         assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
 
 
-def glue_one_pick(struct, aligned_list, cells, polys, scale):
-    """Cycle positions and glued circumcenters of one pick, glued on its own
-    breadth-first from cell 0 as the enumeration did before it glued the
-    picks of a branch together."""
+def glue_one_pick(struct, aligned_list, cells, picked, scale):
+    """Cycle positions and glued circumcenters of one pick, each cell's
+    (solutions, row) in ``picked``, glued on its own breadth-first from cell
+    0 as the enumeration did before it glued the picks of a branch
+    together."""
     pos, centers = {}, {}
 
     def place(ci, R, t):
-        verts = polys[ci].vertex_array() @ R.T + t
-        center = R @ np.asarray(polys[ci].center) + t
+        sols, s = picked[ci]
+        verts = sols.vertices[s] @ R.T + t
+        center = R @ np.asarray(sols.center) + t
         for j, p in enumerate(cells[ci].positions):
             if p in pos:
                 assert np.max(np.abs(pos[p] - verts[j])) <= 1e-6 * scale
@@ -345,7 +347,8 @@ def glue_one_pick(struct, aligned_list, cells, polys, scale):
                 if cj in centers:
                     continue
                 ch = struct.chains[aligned_list[e.index]]
-                q = polys[cj].vertex_array()
+                sols, s = picked[cj]
+                q = sols.vertices[s]
                 j1 = cells[cj].positions.index(ch.i_pos)
                 j2 = cells[cj].positions.index(ch.t_pos)
                 a, b = q[j2] - q[j1], pos[ch.t_pos] - pos[ch.i_pos]
@@ -400,10 +403,9 @@ class TestStackedGluing:
             diags = [(gamma.vertices[struct.chains[k].i_pos],
                       gamma.vertices[struct.chains[k].t_pos]) for k in aligned_list]
             cells = elementary_cycles(gamma, diags)
-            pos, centers = glue_one_pick(struct, aligned_list, cells,
-                                         [pc.poly for pc in rec.cells], scale)
+            pos, centers = glue_one_pick(struct, aligned_list, cells, rec.cell_keys(), scale)
             assert rec.representative.points(gamma.vertices).tolist() == pos
-            assert [pc.center for pc in rec.cells] == centers
+            assert [c for _, _, c in rec.cells] == centers
 
     @pytest.mark.parametrize("instance", sorted(GLUING_INSTANCES))
     def test_every_pick_counted_once(self, caplog, instance):
@@ -444,7 +446,7 @@ class TestStackedGluing:
         # distance in one cyclic solution of the quadrilateral, by a fraction
         # of the 1e-7 guard band: the glued checks refuse that pick
         lens = [1.0, 1.3, 0.8, 1.4]
-        q = enumerate_cyclic(lens)[0].vertex_array()
+        q = enumerate_cyclic(lens).vertices[0]
         d = float(np.hypot(*(q[2] - q[0])))
         g, gamma = make_polygon(lens)
         a = 0.4 * d
@@ -461,7 +463,7 @@ class TestStackedGluing:
         # chain b (v2-v4) is far out of reach: the glued checks refuse
         # chain a before they look at chain b
         lens = [1.0, 1.3, 0.8, 1.4, 1.1]
-        q = enumerate_cyclic(lens)[0].vertex_array()
+        q = enumerate_cyclic(lens).vertices[0]
         d = float(np.hypot(*(q[2] - q[0])))
         g, gamma = make_polygon(lens)
         scale = sum(lens) + 1.6 * d + 0.4
@@ -486,7 +488,7 @@ class TestStackedGluing:
         # bound_pick; pick 1 is kept or dropped as out of reach.  Whatever
         # the two failures are, the earlier pick's raises
         lens = [1.0, 1.3, 0.8, 1.4, 1.1]
-        q = [p.vertex_array() for p in enumerate_cyclic(lens)]
+        q = enumerate_cyclic(lens).vertices
         d_a = [float(np.hypot(*(v[2] - v[0]))) for v in q]
         d_b = [float(np.hypot(*(v[4] - v[2]))) for v in q]
         short = 1e-9 * (sum(lens) + 4.0)
@@ -505,14 +507,14 @@ class TestStackedGluing:
         # quadrilateral; one quadrilateral solution's index is too close to
         # call, and the first kept pick using it raises that solution's error
         refused = {}
-        solution_index = enumeration._solution_index
+        solution_index = enumeration.cyclic_index
 
         def index(sols, s, tols):
             if len(sols.lengths) == 4 and refused.setdefault("sol", (sols, s)) == (sols, s):
                 raise NonGenericError(f"index of {sols.signature(s)} too close to call")
             return solution_index(sols, s, tols)
 
-        monkeypatch.setattr(enumeration, "_solution_index", index)
+        monkeypatch.setattr(enumeration, "cyclic_index", index)
         g, gamma = make_polygon([1.0, 1.1, 1.3, 1.2, 0.9])
         g = LinkageGraph(g.vertices, g.edges + (("v0", "v2", 1.45),))
         with pytest.raises(NonGenericError) as exc:
@@ -609,7 +611,7 @@ class TestWorkedExample:
         # cell and branch), and each cyclic solution used by a record is
         # indexed once
         moves, indexed = [], []
-        solution_index = enumeration._solution_index
+        solution_index = enumeration.cyclic_index
 
         def move(*args):
             moves.append(len(args[0]))
@@ -620,36 +622,12 @@ class TestWorkedExample:
             return solution_index(sols, s, tols)
 
         monkeypatch.setattr(enumeration, "transform_mapping_segment", move)
-        monkeypatch.setattr(enumeration, "_solution_index", index)
+        monkeypatch.setattr(enumeration, "cyclic_index", index)
         g, gamma, _ = worked_example()
         recs = enumerate_critical_pnd(g, gamma)
         assert (len(moves), sum(moves)) == (17, 11840)
         assert len(indexed) == len(set(indexed)) == 934
         assert set(indexed) == {(id(sols), s) for r in recs for sols, s in r.cell_keys()}
-
-    def test_polygons_built_only_for_records(self, tmp_path, monkeypatch):
-        # the 18 solved length vectors have 2,526 cyclic solutions, 934 of
-        # them placed by records.  critical indexes, keys and writes them
-        # from the solution tables and builds no CyclicPolygon; reading the
-        # records' cells builds one per placed solution
-        built = []
-        init = geometry.CyclicPolygon.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(geometry.CyclicPolygon, "__init__", counted)
-        g, gamma, _ = worked_example()
-        path = tmp_path / "worked.json"
-        path.write_text(json.dumps(g.to_json_dict(gamma=gamma)))
-        assert main(["--out", str(tmp_path / "records.json"), "critical", str(path)]) == 0
-        assert built == []
-        recs = enumerate_critical_pnd(g, gamma)
-        assert built == []
-        used = {id(pc.poly) for r in recs for pc in r.cells}
-        assert len(built) == len(used) == 934
-        assert {id(p) for p in built} == used
 
     def test_records_memory(self):
         # the records are row views of one table per branch: the worked

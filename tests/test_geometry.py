@@ -1,6 +1,6 @@
 """Oriented area, cyclic polygons, reach, and genericity checks."""
 
-import dataclasses
+import collections
 import json
 import logging
 import math
@@ -33,7 +33,13 @@ from linkmorse.enumeration import CriticalRecord, enumerate_critical_pnd
 from linkmorse.graphs import DistinguishedCycle, LinkageGraph, make_polygon, make_three_chain
 from linkmorse.instances import max16_three_chain, worked_example
 
-from conftest import area_derivative_wrt_side, cyclic_solution, random_sp_graph, triangle_area
+from conftest import (
+    area_derivative_wrt_side,
+    cyclic_solution,
+    random_sp_graph,
+    signs_and_winding,
+    triangle_area,
+)
 
 SQ = DistinguishedCycle(("a", "b", "c", "d"))
 
@@ -151,14 +157,22 @@ class TestIsAligned:
 
 class TestSolveCyclic:
     def test_equilateral_triangle(self):
-        p = cyclic_solution([1, 1, 1], [1, 1, 1], 1)
-        assert p.radius == pytest.approx(1 / math.sqrt(3), abs=1e-12)
-        assert (p.e, p.omega) == (3, 1)
-        p.validate()
+        sols, i = cyclic_solution([1, 1, 1], [1, 1, 1], 1)
+        radius, eps, alphas = float(sols.radius[i]), sols.eps[i], sols.alphas[i]
+        assert radius == pytest.approx(1 / math.sqrt(3), abs=1e-12)
+        assert (sols.to_json_dict(i)["e"], sols.omega[i]) == (3, 1)
+        # the vertices lie on the circle, each edge spans its half-angle, the
+        # signed half-angles sum to pi * omega and the last edge closes
+        pts, lengths = sols.vertices[i], np.array(sols.lengths)
+        assert np.abs(np.hypot(*(pts - sols.center).T) - radius).max() <= 1e-8 * radius
+        assert np.abs(lengths - 2 * radius * np.sin(alphas)).max() <= \
+            Tolerances().rel_length * lengths.sum()
+        assert abs(float(eps @ alphas) - math.pi * sols.omega[i]) <= 1e-7
+        assert abs(np.hypot(*(pts[0] - pts[-1])) - lengths[-1]) <= 1e-9 * lengths.sum()
 
     def test_unit_square(self):
-        p = cyclic_solution([1, 1, 1, 1], [1, 1, 1, 1], 1)
-        assert p.radius == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+        sols, i = cyclic_solution([1, 1, 1, 1], [1, 1, 1, 1], 1)
+        assert sols.radius[i] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
     def test_triangle_circumradius_oracle(self):
         # closed form R = abc / 4K computed first, then matched by the solver;
@@ -169,9 +183,8 @@ class TestSolveCyclic:
         K = math.sqrt(s * (s - a) * (s - b) * (s - c))
         oracle_r = a * b * c / (4 * K)
         assert oracle_r == pytest.approx(1.0327955589886446, abs=1e-12)
-        p = cyclic_solution([a, b, c], [-1, 1, 1], 0)
-        assert p is not None
-        assert p.radius == pytest.approx(oracle_r, abs=1e-9)
+        sols, i = cyclic_solution([a, b, c], [-1, 1, 1], 0)
+        assert sols.radius[i] == pytest.approx(oracle_r, abs=1e-9)
         # the all-positive winding-one cell has no root for an obtuse triangle
         assert cyclic_solution([a, b, c], [1, 1, 1], 1) is None
 
@@ -187,12 +200,12 @@ class TestEnumerateCyclic:
     def test_equilateral_triangle_two_mirrors(self):
         sols = enumerate_cyclic([1, 1, 1])
         assert len(sols) == 2
-        keys = {(p.eps, p.omega) for p in sols}
+        keys = {signs_and_winding(sols, i) for i in range(len(sols))}
         assert keys == {((1, 1, 1), 1), ((-1, -1, -1), -1)}
 
     def test_square_includes_convex_pair(self):
         sols = enumerate_cyclic([1, 1, 1, 1])
-        keys = {(p.eps, p.omega) for p in sols}
+        keys = {signs_and_winding(sols, i) for i in range(len(sols))}
         assert ((1, 1, 1, 1), 1) in keys
         assert ((-1, -1, -1, -1), -1) in keys
 
@@ -203,16 +216,18 @@ class TestEnumerateCyclic:
             enumerate_cyclic(lens)
 
     def test_json_equals_fresh_build(self):
-        p = enumerate_cyclic([1.0, 1.3, 0.8, 1.4])[0]
-        d = p.to_json_dict()
+        # every call builds the row's JSON afresh from the table
+        sols = enumerate_cyclic([1.0, 1.3, 0.8, 1.4])
+        d = sols.to_json_dict(0)
+        eps = sols.eps[0].tolist()
         assert d == {
-            "lengths": list(p.lengths), "center": list(p.center), "radius": p.radius,
-            "vertices": [list(v) for v in p.vertices], "eps": list(p.eps),
-            "alphas": list(p.alphas), "omega": p.omega, "e": p.e,
-            "area": shoelace(p.vertex_array()), "flags": sorted(p.flags)}
+            "lengths": list(sols.lengths), "center": [0.0, 0.0],
+            "radius": float(sols.radius[0]), "vertices": sols.vertices[0].tolist(),
+            "eps": eps, "alphas": sols.alphas[0].tolist(), "omega": int(sols.omega[0]),
+            "e": eps.count(1), "area": shoelace(sols.vertices[0]),
+            "flags": sorted(sols.flags[0])}
         d["area"] = None
-        assert p.to_json_dict() == dataclasses.replace(p).to_json_dict()
-        assert p.to_json_dict()["area"] == shoelace(p.vertex_array())
+        assert sols.to_json_dict(0)["area"] == shoelace(sols.vertices[0])
 
     def test_equilateral_pentagon_golden_count(self):
         # golden value 14, re-verified by a dense independent scan of the
@@ -348,7 +363,7 @@ class TestStackedRoots:
         assert stacked == [_reference_roots(lens, eps)[0] for eps in table]
         assert sum(map(len, stacked)) > 0
         # enumerate_cyclic keeps every root and adds its mirror
-        radii = sorted(p.radius for p in enumerate_cyclic(list(lens)))
+        radii = sorted(enumerate_cyclic(list(lens)).radius.tolist())
         assert radii == sorted(2 * [r for roots in stacked for _, r in roots])
 
     @pytest.mark.parametrize("n", [7, 9])
@@ -403,7 +418,7 @@ class TestStackedRoots:
         assert stacked == [_reference_roots(lens, eps)[0] for eps in table]
         assert (0, 2.5) in stacked[2] and (1, 2.5) in stacked[0]
         sols = enumerate_cyclic([3, 4, 5])
-        assert all({"diameter_edge", "coincident"} <= p.flags for p in sols)
+        assert all({"diameter_edge", "coincident"} <= f for f in sols.flags)
 
     def test_block_size_does_not_change_roots(self, monkeypatch):
         lens = _random_lengths(np.random.default_rng(3), 7)
@@ -414,18 +429,31 @@ class TestStackedRoots:
             assert _cyclic_roots(lens, table, Tolerances()) == before
 
 
-def _reference_flag_coincident(sols, scale):
-    """The pair loop over all solutions; returns the warning count."""
+# a cyclic solution as plain Python values: the signs and half-angles as
+# tuples, the vertices as a tuple of (x, y) and the flags as a frozenset
+Row = collections.namedtuple("Row", "eps omega radius alphas vertices flags")
+
+
+def table_rows(sols):
+    """The rows of a ``CyclicSolutions`` table as ``Row`` tuples."""
+    return [Row(tuple(e), w, r, tuple(a), tuple(map(tuple, v)), f) for e, w, r, a, v, f in
+            zip(sols.eps.tolist(), sols.omega.tolist(), sols.radius.tolist(),
+                sols.alphas.tolist(), sols.vertices.tolist(), sols.flags)]
+
+
+def _reference_flag_coincident(rows, scale):
+    """The pair loop over all solutions, flagging ``rows`` in place; returns
+    the warning count."""
     warned = 0
-    for a in range(len(sols)):
-        for b in range(a + 1, len(sols)):
-            pa, pb = sols[a], sols[b]
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            pa, pb = rows[a], rows[b]
             if abs(pa.radius - pb.radius) > 1e-7 * scale:
                 continue
-            if np.max(np.abs(pa.vertex_array() - pb.vertex_array())) <= 1e-7 * scale:
+            if np.max(np.abs(np.array(pa.vertices) - np.array(pb.vertices))) <= 1e-7 * scale:
                 warned += 1
-                sols[a] = dataclasses.replace(pa, flags=pa.flags | {"coincident"})
-                sols[b] = dataclasses.replace(pb, flags=pb.flags | {"coincident"})
+                rows[a] = pa._replace(flags=pa.flags | {"coincident"})
+                rows[b] = pb._replace(flags=pb.flags | {"coincident"})
     return warned
 
 
@@ -433,12 +461,12 @@ def _reference_flag_coincident(sols, scale):
     ([3, 4, 5], True), ([1] * 4, True), ([1] * 6, True), ([1.0, 1.3, 0.8, 1.4, 1.1], False)])
 def test_flag_coincident_matches_pair_loop(lens, coincide, caplog):
     sols = enumerate_cyclic(lens)
-    ref = [dataclasses.replace(p, flags=p.flags - {"coincident"}) for p in sols]
+    ref = [p._replace(flags=p.flags - {"coincident"}) for p in table_rows(sols)]
     warned = _reference_flag_coincident(ref, sum(lens))
     with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
         flagged = _flag_coincident(sols.radius, sols.vertices, sum(lens))
     assert flagged.tolist() == ["coincident" in p.flags for p in ref]
-    assert [p.flags for p in sols] == [p.flags for p in ref]
+    assert list(sols.flags) == [p.flags for p in ref]
     assert len(caplog.records) == warned
     assert (warned > 0) == coincide
 
@@ -447,26 +475,24 @@ def test_flag_coincident_radius_window(caplog):
     # copies of one polygon at radius offsets (in units of the tolerance):
     # only pairs within the tolerance in radius are compared
     lens = [1.0, 1.3, 0.8, 1.4, 1.1]
-    p = enumerate_cyclic(lens)[0]
+    p = table_rows(enumerate_cyclic(lens))[0]
     scale = sum(lens)
-    sols = [dataclasses.replace(p, radius=p.radius + k * 1e-7 * scale)
-            for k in (0.0, 1.7, 0.5, 3.0, 2.4)]
-    ref = list(sols)
+    rows = [p._replace(radius=p.radius + k * 1e-7 * scale) for k in (0.0, 1.7, 0.5, 3.0, 2.4)]
+    ref = list(rows)
     warned = _reference_flag_coincident(ref, scale)
     with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
-        flagged = _flag_coincident(np.array([q.radius for q in sols]),
-                                   np.array([q.vertex_array() for q in sols]), scale)
+        flagged = _flag_coincident(np.array([q.radius for q in rows]),
+                                   np.array([q.vertices for q in rows]), scale)
     assert flagged.tolist() == ["coincident" in q.flags for q in ref]
     assert len(caplog.records) == warned == 3
 
 
 # ---------------------------------------------------------------------------
-# the solution table against polygons built one at a time, entry by entry
+# the solution table against solutions built one at a time, entry by entry
 # ---------------------------------------------------------------------------
 
-def _reference_polygon(lengths, eps, omega, radius):
+def _reference_row(lengths, eps, omega, radius):
     """One cyclic solution built with ``math`` one entry at a time."""
-    lengths = tuple(float(x) for x in lengths)
     total = sum(lengths)
     flags = set()
     if omega == 0:
@@ -481,26 +507,34 @@ def _reference_polygon(lengths, eps, omega, radius):
         phi += 2.0 * eps[k] * alphas[k]
     end = np.array([radius * math.cos(phi), radius * math.sin(phi)])
     assert np.hypot(*(end - np.asarray(verts[0]))) <= 1e-9 * total
-    return geometry.CyclicPolygon(lengths, (0.0, 0.0), float(radius), tuple(verts),
-                                  tuple(int(s) for s in eps), alphas, int(omega),
-                                  frozenset(flags))
+    return Row(tuple(int(s) for s in eps), int(omega), float(radius), alphas, tuple(verts),
+               frozenset(flags))
 
 
 def _reference_solutions(lengths):
     """enumerate_cyclic's solutions, each root and its mirror built on its
     own, sorted by (omega, sign bitmask, radius), coincident ones flagged."""
+    lengths = [float(x) for x in lengths]
     n = len(lengths)
     table = _eps_table(n, range(2 ** (n - 1)))
-    sols = []
+    rows = []
     for eps, roots in zip(table.tolist(),
-                          _cyclic_roots(np.asarray(lengths, float), table, Tolerances())):
+                          _cyclic_roots(np.asarray(lengths), table, Tolerances())):
         for omega, r in roots:
-            sols.append(_reference_polygon(lengths, eps, omega, r))
-            sols.append(_reference_polygon(lengths, [-s for s in eps], -omega, r))
-    sols.sort(key=lambda p: (p.omega, sum(1 << k for k, s in enumerate(p.eps) if s > 0),
+            rows.append(_reference_row(lengths, eps, omega, r))
+            rows.append(_reference_row(lengths, [-s for s in eps], -omega, r))
+    rows.sort(key=lambda p: (p.omega, sum(1 << k for k, s in enumerate(p.eps) if s > 0),
                              p.radius))
-    _reference_flag_coincident(sols, sum(lengths))
-    return sols
+    _reference_flag_coincident(rows, sum(lengths))
+    return rows
+
+
+def _reference_json(lengths, p):
+    """The JSON of the reference row ``p`` of a table about the origin."""
+    return {"lengths": list(lengths), "center": [0.0, 0.0], "radius": p.radius,
+            "vertices": [list(v) for v in p.vertices], "eps": list(p.eps),
+            "alphas": list(p.alphas), "omega": p.omega, "e": p.eps.count(1),
+            "area": shoelace(np.asarray(p.vertices)), "flags": sorted(p.flags)}
 
 
 def worked_example_length_vectors():
@@ -525,59 +559,47 @@ class TestSolutionTable:
             lens = [float(x) for x in _random_lengths(rng, n)]
             sols = enumerate_cyclic(lens)
             assert len(sols) > 0
-            assert list(sols) == _reference_solutions(lens)
+            assert table_rows(sols) == _reference_solutions(lens)
 
     def test_worked_example_length_vectors_equal_reference(self):
         solved = [lens for lens in worked_example_length_vectors() if enumerate_cyclic(lens)]
         assert len(solved) == 17
         for lens in solved:
-            assert list(enumerate_cyclic(lens)) == _reference_solutions(lens)
+            assert table_rows(enumerate_cyclic(lens)) == _reference_solutions(lens)
 
     @pytest.mark.parametrize("lens, flags", [
         ([3, 4, 5], {"coincident", "diameter_edge", "omega_zero"}),
         ([1.0, 1.3, 0.8, 1.4, 1.1], {"omega_zero"})])
     def test_flags_and_mirrors_equal_reference(self, lens, flags):
-        sols = enumerate_cyclic(lens)
-        ref = _reference_solutions(lens)
-        assert list(sols) == ref
-        assert set().union(*(p.flags for p in sols)) == flags
+        rows = table_rows(enumerate_cyclic(lens))
+        assert rows == _reference_solutions(lens)
+        assert set().union(*(p.flags for p in rows)) == flags
         # every solution's mirror is in the table: signs and winding negated
-        keys = [(p.eps, p.omega, p.radius) for p in sols]
+        keys = [(p.eps, p.omega, p.radius) for p in rows]
         assert sorted(keys) == sorted((tuple(-s for s in e), -w, r) for e, w, r in keys)
 
     def test_rows_are_the_polygons(self):
+        # one read-only table about the origin holds every solution
         lens = [1.0, 1.3, 0.8, 1.4, 1.1]
         sols = enumerate_cyclic(lens)
-        assert sols[3] is sols[3] and list(sols)[3] is sols[3]
-        for i, p in enumerate(sols):
-            assert sols.vertices[i].tolist() == [list(v) for v in p.vertices]
-            assert p.center == (0.0, 0.0)
-            assert (sols.radius[i], sols.omega[i]) == (p.radius, p.omega)
-            assert tuple(sols.eps[i].tolist()) == p.eps
-            assert tuple(sols.alphas[i].tolist()) == p.alphas
-            assert sols.flags[i] == p.flags and p.lengths is sols.lengths
-        with pytest.raises(ValueError):
-            sols.vertices[0, 0, 0] = 1.0
+        assert sols.lengths == tuple(lens) and sols.center == (0.0, 0.0)
+        assert len(sols) == len(sols.flags) == 10
+        assert [a.shape for a in (sols.radius, sols.omega, sols.eps, sols.alphas,
+                                  sols.vertices)] == [(10,), (10,), (10, 5), (10, 5), (10, 5, 2)]
+        for a in (sols.radius, sols.omega, sols.eps, sols.alphas, sols.vertices):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     @pytest.mark.parametrize("lens", [[3, 4, 5], [1.0, 1.3, 0.8, 1.4, 1.1]])
     def test_row_json_and_signature_are_the_polygons(self, lens):
-        # a row's JSON text and key part equal its polygon's, built afterwards
+        # a row's JSON text and key part are those of its reference solution
         sols = enumerate_cyclic(lens)
-        rows = [(json.dumps(sols.to_json_dict(i), sort_keys=True), sols.signature(i))
-                for i in range(len(sols))]
-        assert sols._polys == [None] * len(sols)
-        assert rows == [(json.dumps(p.to_json_dict(), sort_keys=True), p.signature)
-                        for p in sols]
-
-    def test_one_polygon_table(self):
-        # a polygon off the origin, from its vertices: the table's item 0 is
-        # the polygon and its row JSON and signature are the polygon's
-        p = cyclic_data_from_points(enumerate_cyclic([1.0, 1.3, 0.8, 1.4])[2].vertex_array()
-                                    + [0.5, -2.0])
-        sols = geometry.CyclicSolutions.of_polygon(p)
-        assert len(sols) == 1 and sols[0] is p and sols.center == p.center != (0.0, 0.0)
-        assert sols.to_json_dict(0) == p.to_json_dict()
-        assert sols.signature(0) == p.signature
+        ref = _reference_solutions(lens)
+        assert [json.dumps(sols.to_json_dict(i), sort_keys=True) for i in range(len(sols))] == \
+            [json.dumps(_reference_json(sols.lengths, p), sort_keys=True) for p in ref]
+        assert [sols.signature(i) for i in range(len(sols))] == [
+            "".join("+" if s > 0 else "-" for s in p.eps) + f"w{p.omega}r{p.radius:.9e}"
+            for p in ref]
 
     @pytest.mark.parametrize("lens", [[1.0, 1.0, 3.0], [1.0, 2.0, 0.5, 0.5], [0.1, 0.1, 5.0, 0.2]])
     def test_flat_lengths_give_the_empty_table_unsolved(self, lens, monkeypatch):
@@ -620,17 +642,18 @@ class TestSolutionTable:
 
 class TestCircleData:
     def test_unit_square(self):
-        poly = cyclic_data_from_points(square_config().points(SQ.vertices))
-        assert poly.center == pytest.approx((0.5, 0.5))
-        assert poly.radius == pytest.approx(math.sqrt(2) / 2)
-        assert poly.eps == (1, 1, 1, 1)
-        assert poly.omega == 1 and poly.e == 4
-        assert poly.alphas == pytest.approx((math.pi / 4,) * 4)
+        sols = cyclic_data_from_points(square_config().points(SQ.vertices))
+        assert len(sols) == 1
+        assert sols.center == pytest.approx((0.5, 0.5))
+        assert sols.radius[0] == pytest.approx(math.sqrt(2) / 2)
+        assert signs_and_winding(sols, 0) == ((1, 1, 1, 1), 1)
+        assert sols.to_json_dict(0)["e"] == 4
+        assert sols.alphas[0].tolist() == pytest.approx([math.pi / 4] * 4)
 
     def test_unit_square_cw(self):
-        poly = cyclic_data_from_points(square_config(ccw=False).points(SQ.vertices))
-        assert poly.eps == (-1, -1, -1, -1)
-        assert (poly.omega, poly.e) == (-1, 0)
+        sols = cyclic_data_from_points(square_config(ccw=False).points(SQ.vertices))
+        assert signs_and_winding(sols, 0) == ((-1, -1, -1, -1), -1)
+        assert sols.to_json_dict(0)["e"] == 0
 
     def test_perturbed_square_rejected(self):
         c = square_config()
@@ -651,19 +674,21 @@ class TestCircleData:
             cyclic_data_from_points(c.points(tri.vertices))
 
     def test_round_trip_with_solver(self, rng):
-        # (eps, omega, e, R) reproduced exactly / to 1e-9 from the vertices
+        # (eps, omega, e, R) reproduced exactly / to 1e-9 from the vertices,
+        # moved off the origin; the one-row table sits at the moved center
         for _ in range(10):
             lens = list(rng.uniform(0.5, 2.0, 5))
             if 2 * max(lens) >= 0.97 * sum(lens):
                 continue
-            for p in enumerate_cyclic(lens):
-                if "diameter_edge" in p.flags:
+            sols = enumerate_cyclic(lens)
+            for i in range(len(sols)):
+                if "diameter_edge" in sols.flags[i]:
                     continue
-                back = cyclic_data_from_points(p.vertex_array())
-                assert back.eps == p.eps
-                assert back.omega == p.omega
-                assert back.e == p.e
-                assert back.radius == pytest.approx(p.radius, abs=1e-9)
+                back = cyclic_data_from_points(sols.vertices[i] + [0.5, -2.0])
+                assert signs_and_winding(back, 0) == signs_and_winding(sols, i)
+                assert back.to_json_dict(0)["e"] == sols.to_json_dict(i)["e"]
+                assert back.radius[0] == pytest.approx(sols.radius[i], abs=1e-9)
+                assert back.center == pytest.approx((0.5, -2.0), abs=1e-9)
 
 
 class TestAreaDerivative:

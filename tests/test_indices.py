@@ -18,7 +18,7 @@ from linkmorse.indices import (
     ptt_index,
 )
 
-from conftest import cyclic_solution, lagrange_det_222, lagrange_matrix_222
+from conftest import cyclic_solution, lagrange_det_222, lagrange_matrix_222, signs_and_winding
 
 
 class TestOpenChainIndex:
@@ -34,44 +34,43 @@ class TestOpenChainIndex:
 
 class TestCyclicIndex:
     def test_equilateral_triangle(self):
-        p = cyclic_solution([1, 1, 1], [1, 1, 1], 1)
-        assert cyclic_index(p) == 0
+        assert cyclic_index(*cyclic_solution([1, 1, 1], [1, 1, 1], 1)) == 0
 
     def test_unit_square_ccw_is_max(self):
-        p = cyclic_solution([1, 1, 1, 1], [1, 1, 1, 1], 1)
-        assert cyclic_index(p) == 1  # e - 1 - 2 omega = 4 - 1 - 2
+        sols, i = cyclic_solution([1, 1, 1, 1], [1, 1, 1, 1], 1)
+        assert cyclic_index(sols, i) == 1  # e - 1 - 2 omega = 4 - 1 - 2
 
     def test_unit_square_cw_is_min(self):
-        p = cyclic_solution([1, 1, 1, 1], [-1, -1, -1, -1], -1)
-        assert cyclic_index(p) == 0  # e - 2 - 2 omega = 0 - 2 + 2
+        sols, i = cyclic_solution([1, 1, 1, 1], [-1, -1, -1, -1], -1)
+        assert cyclic_index(sols, i) == 0  # e - 2 - 2 omega = 0 - 2 + 2
 
     def test_obtuse_triangle_center_outside(self):
-        p = cyclic_solution([2, 1.5, 1], [-1, 1, 1], 0)
-        assert cyclic_index(p) == 0
+        assert cyclic_index(*cyclic_solution([2, 1.5, 1], [-1, 1, 1], 0)) == 0
 
     def test_diameter_edge(self):
         # the hypotenuse of [3, 4, 5] is a diameter: its half-angle is pi/2,
         # and its infinite tan term takes both signs over the four solutions
         sols = enumerate_cyclic([3, 4, 5])
         assert len(sols) == 4
-        assert all(abs(p.alphas[2] - 0.5 * math.pi) < 1e-9 for p in sols)
-        assert {p.eps[2] for p in sols} == {-1, 1}
-        assert [cyclic_index(p) for p in sols] == [0, 0, 0, 0]
+        assert (np.abs(sols.alphas[:, 2] - 0.5 * math.pi) < 1e-9).all()
+        assert set(sols.eps[:, 2].tolist()) == {-1, 1}
+        assert [cyclic_index(sols, i) for i in range(len(sols))] == [0, 0, 0, 0]
 
     def test_guard_band_raises(self):
         # mixed signs: |sum| is strictly below the term scale, so a huge
         # guard band must refuse to pick a branch
-        p = cyclic_solution([2, 1.5, 1], [-1, 1, 1], 0)
+        sols, i = cyclic_solution([2, 1.5, 1], [-1, 1, 1], 0)
         huge_guard = Tolerances(sign_guard=0.99999)
         with pytest.raises(NonGenericError):
-            cyclic_index(p, huge_guard)
+            cyclic_index(sols, i, huge_guard)
 
     def test_index_outside_morse_bound_is_logged(self, caplog):
         # the equilateral triangle relabelled with winding 0: e - 1 - 2w = 2,
         # outside [0, n - 3] = [0, 0]
-        p = dataclasses.replace(cyclic_solution([1, 1, 1], [1, 1, 1], 1), omega=0)
+        sols, i = cyclic_solution([1, 1, 1], [1, 1, 1], 1)
+        sols = dataclasses.replace(sols, omega=np.zeros_like(sols.omega))
         with caplog.at_level(logging.WARNING, logger="linkmorse.indices"):
-            assert cyclic_index(p) == 2
+            assert cyclic_index(sols, i) == 2
         (rec,) = caplog.records
         assert (rec.name, rec.levelno) == ("linkmorse.indices", logging.WARNING)
         assert rec.getMessage().startswith("cyclic index 2 escapes the Morse bound [0, 0]")
@@ -86,24 +85,24 @@ class TestCyclicIndex:
             if 2 * max(lens) >= 0.97 * sum(lens):
                 continue
             sols = enumerate_cyclic(lens)
-            by_key = {(p.eps, p.omega): p for p in sols}
-            for p in sols:
-                mirror = by_key.get((tuple(-s for s in p.eps), -p.omega))
+            by_key = {signs_and_winding(sols, i): i for i in range(len(sols))}
+            for i in range(len(sols)):
+                eps, omega = signs_and_winding(sols, i)
+                mirror = by_key.get((tuple(-s for s in eps), -omega))
                 assert mirror is not None
-                if cyclic_index(p) + cyclic_index(mirror) != len(lens) - 3:
-                    violations.append((lens, p, mirror))
+                if cyclic_index(sols, i) + cyclic_index(sols, mirror) != len(lens) - 3:
+                    violations.append((lens, sols, i, mirror))
         if violations:
             from linkmorse.geometry import Configuration
             from linkmorse.graphs import make_polygon
             from linkmorse.oracle import area_oracle
-            for lens, p, mirror in violations:
+            for lens, sols, i, mirror in violations:
                 g, gamma = make_polygon(lens)
                 o = area_oracle(g, gamma)
-                for poly in (p, mirror):
-                    cfg = Configuration({v: tuple(q) for v, q in
-                                         zip(gamma.vertices, poly.vertices)})
+                for row in (i, mirror):
+                    cfg = Configuration(dict(zip(gamma.vertices, sols.vertices[row].tolist())))
                     x = o.chart.reduce(o.chart.theta_from_configuration(cfg))
-                    assert o.inertia(x).negative == cyclic_index(poly), \
+                    assert o.inertia(x).negative == cyclic_index(sols, row), \
                         "formula disagrees with the oracle"
             pytest.skip("mirror relation refuted, but the formula matches "
                         "the oracle on the counterexample")
