@@ -286,8 +286,8 @@ def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
 
     Each key must be a string and each index and dimension an integer of at
     least 0 (not a bool).  Each representative must place exactly the
-    linkage's vertices at finite coordinates; whether it closes up is for
-    verification to judge.
+    linkage's vertices at finite int or float coordinates (not bools or
+    strings); whether it closes up is for verification to judge.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -298,13 +298,17 @@ def _load_records(path: str, g: LinkageGraph) -> list[tuple]:
         raise LinkmorseError("verify expects symbolic records")
     if payload.get("format", RECORDS_FORMAT) != RECORDS_FORMAT:
         raise LinkmorseError(f"malformed records file: unknown format {payload['format']!r}")
-    try:
-        claims = [(rec.get("key", f"record{k}"),
-                   Configuration.from_json_dict(rec["representative"]),
-                   rec["index"]["index"], rec["index"]["manifold_dim"])
-                  for k, rec in enumerate(payload.get("records", []))]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise LinkmorseError(f"malformed records file: {exc!r}") from exc
+    records = payload.get("records", [])
+    if not isinstance(records, list):
+        raise LinkmorseError(f"malformed records file: records {records!r} is not a list")
+    claims = []
+    for k, rec in enumerate(records):
+        try:
+            claims.append((rec.get("key", f"record{k}"),
+                           Configuration.from_json_dict(rec["representative"]),
+                           rec["index"]["index"], rec["index"]["manifold_dim"]))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise LinkmorseError(f"malformed records file: record {k}: {exc!r}") from exc
     names = tuple(sorted(g.vertices))
     for k, (key, c, index, dim) in enumerate(claims):
         if not isinstance(key, str):

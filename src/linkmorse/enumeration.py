@@ -32,10 +32,12 @@ from .geometry import (
     aligned_residual,
     alignment_patterns,
     chain_reach,
+    CyclicRootPass,
     cyclic_data_from_points,
-    enumerate_cyclic,
+    cyclic_table,
     place_chain,
     shoelace,
+    solve_cyclic,
     transform_mapping_segment,
     wall_check,
 )
@@ -300,9 +302,10 @@ class _Enumeration:
     struct: PolygonWithChains
     tols: Tolerances
     scale: float
-    glens: list[float]
     reach: list[ReachInterval]        # per chain
     aligned_ws: list[list[float]]     # per chain: end-to-end lengths of its alignments
+    # the roots of every cell length vector of every branch, solved ahead
+    roots: CyclicRootPass
     # cell lengths -> (cyclic solutions, their indices, each filled when first needed)
     cyclic: dict[tuple[float, ...], tuple[CyclicSolutions, list[int | None]]]
     counts: dict[str, int]
@@ -327,27 +330,39 @@ def enumerate_critical_structure(struct: PolygonWithChains, tols: Tolerances = D
     for k, ch in enumerate(struct.chains):
         patterns_by_chain[k] = alignment_patterns(ch.lengths, tol=tols.wall * scale)
 
+    # every branch's cells and their length vectors, whose roots are solved
+    # together before any branch is assembled
+    glens = struct.gamma_lengths()
+    branches = []
+    for d_mask in range(2 ** len(flexible)):
+        aligned_list = sorted(set(rigid) | {flexible[i] for i in range(len(flexible))
+                                            if (d_mask >> i) & 1})
+        cells = elementary_cycles(struct.gamma, [
+            (struct.gamma.vertices[struct.chains[k].i_pos],
+             struct.gamma.vertices[struct.chains[k].t_pos]) for k in aligned_list])
+        for combo in itertools.product(*(patterns_by_chain[k] for k in aligned_list)):
+            diag_w = [w for (_, w, _) in combo]
+            branches.append((aligned_list, combo, cells,
+                             [cell_lengths(cell, glens, diag_w) for cell in cells]))
     en = _Enumeration(
-        struct=struct, tols=tols, scale=scale, glens=struct.gamma_lengths(),
+        struct=struct, tols=tols, scale=scale,
         reach=[chain_reach(ch.lengths) for ch in struct.chains],
         aligned_ws=[[w for _, w, _ in alignment_patterns(ch.lengths)]
                     for ch in struct.chains],
+        roots=solve_cyclic([lens for *_, cell_lens in branches for lens in cell_lens
+                            if len(lens) >= 3], tols),
         cyclic={}, counts=dict.fromkeys(
             ("branches", "empty_branches", "two_edge_cell", "no_cyclic_root",
              "cyclic_lookups", "cyclic_solved", "picks", "glue_mismatch",
              "outside_reach", "records"), 0))
     records: list[CriticalRecord] = []
-    for d_mask in range(2 ** len(flexible)):
-        aligned_set = set(rigid) | {flexible[i] for i in range(len(flexible))
-                                    if (d_mask >> i) & 1}
-        aligned_list = sorted(aligned_set)
-        pattern_choices = [patterns_by_chain[k] for k in aligned_list]
-        for combo in itertools.product(*pattern_choices):
-            table = _records_for_branch(en, aligned_list, combo)
-            if table is None:
-                en.counts["empty_branches"] += 1
-            else:
-                records.extend(table.records())
+    for branch in branches:
+        table = _records_for_branch(en, *branch)
+        if table is None:
+            en.counts["empty_branches"] += 1
+        else:
+            records.extend(table.records())
+    en.roots.log(reached=len(en.cyclic))
     sort_keys = [(r.index.index, r.key(), r.area) for r in records]
     order = sorted(range(len(records)), key=sort_keys.__getitem__)
     records = [records[i] for i in order]
@@ -365,9 +380,11 @@ def enumerate_critical_structure(struct: PolygonWithChains, tols: Tolerances = D
     return records
 
 
-def _records_for_branch(en: _Enumeration, aligned_list, combo) -> RecordTable | None:
+def _records_for_branch(en: _Enumeration, aligned_list, combo, cells,
+                        cell_lens) -> RecordTable | None:
     """The table of the records of one choice of aligned chains and
-    patterns, or None when there are none.
+    patterns, whose cells ``cells`` have the length vectors ``cell_lens``,
+    or None when there are none.
 
     A pick is one cyclic solution per cell, taken in ``itertools.product``
     order.  All of a branch's picks are glued, checked, indexed and placed
@@ -377,15 +394,9 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> RecordTable | 
     """
     struct, tols, scale, counts = en.struct, en.tols, en.scale, en.counts
     counts["branches"] += 1
-    diag_w = [w for (_, w, _) in combo]
-    diag_pairs = [(struct.gamma.vertices[struct.chains[k].i_pos],
-                   struct.gamma.vertices[struct.chains[k].t_pos])
-                  for k in aligned_list]
-    cells = elementary_cycles(struct.gamma, diag_pairs)
 
     cell_sols = []
-    for cell in cells:
-        lens = cell_lengths(cell, en.glens, diag_w)
+    for lens in cell_lens:
         if len(lens) < 3:
             if abs(lens[0] - lens[1]) <= tols.wall * scale:
                 raise NonGenericError("degenerate two-edge cell with equal lengths")
@@ -394,7 +405,8 @@ def _records_for_branch(en: _Enumeration, aligned_list, combo) -> RecordTable | 
         counts["cyclic_lookups"] += 1
         key = tuple(lens)
         if key not in en.cyclic:
-            sols = enumerate_cyclic(lens, tols)
+            # the vector's table, warnings and refusal come when it is first reached
+            sols = cyclic_table(en.roots.roots[key])
             en.cyclic[key] = (sols, [None] * len(sols))
         if not en.cyclic[key][0]:
             counts["no_cyclic_root"] += 1

@@ -132,8 +132,14 @@ class Configuration:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Configuration":
-        return Configuration({str(v): (float(x), float(y))
-                              for v, (x, y) in d["coords"].items()})
+        """The configuration of ``{"coords": {vertex: [x, y], ...}}``; every
+        coordinate must be an int or a float (not a bool), else TypeError."""
+        coords = {}
+        for v, (x, y) in d["coords"].items():
+            if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in (x, y)):
+                raise TypeError(f"vertex {v!r} has a coordinate that is not a number: {[x, y]!r}")
+            coords[str(v)] = (float(x), float(y))
+        return Configuration(coords)
 
 
 def shoelace(pts: np.ndarray) -> float:
@@ -381,12 +387,16 @@ def _solve_rows(lengths: tuple[float, ...], eps: np.ndarray, omega: np.ndarray,
     return CyclicSolutions(lengths, radius, omega, eps.astype(int), alphas, vertices, flags)
 
 
-# sign vectors whose closure values (one float per grid point each) _scan_grid
-# forms at once, as one product with the arcsin table.  On the 90 root calls of
-# perfbench's symbolic_records instances (5,400 sign vectors, 2-core VM, medians
-# of 7 in two rounds) 16 rows took 0.56 and 0.47 s against 0.53 and 0.45 s for
-# 4, so the smaller block stays.
-ROOT_BLOCK = 4
+# the root scan forms closure values at every SCAN_STRIDE-th point of a radius
+# grid (the nodes), and at every grid point only inside the node intervals
+# that its bounds leave open for a sign change (the windows)
+SCAN_STRIDE = 100
+# sign vectors whose node values are formed at once: their (rows, nodes)
+# arrays stay well below one grid's arcsin table (n, grid points)
+SCAN_BLOCK = 64
+# the scan's bounds are widened by SCAN_MARGIN_ULPS * n * eps times the sums
+# they bound, more than the rounding of the table entries and of each sum
+SCAN_MARGIN_ULPS = 16
 
 
 def _omega_range(n: int) -> range:
@@ -416,23 +426,44 @@ def _sign_rows(n: int, masks: np.ndarray) -> np.ndarray:
 
 
 def _closure(lengths: np.ndarray, eps: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """F(r[i]) for the sign vectors eps[i], summed column by column as np.dot does."""
+    """F(r[i]) for the sign vectors eps[i], summed column by column as np.dot
+    does; ``lengths`` is one vector or one row per radius."""
     v = np.arcsin(np.minimum(1.0, lengths / (2.0 * r[:, None])))
     # unlike np.sum, which adds pairwise, cumsum adds one column at a time
     return np.cumsum(v * eps, axis=1)[:, -1]
 
 
-def _bisect_stack(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Roots of F - target bracketed by [lo, hi], one per row, bisected together.
+def _half_angles(lengths: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """arcsin(min(1, l_k / 2r)) for each edge k (axis 0) and each radius of
+    the array ``r`` (the other axes)."""
+    a = lengths.reshape((-1,) + (1,) * r.ndim) / (2.0 * r)
+    return np.arcsin(np.minimum(a, 1.0, out=a), out=a)
+
+
+def _signed_sum(eps: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k eps[:, k] * table[k], added one edge at a time in order, as one
+    row of ``_closure`` adds them: the closure values of each row of eps at
+    the radii of ``table``, shared by the rows or one row of radii each."""
+    out = eps[:, :1] * table[0]
+    for k in range(1, len(table)):
+        out += eps[:, k:k + 1] * table[k]
+    return out
+
+
+def _bisect_brackets(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
+    """Roots of F - target bracketed by [lo, hi], one per row, bisected
+    together; row i has its own ``lengths[i]`` and ``eps[i]``, where zero
+    lengths with sign +1 pad a shorter vector without changing its sums.
 
     A row stops when F(mid) hits the target exactly (returning mid) or when
-    its bracket shrinks to BISECT_REL_TOL relative (returning the bracket midpoint).
+    its bracket shrinks to BISECT_REL_TOL relative (returning the bracket
+    midpoint).  Also returns the number of halving steps the stack took.
     """
     out = np.empty(len(lo))
     rows = np.arange(len(lo))  # rows still bisecting
     flo = _closure(lengths, eps, lo) - target
-    for _ in range(BISECT_MAX_ITER):
+    for step in range(1, BISECT_MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
         fm = _closure(lengths, eps, mid) - target
         left = (flo < 0) == (fm < 0)
@@ -441,73 +472,159 @@ def _bisect_stack(lengths: np.ndarray, eps: np.ndarray, lo: np.ndarray,
         done = exact | (hi - lo <= BISECT_REL_TOL * hi)
         out[rows[done]] = np.where(exact, mid, 0.5 * (lo + hi))[done]
         keep = ~done
-        rows, lo, hi, flo, eps, target = (rows[keep], lo[keep], hi[keep], flo[keep],
-                                          eps[keep], target[keep])
+        rows, lo, hi, flo, lengths, eps, target = (
+            a[keep] for a in (rows, lo, hi, flo, lengths, eps, target))
         if rows.size == 0:
-            return out
+            return out, step
     out[rows] = 0.5 * (lo + hi)
-    return out
+    return out, BISECT_MAX_ITER
 
 
-def _cyclic_roots(lengths: np.ndarray, eps: np.ndarray,
-                  tols: Tolerances) -> list[list[tuple[int, float]]]:
-    """(omega, R) roots of the closure condition for a stack of sign vectors.
+def _scan_windows(lengths: np.ndarray, grid: np.ndarray, eps: np.ndarray, counts: dict):
+    """Where the closure of each sign vector (row of eps) meets a winding on
+    one radius grid, as a scan of every grid point finds it, without forming
+    most grid values.
 
-    Each row of eps is a +1/-1 sign vector with first entry +1; the result
-    lists the roots of each in (omega, R) order, numerically identical roots
-    of one winding collapsed.  Sign vectors with the same grid top share one
-    radius grid; all brackets are bisected together.
+    Returns the (row, omega) roots at the first grid point; the (rows, omega,
+    lo, hi) arrays of the brackets, the adjacent grid points whose values
+    lie on either side of pi * omega; and a mask (rows, windings) of the
+    windings at which a row's values all lie within FLAT_CLOSURE_TOL of
+    pi * omega (degenerate: identically closed), which have neither.
+
+    Values are formed at every SCAN_STRIDE-th grid point, the nodes.  On a
+    node interval [a, b] the arcsin sums P and N over the edges with
+    eps = +1 and -1 both fall as R grows, so F = P - N lies in
+    [P(b) - N(a), P(a) - N(b)]; at omega = 0, R F is bounded the same way,
+    since each R arcsin(l / 2R) falls too.  Where the tan sum, bounded the
+    same way, keeps one sign, F is monotone on the interval and meets a
+    winding only if its node values do.  Every value at every point of an
+    interval that these bounds, widened for rounding, leave open for some
+    winding (a window) is then formed.  Each value is a sum over the edges
+    in order, the value a scan of every point forms, so the brackets are
+    that scan's.  Counts go to ``counts``.
     """
-    r_min, tops = _radius_tops(lengths, eps)
-    roots: list[list[tuple[int, float]]] = [[] for _ in eps]
-    brackets = []  # (row, omega, lo, hi) arrays
-    for top in sorted(set(tops.tolist())):
-        grid = np.geomspace(r_min, top, tols.grid_points)
-        brackets += _scan_grid(lengths, grid, eps, np.nonzero(tops == top)[0], roots)
-    if brackets:
-        rows, omegas, lo, hi = (np.concatenate(parts) for parts in zip(*brackets))
-        radii = _bisect_stack(lengths, eps[rows], lo, hi, math.pi * omegas)
-        for i, om, r in zip(rows, omegas, radii):
-            roots[i].append((int(om), float(r)))
-    return [_collapse(rs) for rs in roots]
-
-
-def _scan_grid(lengths: np.ndarray, grid: np.ndarray, eps: np.ndarray,
-               rows: np.ndarray, roots: list) -> list:
-    """Sign-change brackets of the sign vectors eps[rows] on one grid.
-
-    Closure values are formed ROOT_BLOCK rows at a time as one product with
-    an arcsin table, and only rows whose value range spans pi * omega are
-    scanned.  They only choose brackets: the roots are bisected on _closure.
-    Roots at the first grid point go straight into roots[row].
-    """
-    n = len(lengths)
+    n, size = len(lengths), len(grid)
     omegas = np.array(list(_omega_range(n)))
     targets = math.pi * omegas
-    # in place: the table and the block are the largest arrays held
-    A = lengths[:, None] / (2.0 * grid[None, :])
-    np.arcsin(np.minimum(A, 1.0, out=A), out=A)
-    brackets = []
-    for start in range(0, len(rows), ROOT_BLOCK):
-        block = rows[start:start + ROOT_BLOCK]
-        P = eps[block] @ A
-        vmin = P.min(axis=1, keepdims=True)
-        vmax = P.max(axis=1, keepdims=True)
-        # max |v - t| sits at a row extreme: rounding v - t is monotone in v
-        flat = np.maximum(np.abs(vmax - targets), np.abs(vmin - targets)) < FLAT_CLOSURE_TOL
-        for _ in range(np.count_nonzero(flat)):
-            logger.warning("degenerate closure: F is identically pi*omega; skipping cell")
-        first = np.abs(P[:, :1] - targets) < FIRST_GRID_ROOT_TOL
-        for i, w in zip(*np.nonzero(first & ~flat)):
-            roots[block[i]].append((int(omegas[w]), float(grid[0])))
-        # a sign change needs values on both sides (a zero counts as +)
-        span = (vmin < targets) & (targets <= vmax) & ~flat
-        for w in np.nonzero(span.any(axis=0))[0]:
-            side = P[span[:, w]] >= targets[w]
-            q, idx = np.nonzero(side[:, :-1] != side[:, 1:])
-            brackets.append((block[span[:, w]][q], np.full(len(q), omegas[w]),
-                             grid[idx], grid[idx + 1]))
-    return brackets
+    levels = targets[:, None, None]
+    nodes = np.append(np.arange(0, size - 1, SCAN_STRIDE), size - 1)
+    width = int(nodes[1]) + 1  # grid points per window
+    a, b = grid[nodes[:-1]], grid[nodes[1:]]
+    half = _half_angles(lengths, grid[nodes])
+    tan = np.tan(half)
+    tan_sum = tan.sum(axis=0)
+    unit = SCAN_MARGIN_ULPS * n * _EPS
+    # margins for the bounds on the table's sums, on F itself (whose table
+    # entries carry the rounding of l / 2R, up to eps * tan per edge) and on
+    # the tan sum (whose entries carry tan's growth near pi/2)
+    m_sum = unit * half.sum(axis=0)[:-1]
+    m_true = m_sum + unit * tan_sum[:-1]
+    m_tan = unit * ((1.0 + tan) * (1.0 + tan * tan)).sum(axis=0)[:-1]
+    counts["intervals"] += len(eps) * (len(nodes) - 1)
+    first, brackets = [], []
+    flat = np.zeros((len(eps), len(omegas)), dtype=bool)
+    full = None  # the arcsin table of every grid point, for rows that may be flat
+    for start in range(0, len(eps), SCAN_BLOCK):
+        e = eps[start:start + SCAN_BLOCK]
+        pos = (e > 0).astype(float)
+        f = e @ half
+        p = pos @ half
+        q = p - f  # N
+        tp = pos @ tan
+        tq = tan_sum - tp
+        counts["values"] += f.size
+        # a flat row's node values are all within the tolerance: check every point
+        lo_f, hi_f = f.min(axis=1, keepdims=True), f.max(axis=1, keepdims=True)
+        maybe = np.maximum(np.abs(hi_f - targets), np.abs(lo_f - targets)) < \
+            FLAT_CLOSURE_TOL + m_sum[0]
+        for i in np.flatnonzero(maybe.any(axis=1)):
+            if full is None:
+                full = _half_angles(lengths, grid)
+            v = _signed_sum(e[i:i + 1], full)
+            counts["values"] += v.size
+            flat[start + i] = np.maximum(np.abs(v.max() - targets),
+                                         np.abs(v.min() - targets)) < FLAT_CLOSURE_TOL
+        fl = flat[start:start + len(e)]
+        f0 = _signed_sum(e, half[:, :1])[:, 0]  # the first grid value, as the scan forms it
+        hit = (np.abs(f0[:, None] - targets) < FIRST_GRID_ROOT_TOL) & ~fl
+        first += [(start + i, int(omegas[w])) for i, w in zip(*np.nonzero(hit))]
+        # the windings each interval leaves open, as (windings, rows, intervals)
+        lo, hi = p[:, 1:] - q[:, :-1], p[:, :-1] - q[:, 1:]
+        open_ = ((lo - m_sum) < levels) & ((hi + m_sum) >= levels)
+        # R F's bounds carry the errors of two node terms and of a fine value,
+        # each within m_true of its exact value, times R <= b
+        m_r = 8.0 * b * m_true
+        open_[n // 2] &= (b * p[:, 1:] - a * q[:, :-1] < m_r) & (a * p[:, :-1] - b * q[:, 1:] > -m_r)
+        t_lo, t_hi = tp[:, 1:] - tq[:, :-1], tp[:, :-1] - tq[:, 1:]
+        monotone = (t_lo > m_tan) | (t_hi < -m_tan)
+        # node and fine values each lie within m_true of F
+        m_node = 2.0 * m_true
+        f_lo, f_hi = np.minimum(f[:, :-1], f[:, 1:]), np.maximum(f[:, :-1], f[:, 1:])
+        apart = ((f_lo - m_node) > levels) | ((f_hi + m_node) < levels)
+        open_ &= ~(monotone & apart) & ~fl.T[:, :, None]
+        rows, ivs = np.nonzero(open_.any(axis=0))
+        counts["windows"] += len(rows)
+        wanted = open_[:, rows, ivs].T
+        # windows at once: their arcsin tables together stay within one grid's
+        chunk = max(1, size // width)
+        for s in range(0, len(rows), chunk):
+            r, iv = rows[s:s + chunk], ivs[s:s + chunk]
+            cols = np.minimum(nodes[iv, None] + np.arange(width), nodes[iv + 1, None])
+            v = _signed_sum(e[r], _half_angles(lengths, grid[cols]))
+            counts["values"] += v.size
+            k, w = np.nonzero(wanted[s:s + chunk])
+            side = v[k] >= targets[w, None]
+            j, off = np.nonzero(side[:, :-1] != side[:, 1:])
+            idx = cols[k[j], off]
+            brackets.append((start + r[k[j]], omegas[w[j]], grid[idx], grid[idx + 1]))
+    return first, brackets, flat
+
+
+def _cyclic_roots(jobs: Sequence[tuple[np.ndarray, np.ndarray]], tols: Tolerances):
+    """(omega, R) roots of the closure condition for stacks of sign vectors
+    of several length vectors, in one pass.
+
+    ``jobs`` holds (lengths, eps) pairs; each row of eps is a +1/-1 sign
+    vector with first entry +1.  Sign vectors of one job with the same grid
+    top share one radius grid, scanned by ``_scan_windows``, and the
+    brackets of every job are bisected in one stack.  Returns per job the
+    roots of each row in (omega, R) order, numerically identical roots of
+    one winding collapsed; per job the number of degenerate (row, winding)
+    pairs; and the pass's counts.
+    """
+    counts = dict.fromkeys(("sign_vectors", "intervals", "windows", "values",
+                            "brackets", "bisect_steps"), 0)
+    roots = [[[] for _ in eps] for _, eps in jobs]
+    flats = []
+    width = max((len(lengths) for lengths, _ in jobs), default=0)
+    parts = []  # per bracket: lengths and signs padded to width, omega, lo, hi
+    for j, (lengths, eps) in enumerate(jobs):
+        counts["sign_vectors"] += len(eps)
+        r_min, tops = _radius_tops(lengths, eps)
+        padded = np.zeros(width)
+        padded[:len(lengths)] = lengths
+        flat = 0
+        for top in sorted(set(tops.tolist())):
+            rows = np.nonzero(tops == top)[0]
+            grid = np.geomspace(r_min, top, tols.grid_points)
+            first, brackets, degenerate = _scan_windows(lengths, grid, eps[rows], counts)
+            flat += int(np.count_nonzero(degenerate))
+            for i, omega in first:
+                roots[j][rows[i]].append((omega, float(grid[0])))
+            for r, omegas, lo, hi in brackets:
+                signs = np.ones((len(r), width))
+                signs[:, :len(lengths)] = eps[rows[r]]
+                parts.append((np.full(len(r), j), rows[r], np.tile(padded, (len(r), 1)),
+                              signs, omegas, lo, hi))
+        flats.append(flat)
+    if parts:
+        job, row, lengths, signs, omegas, lo, hi = (np.concatenate(x) for x in zip(*parts))
+        radii, counts["bisect_steps"] = _bisect_brackets(lengths, signs, lo, hi,
+                                                         math.pi * omegas)
+        counts["brackets"] = len(radii)
+        for j, i, omega, r in zip(job.tolist(), row.tolist(), omegas.tolist(), radii.tolist()):
+            roots[j][i].append((omega, r))
+    return [[_collapse(rs) for rs in job] for job in roots], flats, counts
 
 
 def _collapse(roots: list[tuple[int, float]]) -> list[tuple[int, float]]:
@@ -519,9 +636,99 @@ def _collapse(roots: list[tuple[int, float]]) -> list[tuple[int, float]]:
     return out
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class CyclicRoots:
+    """The closure roots of one length vector, ahead of its table: row i of
+    ``eps`` (S, n), ``omega`` and ``radius`` is the table's solution i (each
+    root and its mirror, in table order), and ``flat`` counts the (sign
+    vector, winding) pairs whose closure is identically pi * omega."""
+
+    lengths: tuple[float, ...]
+    eps: np.ndarray
+    omega: np.ndarray
+    radius: np.ndarray
+    flat: int
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class CyclicRootPass:
+    """The closure roots of several length vectors from one root pass, by
+    lengths, and what the pass did (``counts``)."""
+
+    roots: dict[tuple[float, ...], CyclicRoots]
+    counts: dict[str, int]
+
+    def log(self, reached: int) -> None:
+        """The pass's DEBUG record, once ``reached`` of its length vectors
+        have had their tables built."""
+        logger.debug(
+            "cyclic roots: %(vectors)d length vectors (%(unreached)d solved ahead and "
+            "never reached), %(sign_vectors)d sign vectors, %(intervals)d node "
+            "intervals, %(windows)d windows, %(values)d closure values, %(brackets)d "
+            "brackets, %(bisect_steps)d bisection steps",
+            {**self.counts, "vectors": len(self.roots), "unreached": len(self.roots) - reached})
+
+
+def solve_cyclic(vectors: Sequence[Sequence[float]],
+                 tols: Tolerances = DEFAULT_TOLS) -> CyclicRootPass:
+    """The closure roots of every length vector of ``vectors``, in one pass
+    of ``_cyclic_roots`` over every sign vector with first entry +1.
+
+    Refuses a vector with fewer than three lengths, or lengths that are not
+    positive and finite, with ``ValueError``.  A vector that only closes
+    flat gets no roots, without any solving.  A vector's warnings and
+    refusal wait for its ``cyclic_table``.
+    """
+    vectors = list(dict.fromkeys(tuple(float(x) for x in v) for v in vectors))
+    for lengths in vectors:
+        if len(lengths) < 3:
+            raise ValueError("need at least 3 edges")
+        if not all(0.0 < x < math.inf for x in lengths):
+            raise ValueError(f"lengths must be positive and finite, got {lengths}")
+    keys = [k for k in vectors if 2 * max(k) < sum(k) * (1 - DEGENERATE_TOL)]
+    signs = [_sign_rows(len(k), np.arange(2 ** (len(k) - 1))) for k in keys]
+    roots, flats, counts = _cyclic_roots([(np.asarray(k), s) for k, s in zip(keys, signs)], tols)
+    found = dict(zip(keys, zip(signs, roots, flats)))
+    solved = {}
+    for lengths in vectors:
+        # a vector that only closes flat has no sign vectors and no roots
+        table, rs, flat = found.get(lengths, (np.empty((0, len(lengths))), [], 0))
+        sign_row = np.array([i for i, r in enumerate(rs) for _ in r], dtype=np.intp)
+        omega = np.array([om for r in rs for om, _ in r], dtype=int)
+        radius = np.array([x for r in rs for _, x in r], dtype=float)
+        # each root, then its mirror: eps -> -eps, omega -> -omega, equal radius
+        eps = np.repeat(table[sign_row], 2, axis=0)
+        eps[1::2] *= -1.0
+        omega = np.repeat(omega, 2)
+        omega[1::2] *= -1
+        radius = np.repeat(radius, 2)
+        bitmask = (eps > 0).astype(np.intp) @ (1 << np.arange(len(lengths)))
+        order = np.lexsort((radius, bitmask, omega))  # stable: a tie keeps root before mirror
+        solved[lengths] = CyclicRoots(lengths, eps[order], omega[order], radius[order], flat)
+    return CyclicRootPass(solved, counts)
+
+
+def cyclic_table(roots: CyclicRoots) -> CyclicSolutions:
+    """The table of the solutions of ``roots``.  Warns once per degenerate
+    closure, then builds the rows with ``_solve_rows``, which flags and
+    warns about coinciding solutions and refuses the table when a polygon
+    does not close: a vector warns and refuses only when its table is made."""
+    for _ in range(roots.flat):
+        logger.warning("degenerate closure: F is identically pi*omega; skipping cell")
+    if len(roots.radius) == 0:  # the empty table, without solving
+        n = len(roots.lengths)
+        return CyclicSolutions(roots.lengths, np.empty(0), np.empty(0, dtype=int),
+                               np.empty((0, n), dtype=int), np.empty((0, n)),
+                               np.empty((0, n, 2)), ())
+    return _solve_rows(roots.lengths, roots.eps, roots.omega, roots.radius,
+                       flag_coincident=True)
+
+
 def enumerate_cyclic(lengths: Sequence[float],
                      tols: Tolerances = DEFAULT_TOLS) -> CyclicSolutions:
-    """All cyclic configurations of a polygonal linkage, as one table.
+    """All cyclic configurations of a polygonal linkage, as one table: the
+    root pass of ``solve_cyclic`` on this vector alone, then its
+    ``cyclic_table``.
 
     Scans every sign vector with first entry +1 and derives the mirror
     solutions (eps -> -eps, omega -> -omega, equal radius), so both
@@ -530,31 +737,10 @@ def enumerate_cyclic(lengths: Sequence[float],
     kept and flagged "coincident": a diameter edge fits both signs, so each
     solution of the 3-4-5 triangle comes twice.
     """
-    lengths = tuple(float(x) for x in lengths)
-    n = len(lengths)
-    if n < 3:
-        raise ValueError("need at least 3 edges")
-    if not all(0.0 < x < math.inf for x in lengths):
-        raise ValueError(f"lengths must be positive and finite, got {lengths}")
-    total = sum(lengths)
-    if 2 * max(lengths) >= total * (1 - DEGENERATE_TOL):  # only flat polygons
-        return CyclicSolutions(lengths, np.empty(0), np.empty(0, dtype=int),
-                               np.empty((0, n), dtype=int), np.empty((0, n)),
-                               np.empty((0, n, 2)), ())
-    signs = _sign_rows(n, np.arange(2 ** (n - 1)))
-    roots = _cyclic_roots(np.asarray(lengths), signs, tols)
-    sign_row = np.array([i for i, rs in enumerate(roots) for _ in rs], dtype=np.intp)
-    omega = np.array([om for rs in roots for om, _ in rs], dtype=int)
-    radius = np.array([r for rs in roots for _, r in rs], dtype=float)
-    # each root, then its mirror: eps -> -eps, omega -> -omega, equal radius
-    eps = np.repeat(signs[sign_row], 2, axis=0)
-    eps[1::2] *= -1.0
-    omega = np.repeat(omega, 2)
-    omega[1::2] *= -1
-    radius = np.repeat(radius, 2)
-    bitmask = (eps > 0).astype(np.intp) @ (1 << np.arange(n))
-    order = np.lexsort((radius, bitmask, omega))  # stable: a tie keeps root before mirror
-    return _solve_rows(lengths, eps[order], omega[order], radius[order], flag_coincident=True)
+    solved = solve_cyclic([lengths], tols)
+    (roots,) = solved.roots.values()
+    solved.log(reached=1)
+    return cyclic_table(roots)
 
 
 def _flag_coincident(radius: np.ndarray, vertices: np.ndarray, scale: float) -> np.ndarray:

@@ -813,7 +813,9 @@ class TestInputErrors:
     @pytest.mark.parametrize("spoil", [
         lambda coords: coords.pop("A1"),
         lambda coords: coords["A1"].__setitem__(0, float("nan")),
-    ], ids=["missing_vertex", "nan_coordinate"])
+        lambda coords: coords.update(I=[str(x) for x in coords["I"]]),
+        lambda coords: coords["I"].__setitem__(0, True),
+    ], ids=["missing_vertex", "nan_coordinate", "string_coordinate", "bool_coordinate"])
     def test_bad_representative(self, tmp_path, three_chain_file, capsys, monkeypatch,
                                 spoil):
         records = tmp_path / "records.json"

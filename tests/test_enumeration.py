@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linkmorse import enumeration
+from linkmorse import enumeration, geometry
 from linkmorse.cli import main
 from linkmorse.enumeration import (
     CriticalRecord,
@@ -27,6 +27,7 @@ from linkmorse.enumeration import (
 from linkmorse.errors import NonGenericError, NotPTTError
 from linkmorse.geometry import (
     Configuration,
+    cyclic_table,
     enumerate_cyclic,
     place_chain,
     rotation,
@@ -425,14 +426,14 @@ class TestStackedGluing:
         assert base_counts["glue_mismatch"] == 0
         moved = []
 
-        def shifted(lens, tols):
-            sols = enumerate_cyclic(lens, tols)
-            if len(lens) == 3 and not moved:
-                moved.append(tuple(lens))
+        def shifted(roots):
+            sols = cyclic_table(roots)
+            if len(roots.lengths) == 3 and not moved:
+                moved.append(roots.lengths)
                 sols = dataclasses.replace(sols, vertices=1.001 * sols.vertices)
             return sols
 
-        monkeypatch.setattr(enumeration, "enumerate_cyclic", shifted)
+        monkeypatch.setattr(enumeration, "cyclic_table", shifted)
         recs, counts = enumerate_with_counts(caplog, g, gamma)
         assert moved and counts["glue_mismatch"] > 0
         assert len(recs) == len(base) - counts["glue_mismatch"]
@@ -580,16 +581,16 @@ class TestWorkedExample:
         assert sorted(v for k, v in parts.items() if k.startswith("chain")) == [1, 1]
 
     def test_enumeration_counts_and_memoised_cells(self, caplog, monkeypatch):
-        # 34 cell lookups on 18 distinct length tuples; each tuple is solved
-        # once, and the digest of the records' keys, indices and dimensions
-        # is that of an enumeration solving every lookup afresh
+        # 34 cell lookups on 18 distinct length tuples; each tuple's table is
+        # built once, and the digest of the records' keys, indices and
+        # dimensions is that of an enumeration solving every lookup afresh
         calls = []
 
-        def counted(lens, tols):
-            calls.append(tuple(lens))
-            return enumerate_cyclic(lens, tols)
+        def counted(roots):
+            calls.append(roots.lengths)
+            return cyclic_table(roots)
 
-        monkeypatch.setattr(enumeration, "enumerate_cyclic", counted)
+        monkeypatch.setattr(enumeration, "cyclic_table", counted)
         g, gamma, _ = worked_example()
         with caplog.at_level(logging.DEBUG, logger="linkmorse.enumeration"):
             recs = enumerate_critical_pnd(g, gamma)
@@ -669,6 +670,126 @@ class TestWorkedExample:
         assert len({id(c.xy.base) for c in reps}) <= branches == 11
         assert len({id(c.names) for c in reps}) <= branches
         assert len({id(r.table) for r in recs}) == branches
+
+
+def solved_and_reached(g, gamma):
+    """An enumeration's records, the length vectors it solves ahead and
+    those whose tables it builds, in order."""
+    solved, reached = [], []
+
+    def solve(vectors, tols):
+        out = geometry.solve_cyclic(vectors, tols)
+        solved.extend(out.roots)
+        return out
+
+    def table(roots):
+        reached.append(roots.lengths)
+        return cyclic_table(roots)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "solve_cyclic", solve)
+        mp.setattr(enumeration, "cyclic_table", table)
+        recs = enumerate_critical_pnd(g, gamma)
+    return recs, solved, reached
+
+
+def refuse_vector(monkeypatch, lengths):
+    """Make the root pass move the last root of ``lengths`` off its closure
+    radius, so that its table is refused, and count two degenerate windings
+    for it, so that its table warns twice first."""
+    roots = geometry._cyclic_roots
+
+    def moved(jobs, tols):
+        out, flats, counts = roots(jobs, tols)
+        for j, (lens, _) in enumerate(jobs):
+            if tuple(lens.tolist()) == lengths:
+                last = max(k for k, rs in enumerate(out[j]) if rs)
+                omega, r = out[j][last][-1]
+                out[j][last][-1] = (omega, 1.01 * r)
+                flats[j] += 2
+        return out, flats, counts
+
+    monkeypatch.setattr(geometry, "_cyclic_roots", moved)
+
+
+def root_pass_records(caplog, g, gamma):
+    """An enumeration's records and the counts of its root pass's DEBUG records."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="linkmorse.geometry"):
+        recs = enumerate_critical_pnd(g, gamma)
+    return recs, [r.args for r in caplog.records
+                  if r.name == "linkmorse.geometry" and r.levelno == logging.DEBUG]
+
+
+class TestSolveAhead:
+    def test_every_branch_vector_solved_in_one_pass(self):
+        # the worked example's 21 cell length vectors are solved together;
+        # 18 are reached, the other 3 sit in branches that end at an
+        # earlier cell without cyclic solutions
+        recs, solved, reached = solved_and_reached(*worked_example()[:2])
+        assert (len(solved), len(set(solved))) == (21, 21)
+        assert len(reached) == len(set(reached)) == 18
+        assert set(reached) < set(solved)
+        assert all(len(enumerate_cyclic(v)) for v in set(solved) - set(reached))
+
+    def test_refusal_of_an_unreached_vector_changes_nothing(self, caplog, monkeypatch):
+        g, gamma, _ = worked_example()
+        base, solved, reached = solved_and_reached(g, gamma)
+        unreached = [v for v in solved if v not in reached]
+        refuse_vector(monkeypatch, unreached[0])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
+            recs = enumerate_critical_pnd(g, gamma)
+        assert [(r.key(), r.index.index, r.area) for r in recs] == \
+            [(r.key(), r.index.index, r.area) for r in base]
+        assert not [r for r in caplog.records if r.name == "linkmorse.geometry"]
+
+    def test_refusal_of_a_reached_vector_raises_when_reached(self, caplog, monkeypatch):
+        # the refused vector's warnings come when its branch reaches it, and
+        # its refusal is the error that building its table alone raises
+        g, gamma, _ = worked_example()
+        _, _, reached = solved_and_reached(g, gamma)
+        refuse_vector(monkeypatch, reached[-1])
+        with pytest.raises(NonGenericError, match="failed closure residual check"):
+            enumerate_cyclic(reached[-1])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"), \
+                pytest.raises(NonGenericError, match="failed closure residual check"):
+            enumerate_critical_pnd(g, gamma)
+        assert [r.getMessage() for r in caplog.records if r.name == "linkmorse.geometry"] == \
+            2 * ["degenerate closure: F is identically pi*omega; skipping cell"]
+
+    def test_root_pass_debug_record(self, caplog):
+        # one DEBUG record per enumeration, the same in two runs: one
+        # bisection stack, and under a million closure values where a scan
+        # of every grid point forms 4,636 * 10,000
+        g, gamma, _ = worked_example()
+        _, first = root_pass_records(caplog, g, gamma)
+        _, again = root_pass_records(caplog, g, gamma)
+        assert first == again
+        (counts,) = first
+        assert {k: counts[k] for k in ("vectors", "unreached", "sign_vectors", "brackets")} == \
+            {"vectors": 21, "unreached": 3, "sign_vectors": 4636, "brackets": 1565}
+        assert counts["intervals"] == 100 * counts["sign_vectors"]
+        assert counts["values"] < 1_000_000
+        assert 0 < counts["bisect_steps"] <= geometry.BISECT_MAX_ITER
+
+    def test_reached_vectors_give_the_parent_bracket_count(self, caplog):
+        # the 18 reached vectors, each in a pass of its own, bisect the
+        # 1,263 brackets a scan of every grid point finds; the 3 unreached
+        # ones add the rest of the enumeration's pass
+        _, solved, reached = solved_and_reached(*worked_example()[:2])
+
+        def brackets(vectors):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="linkmorse.geometry"):
+                for v in vectors:
+                    enumerate_cyclic(v)
+            return sum(r.args["brackets"] for r in caplog.records
+                       if r.name == "linkmorse.geometry" and r.levelno == logging.DEBUG)
+
+        assert brackets(reached) == 1263
+        assert brackets(solved) == 1565
 
 
 def _verify(tmp_path, g, gamma, capsys):

@@ -4,6 +4,11 @@ import collections
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +35,13 @@ from linkmorse.geometry import (
     wall_check,
 )
 from linkmorse.enumeration import CriticalRecord, enumerate_critical_pnd
-from linkmorse.graphs import DistinguishedCycle, LinkageGraph, make_polygon, make_three_chain
+from linkmorse.graphs import (
+    DistinguishedCycle,
+    LinkageGraph,
+    detect_polygon_with_chains,
+    make_polygon,
+    make_three_chain,
+)
 from linkmorse.instances import max16_three_chain, worked_example
 
 from conftest import (
@@ -354,12 +365,19 @@ def _closure_by_columns(lengths, eps, r):
     return f
 
 
+def _stack_roots(lens, table, tols=Tolerances()):
+    """The root kernel's roots of the sign vectors ``table`` of one length
+    vector, and its count of degenerate windings."""
+    roots, flats, _ = _cyclic_roots([(lens, table)], tols)
+    return roots[0], flats[0]
+
+
 class TestStackedRoots:
     @pytest.mark.parametrize("n", range(3, 12))
     def test_stack_equals_rows(self, n):
         lens = _random_lengths(np.random.default_rng(1000 + n), n)
         table = _eps_table(n, range(2 ** (n - 1)))
-        stacked = _cyclic_roots(lens, table, Tolerances())
+        stacked, _ = _stack_roots(lens, table)
         assert stacked == [_reference_roots(lens, eps)[0] for eps in table]
         assert sum(map(len, stacked)) > 0
         # enumerate_cyclic keeps every root and adds its mirror
@@ -379,8 +397,8 @@ class TestStackedRoots:
         table = _eps_table(n, masks)
         _, tops = geometry._radius_tops(lens, table)
         assert len(set(tops.tolist())) > 1
-        monkeypatch.setattr(geometry, "ROOT_BLOCK", block)
-        stacked = _cyclic_roots(lens, table, Tolerances())
+        monkeypatch.setattr(geometry, "SCAN_BLOCK", block)
+        stacked, _ = _stack_roots(lens, table)
         assert stacked == [_reference_roots(lens, eps)[0] for eps in table]
         assert sum(map(len, stacked)) > 0
 
@@ -394,6 +412,12 @@ class TestStackedRoots:
         r = float(lens.max()) * rng.uniform(0.5, 20.0, 50)
         assert geometry._closure(lens, eps, r).tobytes() == \
             _closure_by_columns(lens, eps, r).tobytes()
+        # the scan's sums add in the same order, at shared or per-row radii
+        table = geometry._half_angles(lens, r)
+        assert geometry._signed_sum(eps, table[:, :, None]).ravel().tobytes() == \
+            _closure_by_columns(lens, eps, r).tobytes()
+        assert geometry._signed_sum(eps[:1], table).ravel().tobytes() == \
+            _closure_by_columns(lens, np.repeat(eps[:1], 50, axis=0), r).tobytes()
 
     def test_degenerate_closure_warned_per_cell(self, caplog, monkeypatch):
         # (+,+,-,-), (+,-,+,-) and (+,-,-,+) sum to exactly 0 at every radius
@@ -401,12 +425,13 @@ class TestStackedRoots:
         table = _eps_table(4, range(8))
         ref = [_reference_roots(lens, eps) for eps in table]
         assert sum(flat for _, flat in ref) == 3
-        for block in (1, 3, geometry.ROOT_BLOCK):
-            monkeypatch.setattr(geometry, "ROOT_BLOCK", block)
+        for block in (1, 3, geometry.SCAN_BLOCK):
+            monkeypatch.setattr(geometry, "SCAN_BLOCK", block)
+            assert _stack_roots(lens, table) == ([roots for roots, _ in ref], 3)
+            # the warnings come with the table, once per degenerate winding
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="linkmorse.geometry"):
-                stacked = _cyclic_roots(lens, table, Tolerances())
-            assert stacked == [roots for roots, _ in ref]
+                enumerate_cyclic(lens)
             assert [r.getMessage() for r in caplog.records].count(
                 "degenerate closure: F is identically pi*omega; skipping cell") == 3
 
@@ -414,7 +439,7 @@ class TestStackedRoots:
         # 3-4-5: the hypotenuse is a diameter, a root at the first grid point
         lens = np.array([3.0, 4.0, 5.0])
         table = _eps_table(3, range(4))
-        stacked = _cyclic_roots(lens, table, Tolerances())
+        stacked, _ = _stack_roots(lens, table)
         assert stacked == [_reference_roots(lens, eps)[0] for eps in table]
         assert (0, 2.5) in stacked[2] and (1, 2.5) in stacked[0]
         sols = enumerate_cyclic([3, 4, 5])
@@ -423,10 +448,88 @@ class TestStackedRoots:
     def test_block_size_does_not_change_roots(self, monkeypatch):
         lens = _random_lengths(np.random.default_rng(3), 7)
         table = _eps_table(7, range(64))
-        before = _cyclic_roots(lens, table, Tolerances())
+        before = _stack_roots(lens, table)
         for block in (8, 64):
-            monkeypatch.setattr(geometry, "ROOT_BLOCK", block)
-            assert _cyclic_roots(lens, table, Tolerances()) == before
+            monkeypatch.setattr(geometry, "SCAN_BLOCK", block)
+            assert _stack_roots(lens, table) == before
+
+    @pytest.mark.parametrize("stride", [1, 7, 9_999, 10_000, 50_000])
+    def test_stride_does_not_change_roots(self, stride, monkeypatch):
+        # 10,000 grid points make 9,999 steps: strides 7 and the default 100
+        # leave a partial last interval, and from 9,999 on the grid is one
+        # interval, scanned as one window
+        lens = _random_lengths(np.random.default_rng(3), 7)
+        table = _eps_table(7, range(64))
+        ref = [_reference_roots(lens, eps)[0] for eps in table]
+        assert 9_999 % 7 and 9_999 % geometry.SCAN_STRIDE
+        monkeypatch.setattr(geometry, "SCAN_STRIDE", stride)
+        assert _stack_roots(lens, table) == (ref, 0)
+
+    def test_root_pair_inside_one_node_interval(self):
+        # the first length is tuned so that (+,-,+,-,-) has a local maximum
+        # 1e-7 above 0 between grid points 1,000 and 1,100: its two winding-0
+        # roots lie between grid points 1,024 and 1,034, and the closure is
+        # negative at both nodes, so only the tan-sum test keeps the window
+        lens = np.array([1.3150240166838731, 0.7000120938348868, 1.663744562423422,
+                         1.774467038132105, 0.5188914410873467])
+        table = _eps_table(5, range(16))
+        ref = [_reference_roots(lens, eps)[0] for eps in table]
+        assert ref[13] == [(0, 1.2649284163007795), (0, 1.2686312099621906)]
+        _, tops = geometry._radius_tops(lens, table[13:14])
+        grid = np.geomspace(lens.max() / 2.0, tops[0], 10_000)
+        assert np.searchsorted(grid, [r for _, r in ref[13]]).tolist() == [1025, 1034]
+        assert (geometry._closure(lens, table[[13, 13]], grid[[1000, 1100]]) < 0).all()
+        assert _stack_roots(lens, table) == (ref, 0)
+
+    def test_few_grid_points(self):
+        # grids shorter than one stride: one interval of every point
+        lens = _random_lengths(np.random.default_rng(5), 6)
+        table = _eps_table(6, range(32))
+        for points in (2, 3, 101, 250):
+            stacked, _ = _stack_roots(lens, table, Tolerances(grid_points=points))
+            assert stacked == [_reference_roots(lens, eps, points)[0] for eps in table]
+
+    def test_many_length_vectors_in_one_stack(self):
+        # vectors of 3 to 9 edges in one pass: every bracket is bisected with
+        # its own lengths, zero-padded, and every root is that of a pass of
+        # its vector alone
+        rng = np.random.default_rng(8)
+        jobs = [(_random_lengths(rng, n), _eps_table(n, range(2 ** (n - 1))))
+                for n in (9, 3, 6, 4, 8)]
+        together, _, counts = _cyclic_roots(jobs, Tolerances())
+        assert together == [_stack_roots(lens, table)[0] for lens, table in jobs]
+        assert counts["brackets"] > 0 and counts["bisect_steps"] <= geometry.BISECT_MAX_ITER
+
+
+class TestRootPassFootprint:
+    def test_first_call_imports_no_module(self):
+        # a numpy function used for the first time can import a submodule
+        # (np.unique imports numpy.ma), which the process then keeps
+        code = ("import sys, linkmorse; before = set(sys.modules); "
+                "linkmorse.enumerate_cyclic([1.0, 1.3, 0.8, 1.4, 1.1]); "
+                "linkmorse.enumerate_cyclic([1.0, 1.0, 1.0, 1.0]); "
+                "print(sorted(set(sys.modules) - before))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == "[]"
+
+    def test_worked_example_polygon_peak(self):
+        # the 11-gon's 1,024 sign vectors: a scan of every grid point peaked
+        # at 1.92 MB (tracemalloc), the arcsin table of 11 * 10,000 radii and
+        # a block of closure values; the windowed scan stays within 10% of it
+        lens = detect_polygon_with_chains(*worked_example()[:2]).gamma_lengths()
+        assert len(lens) == 11
+        enumerate_cyclic(lens)  # numpy's and the interpreter's first-use caches
+        tracemalloc.start()
+        try:
+            enumerate_cyclic(lens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 1_918_700, peak
 
 
 # a cyclic solution as plain Python values: the signs and half-angles as
@@ -518,8 +621,7 @@ def _reference_solutions(lengths):
     n = len(lengths)
     table = _eps_table(n, range(2 ** (n - 1)))
     rows = []
-    for eps, roots in zip(table.tolist(),
-                          _cyclic_roots(np.asarray(lengths), table, Tolerances())):
+    for eps, roots in zip(table.tolist(), _stack_roots(np.asarray(lengths), table)[0]):
         for omega, r in roots:
             rows.append(_reference_row(lengths, eps, omega, r))
             rows.append(_reference_row(lengths, [-s for s in eps], -omega, r))
@@ -538,15 +640,16 @@ def _reference_json(lengths, p):
 
 
 def worked_example_length_vectors():
-    """The cell length vectors the worked example's enumeration solves."""
+    """The cell length vectors whose tables the worked example's enumeration
+    builds."""
     seen = []
 
-    def recorded(lens, tols):
-        seen.append(tuple(lens))
-        return enumerate_cyclic(lens, tols)
+    def recorded(roots):
+        seen.append(roots.lengths)
+        return geometry.cyclic_table(roots)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "enumerate_cyclic", recorded)
+        mp.setattr(enumeration, "cyclic_table", recorded)
         enumerate_critical_pnd(*worked_example()[:2])
     return seen
 
@@ -628,12 +731,13 @@ class TestSolutionTable:
         # enumeration is refused, though nothing reads that solution
         roots = geometry._cyclic_roots
 
-        def moved(lengths, eps, tols):
-            out = roots(lengths, eps, tols)
-            last = next(k for k in range(len(out) - 1, -1, -1) if out[k])
-            omega, r = out[last][-1]
-            out[last][-1] = (omega, 1.01 * r)
-            return out
+        def moved(jobs, tols):
+            out, flats, counts = roots(jobs, tols)
+            (job,) = out
+            last = next(k for k in range(len(job) - 1, -1, -1) if job[k])
+            omega, r = job[last][-1]
+            job[last][-1] = (omega, 1.01 * r)
+            return out, flats, counts
 
         monkeypatch.setattr(geometry, "_cyclic_roots", moved)
         with pytest.raises(NonGenericError, match="failed closure residual check"):
