@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 parse/usage error (malformed linkage or records
 file, invalid flag value), 3 not a partial two-tree, 4 wall hit under
---strict, 5 verification disagreement.  ``main`` returns each of them (a
+--strict or non-generic lengths, 5 verification disagreement.  ``main`` returns each of them (a
 refusal is raised as a ``LinkmorseError``); only argparse's flag errors exit.
 """
 
@@ -356,10 +356,9 @@ def cmd_recognize(args) -> int:
         except NotSPError as exc:
             report.update(sp_tree=None, kernel=exc.kernel)
     if gamma is not None and report["ptt"]:
-        rel = relative_decomposition(g, gamma)
         report["relative_decomposition"] = [
             {"vertices": list(c.vertices), "edges": list(c.edge_indices),
-             "attachments": list(c.attachments)} for c in rel.components]
+             "attachments": list(c.attachments)} for c in relative_decomposition(g, gamma)]
     _dump_json(report, args.out)
     return EXIT_OK if report["ptt"] else EXIT_NOT_PTT
 

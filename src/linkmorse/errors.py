@@ -36,7 +36,7 @@ class NotConcyclicError(LinkmorseError):
         self.max_deviation = max_deviation
 
 
-class DegenerateCenterError(LinkmorseError):
+class DegenerateCenterError(NonGenericError):
     """Circle center lies on an edge line, so the edge sign is undefined."""
 
 

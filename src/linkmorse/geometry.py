@@ -357,7 +357,7 @@ class CyclicSolutions:
 
 
 def _solve_rows(lengths: tuple[float, ...], eps: np.ndarray, omega: np.ndarray,
-                radius: np.ndarray, flag_coincident: bool = False) -> CyclicSolutions:
+                radius: np.ndarray) -> CyclicSolutions:
     """The solutions with sign vectors ``eps`` (rows of +1.0/-1.0), windings
     ``omega`` and radii ``radius``, each computed as one polygon on its own
     would be: half-angles by ``math.asin`` per entry, vertex angles as the
@@ -377,9 +377,8 @@ def _solve_rows(lengths: tuple[float, ...], eps: np.ndarray, omega: np.ndarray,
         raise NonGenericError("cyclic solution failed closure residual check")
     on = {"omega_zero": omega == 0,
           "diameter_edge": (np.abs(np.array(lengths) - 2.0 * radius[:, None])
-                            <= DIAMETER_TOL * total).any(axis=1)}
-    if flag_coincident:
-        on["coincident"] = _flag_coincident(radius, vertices, total)
+                            <= DIAMETER_TOL * total).any(axis=1),
+          "coincident": _flag_coincident(radius, vertices, total)}
     rows = list(zip(*(v.tolist() for v in on.values())))
     # one frozenset per combination of flags
     sets = {row: frozenset(name for name, x in zip(on, row) if x) for row in set(rows)}
@@ -720,8 +719,7 @@ def cyclic_table(roots: CyclicRoots) -> CyclicSolutions:
         return CyclicSolutions(roots.lengths, np.empty(0), np.empty(0, dtype=int),
                                np.empty((0, n), dtype=int), np.empty((0, n)),
                                np.empty((0, n, 2)), ())
-    return _solve_rows(roots.lengths, roots.eps, roots.omega, roots.radius,
-                       flag_coincident=True)
+    return _solve_rows(roots.lengths, roots.eps, roots.omega, roots.radius)
 
 
 def enumerate_cyclic(lengths: Sequence[float],

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -386,63 +387,40 @@ class RelativeComponent:
     attachments: tuple[str, ...]  # 1 or 2 vertices on the cycle
 
 
-@dataclass(frozen=True)
-class RelativeDecomposition:
-    components: tuple[RelativeComponent, ...]
+def relative_decomposition(g: LinkageGraph,
+                           gamma: DistinguishedCycle) -> tuple[RelativeComponent, ...]:
+    """Split g minus the cycle edges into attached components, in order of
+    their smallest edge index.
 
-
-def relative_decomposition(g: LinkageGraph, gamma: DistinguishedCycle) -> RelativeDecomposition:
-    """Split g minus the cycle edges into attached components.
-
-    Each component must meet the cycle in at most two vertices; whether it
-    is a chain is for ``detect_polygon_with_chains`` to decide.
+    Each component is one breadth-first walk from its smallest edge that
+    passes only through vertices off the cycle: cycle vertices are where
+    components attach, never where they join.  Each component must meet the
+    cycle in at most two vertices; whether it is a chain is for
+    ``detect_polygon_with_chains`` to decide.
     """
     gamma.validate(g)
-    cyc_edges = set(gamma.edge_indices(g))
     on_cycle = set(gamma.vertices)
-
-    rest = [k for k in range(len(g.edges)) if k not in cyc_edges]
-    parent: dict[int, int] = {k: k for k in rest}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    # edges sharing a non-cycle vertex belong to one component; cycle vertices
-    # do not merge components (they are the attachment points)
-    by_vertex: dict[str, list[int]] = {}
-    for k in rest:
-        u, v, _ = g.edges[k]
-        for x in (u, v):
-            if x not in on_cycle:
-                by_vertex.setdefault(x, []).append(k)
-    for ks in by_vertex.values():
-        for k in ks[1:]:
-            union(ks[0], k)
-
-    groups: dict[int, list[int]] = {}
-    for k in rest:
-        groups.setdefault(find(k), []).append(k)
-
+    adj = g.adjacency()
+    seen = set(gamma.edge_indices(g))  # edges already in a component, or on the cycle
     comps = []
-    for ks in sorted(groups.values(), key=min):
-        vs = set()
-        for k in ks:
-            u, v, _ = g.edges[k]
-            vs.update((u, v))
+    for first in range(len(g.edges)):
+        if first in seen:
+            continue
+        ks, vs = {first}, set(g.edges[first][:2])
+        queue = deque(vs - on_cycle)
+        while queue:
+            for w, k in adj[queue.popleft()]:  # no cycle edge meets a vertex off the cycle
+                ks.add(k)
+                if w not in vs and w not in on_cycle:
+                    queue.append(w)
+                vs.add(w)
+        seen |= ks
         attach = tuple(sorted(vs & on_cycle))
         if len(attach) > 2:
             raise NotPTTError(
                 f"component attaches to the cycle at {len(attach)} vertices: {attach}")
         comps.append(RelativeComponent(tuple(sorted(vs)), tuple(sorted(ks)), attach))
-    return RelativeDecomposition(tuple(comps))
+    return tuple(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -563,52 +541,38 @@ def detect_polygon_with_chains(g: LinkageGraph,
     """Recognize the polygon-with-non-crossing-diagonals class, else None.
 
     Every attached component must be a path glued at its two endpoints and
-    the endpoint pairs must be pairwise non-crossing on the cycle.
+    the endpoint pairs must be pairwise non-crossing on the cycle.  A
+    connected component is that path when both attachments have one of its
+    edges and every other vertex two; it is walked from its first attachment.
     """
     try:
-        rel = relative_decomposition(g, gamma)
+        comps = relative_decomposition(g, gamma)
     except NotPTTError:
         return None
     pos = {v: k for k, v in enumerate(gamma.vertices)}
+    adj = g.adjacency()
     chains = []
-    for comp in rel.components:
+    for comp in comps:
         if len(comp.attachments) != 2:
             return None
-        path = _component_as_path(g, comp)
-        if path is None:
+        a, b = comp.attachments
+        own = set(comp.edge_indices)
+        steps = {x: [(w, k) for w, k in adj[x] if k in own] for x in comp.vertices}
+        if any(len(steps[x]) != (1 if x in (a, b) else 2) for x in comp.vertices):
             return None
-        joints, lens = path
-        chains.append(AttachedChain(tuple(joints), tuple(lens),
-                                    pos[comp.attachments[0]], pos[comp.attachments[1]]))
+        (x, k), = steps[a]
+        joints, lengths = [], [g.edges[k][2]]
+        while x != b:
+            joints.append(x)
+            x, k = next(step for step in steps[x] if step[1] != k)
+            lengths.append(g.edges[k][2])
+        chains.append(AttachedChain(tuple(joints), tuple(lengths), pos[a], pos[b]))
     for a in range(len(chains)):
         for b in range(a + 1, len(chains)):
             if _chords_cross((chains[a].i_pos, chains[a].t_pos),
                              (chains[b].i_pos, chains[b].t_pos)):
                 return None
     return PolygonWithChains(g, gamma, tuple(chains))
-
-
-def _component_as_path(g: LinkageGraph, comp: RelativeComponent):
-    """Interior joints and lengths if the component is an a-to-b path.  The
-    component is connected, so the degree check leaves only that path."""
-    a, b = comp.attachments
-    adj: dict[str, list[tuple[str, float]]] = {}
-    for k in comp.edge_indices:
-        u, v, length = g.edges[k]
-        adj.setdefault(u, []).append((v, length))
-        adj.setdefault(v, []).append((u, length))
-    for x, nb in adj.items():
-        want = 1 if x in (a, b) else 2
-        if len(nb) != want:
-            return None
-    joints, lengths = [], []
-    prev, cur = None, a
-    while cur != b:
-        prev, (cur, length) = cur, next(p for p in adj[cur] if p[0] != prev)
-        lengths.append(length)
-        if cur != b:
-            joints.append(cur)
-    return joints, lengths
 
 
 def make_polygon(lengths: Sequence[float], prefix: str = "v") -> tuple[LinkageGraph, DistinguishedCycle]:

@@ -29,6 +29,7 @@ from linkmorse.enumeration import (
 )
 from linkmorse.geometry import Configuration, enumerate_cyclic
 from linkmorse.graphs import (
+    DistinguishedCycle,
     LinkageGraph,
     detect_polygon_with_chains,
     make_polygon,
@@ -155,7 +156,46 @@ def pendant_three_chain():
     return LinkageGraph(g.vertices + ("P",), g.edges + (("Z1", "P", 0.5),)), gamma
 
 
+BOWTIE = LinkageGraph(("a", "b", "c", "d", "e"), tuple(
+    (u, v, 1.0) for u, v in [("a", "b"), ("b", "c"), ("a", "c"),
+                             ("c", "d"), ("d", "e"), ("c", "e")]))
+# (graph, gamma) of each linkage that recognize is pinned on
+RECOGNIZE_INSTANCES = {
+    "three_chain": lambda: make_three_chain(*THREE_CHAIN),
+    "pendant": pendant_three_chain,
+    "worked_example": lambda: worked_example()[:2],
+    "bowtie": lambda: (BOWTIE, None),
+    "non_ptt": non_ptt_example,
+    "k4": lambda: (K4, None),
+    "max16": max16_three_chain,
+    "bm223": bott_morse_three_chain,
+}
+# the sha256 of recognize's report on each instance (the three-chain also with
+# terminals I and T), and its exit code
+RECOGNIZE_SHA256 = {
+    "three_chain": ("265e10675f70e5017e5f79fa0f963a416a4d7d487ce476c5f42ece590b30f41b", 0),
+    "pendant": ("32ce5b5ed0b892dcf66fe2d9a790cbb88bd9162dd5166dd093d58a80b5c9e8e7", 0),
+    "worked_example": ("a9e31df2679c0e4b0b233139b3288e45a0c351e182e1bcc5a15a19ffdfa5a792", 0),
+    "bowtie": ("2de144da9a3520ab1ea67a7ae04937b8b105a1b765701e8396d5d2a34850e430", 0),
+    "non_ptt": ("6ee92454b1c962f907b044d816eb4459ebd961ded4453ff0548230ab520fb19d", 3),
+    "k4": ("d5ac5b06b81f7a27498b96745f259c1835b9bff591d693689d9e6b791e4c2a13", 3),
+    "max16": ("62f4afcf2b29ab3f217d264b4a4a20d7d80ff54574be6954186812c0b986e8af", 0),
+    "bm223": ("b6b3cbcac0b0a3c917b0de63181e1e1a47b156b99d4b82820bab999ac93b583d", 0),
+    "three_chain_terminals": (
+        "8599a680a54886e8ad097e9bc037492328294b1589b553a17d412ff73d3db7d1", 0),
+}
+
+
 class TestRecognize:
+    @pytest.mark.parametrize("name", list(RECOGNIZE_SHA256))
+    def test_stdout_digest(self, tmp_path, capsysbinary, name):
+        # blocks, SP trees and relative components, byte for byte
+        terminals = ("I", "T") if name == "three_chain_terminals" else None
+        g, gamma = RECOGNIZE_INSTANCES[name.removesuffix("_terminals")]()
+        code = main(["recognize", write_linkage(tmp_path / "g.json", g, gamma, terminals)])
+        digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+        assert (digest, code) == RECOGNIZE_SHA256[name]
+
     def test_three_chain_ok(self, three_chain_file, capsys):
         assert main(["recognize", three_chain_file]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -197,18 +237,10 @@ class TestRecognize:
         assert block["edges"] == list(range(6)) and block["sp_tree"]
         assert "kernel" not in report and "sp_tree" not in report
 
-    @pytest.mark.parametrize("instance, n_blocks", [
-        (lambda: make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75]), 1),
-        (pendant_three_chain, 1),
-        (lambda: worked_example()[:2], 1),
-        (lambda: (LinkageGraph(("a", "b", "c", "d", "e"), tuple(
-            (u, v, 1.0) for u, v in [("a", "b"), ("b", "c"), ("a", "c"),
-                                     ("c", "d"), ("d", "e"), ("c", "e")])), None), 2),
-        (non_ptt_example, 1),
-        (lambda: (K4, None), 1),
-    ], ids=["three_chain", "pendant", "worked_example", "bowtie", "non_ptt", "k4"])
-    def test_one_reduction_per_block(self, tmp_path, capsys, monkeypatch, instance,
-                                     n_blocks):
+    @pytest.mark.parametrize("name", ["three_chain", "pendant", "worked_example", "bowtie",
+                                      "non_ptt", "k4"])
+    def test_one_reduction_per_block(self, tmp_path, capsys, monkeypatch, name):
+        n_blocks = 2 if name == "bowtie" else 1
         calls = []
         reduce = linkmorse.graphs.sp_decompose
 
@@ -218,7 +250,7 @@ class TestRecognize:
 
         monkeypatch.setattr(linkmorse.graphs, "sp_decompose", counted)
         monkeypatch.setattr(linkmorse.cli, "sp_decompose", counted)
-        path = write_linkage(tmp_path / "g.json", *instance())
+        path = write_linkage(tmp_path / "g.json", *RECOGNIZE_INSTANCES[name]())
         main(["recognize", path])
         report = json.loads(capsys.readouterr().out)
         assert len(calls) == n_blocks
@@ -552,6 +584,19 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: non-generic lengths: ")
 
+    def test_degenerate_center_exit_4(self, tmp_path, capsys):
+        # the 3-4-5 triangle's circumcenter lies on its hypotenuse, so the
+        # oracle's points cannot be classified: non-generic lengths
+        g = LinkageGraph(("a", "b", "c"), (("a", "b", 3.0), ("b", "c", 4.0), ("c", "a", 5.0)))
+        path = write_linkage(tmp_path / "tri.json", g, DistinguishedCycle(("a", "b", "c")))
+        records = tmp_path / "records.json"
+        assert main(["--out", str(records), "critical", path]) == 0
+        assert main(["--n-seeds", "50", "verify", path, str(records)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: non-generic lengths: "
+                                "circle center lies on an edge line\n")
+
     def test_outside_symbolic_class_exit_2(self, tmp_path, capsys):
         g, gamma = non_ptt_example()
         path = write_linkage(tmp_path / "nonptt.json", g, gamma)
@@ -646,7 +691,24 @@ class TestVerify:
             in verdict["diffs"]
 
 
+# the sha256 of continue's diagram on the pitchfork family in each --format, at
+# the benchmark's arguments (--seed 11 --n-seeds 250 --steps 18)
+CONTINUE_SHA256 = {
+    "json": "cf31d14eae0e3219a47d18425de6117dff91818f04a242be1de861340bac44f0",
+    "csv": "99c4fe0cf196fca2652c004d92db8312c23088af1baf9bb049ddcb6c60d078ad",
+}
+
+
 class TestContinue:
+    @pytest.mark.parametrize("fmt", list(CONTINUE_SHA256))
+    def test_stdout_digest(self, tmp_path, capsysbinary, fmt):
+        g, gamma, edge, (lo, hi) = pitchfork_family()
+        path = write_linkage(tmp_path / "fam.json", g, gamma)
+        assert main(["--seed", "11", "--n-seeds", "250", "--format", fmt, "continue", path,
+                     "--edge", str(edge), "--from", repr(lo), "--to", repr(hi),
+                     "--steps", "18"]) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == CONTINUE_SHA256[fmt]
+
     def test_writes_json_and_csv(self, tmp_path):
         g, gamma, edge, (lo, hi) = pitchfork_family()
         path = write_linkage(tmp_path / "fam.json", g, gamma)

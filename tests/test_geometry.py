@@ -710,7 +710,7 @@ class TestSolutionTable:
         # forming sign vectors or solving rows
         n = len(lens)
         ref = geometry._solve_rows(tuple(map(float, lens)), np.empty((0, n)),
-                                   np.empty(0, dtype=int), np.empty(0), flag_coincident=True)
+                                   np.empty(0, dtype=int), np.empty(0))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a flat length vector was solved")

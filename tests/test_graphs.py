@@ -178,18 +178,18 @@ class TestRelativeDecomposition:
     def test_three_chain(self):
         g, gamma = make_three_chain([1, 1], [1, 1.2], [0.8, 1.1])
         rel = relative_decomposition(g, gamma)
-        assert len(rel.components) == 1
-        assert rel.components[0].attachments == ("I", "T")
+        assert len(rel) == 1
+        assert rel[0].attachments == ("I", "T")
 
     def test_polygon_alone_empty(self):
         g, gamma = make_polygon([1, 1.2, 0.9, 1.4])
         rel = relative_decomposition(g, gamma)
-        assert rel.components == ()
+        assert rel == ()
 
     def test_two_noncrossing_paths(self):
         g, gamma = _hexagon_with_two_paths()
         rel = relative_decomposition(g, gamma)
-        attach = sorted(c.attachments for c in rel.components)
+        attach = sorted(c.attachments for c in rel)
         assert attach == [("v0", "v3"), ("v4", "v6")] or \
             attach == sorted([("v0", "v3"), ("v4", "v6")])
 
@@ -197,7 +197,7 @@ class TestRelativeDecomposition:
         g, gamma = _hexagon_with_two_paths()
         rel = relative_decomposition(g, gamma)
         cyc = set(gamma.edge_indices(g))
-        covered = [k for c in rel.components for k in c.edge_indices]
+        covered = [k for c in rel for k in c.edge_indices]
         assert sorted(covered) == sorted(set(range(len(g.edges))) - cyc)
         assert len(covered) == len(set(covered))
 
@@ -206,7 +206,7 @@ class TestRelativeDecomposition:
         # the symbolic class rejects it, but it is still one attached piece
         g, gamma = make_three_chain([1.0, 1.2], [0.8, 1.1], [0.7, 0.75])
         g = LinkageGraph(g.vertices + ("P",), g.edges + (("Z1", "P", 0.5),))
-        (comp,) = relative_decomposition(g, gamma).components
+        (comp,) = relative_decomposition(g, gamma)
         assert comp.attachments == ("I", "T")
         assert comp.vertices == ("I", "P", "T", "Z1")
         assert is_partial_two_tree(g)
@@ -218,6 +218,22 @@ class TestRelativeDecomposition:
         bad = LinkageGraph(g.vertices + ("hub",), edges)
         with pytest.raises(NotPTTError):
             relative_decomposition(bad, gamma)
+
+
+class TestDetectPolygonWithChains:
+    def test_one_attachment_refused(self):
+        # a bar hanging off a cycle vertex meets the cycle once: no chain
+        g, gamma = make_polygon([1.0, 1.1, 0.9, 1.2, 1.05], prefix="w")
+        g = LinkageGraph(g.vertices + ("P",), g.edges + (("w2", "P", 0.5),))
+        assert detect_polygon_with_chains(g, gamma) is None
+
+    def test_crossing_chains_refused(self):
+        # two path chains whose ends interleave on the cycle
+        g, gamma = make_polygon([1.0, 1.1, 0.9, 1.2, 1.05, 0.95])
+        edges = g.edges + (("v0", "p", 0.8), ("p", "v3", 0.85),
+                           ("v1", "q", 0.7), ("q", "v4", 0.75))
+        g = LinkageGraph(g.vertices + ("p", "q"), edges)
+        assert detect_polygon_with_chains(g, gamma) is None
 
 
 def _hexagon_with_two_paths():
